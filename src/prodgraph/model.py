@@ -43,8 +43,7 @@ def _uniform_array(rng: SplitMix64, shape: tuple[int, ...], fan_in: int) -> np.n
     """Uniform draws in [-1/sqrt(fan_in), +1/sqrt(fan_in)], C-order fill."""
     bound = 1.0 / np.sqrt(max(1, fan_in))
     size = int(np.prod(shape)) if shape else 1
-    flat = np.array([rng.uniform(-bound, bound) for _ in range(size)])
-    return flat.reshape(shape)
+    return rng.uniform_array(-bound, bound, size).reshape(shape)
 
 
 @dataclass

@@ -305,37 +305,43 @@ def _tuple_grid_n(adj: SparseAdjacency) -> int:
     return n
 
 
-def apply_sampling_mask(adj: SparseAdjacency, mask: SamplingMask) -> SparseAdjacency:
-    """Keep entry ((s,v),(s',v')) iff both s and s' are sampled."""
+def _sampled_entries(adj: SparseAdjacency, mask: SamplingMask) -> tuple[int, np.ndarray]:
+    """Grid size n and the entries whose row and column subgraphs are sampled.
+
+    A boolean subset of row-major entries keeps their order, so the result
+    is still sorted and unique.
+    """
     n = _tuple_grid_n(adj)
     if mask.n != n:
         raise ValidationError(f"mask is for n={mask.n}, adjacency for n={n}")
-    if adj.nnz == 0:
+    is_sampled = np.zeros(n, dtype=bool)
+    is_sampled[np.asarray(mask.sampled, dtype=np.int64)] = True
+    keep = is_sampled[adj.entries[:, 0] // n] & is_sampled[adj.entries[:, 1] // n]
+    return n, adj.entries[keep]
+
+
+def apply_sampling_mask(adj: SparseAdjacency, mask: SamplingMask) -> SparseAdjacency:
+    """Keep entry ((s,v),(s',v')) iff both s and s' are sampled."""
+    _, entries = _sampled_entries(adj, mask)
+    if entries.shape[0] == adj.nnz:
         return adj
-    kept = np.asarray(mask.sampled, dtype=np.int64)
-    row_s = adj.entries[:, 0] // n
-    col_s = adj.entries[:, 1] // n
-    keep = np.isin(row_s, kept) & np.isin(col_s, kept)
-    return SparseAdjacency.from_pairs(adj.rows, adj.cols, adj.entries[keep])
+    return SparseAdjacency(rows=adj.rows, cols=adj.cols, entries=entries)
 
 
 def restrict_adjacency(adj: SparseAdjacency, mask: SamplingMask) -> SparseAdjacency:
     """Masked adjacency reindexed onto the m*n sampled product nodes.
 
     Subgraph s maps to its rank within mask.sampled; node indices are kept.
-    With a full mask this is the identity reindexing.
+    With a full mask this is the identity reindexing.  The rank map is
+    strictly increasing, so the reindexed entries stay row-major sorted.
     """
-    n = _tuple_grid_n(adj)
-    masked = apply_sampling_mask(adj, mask)
+    n, entries = _sampled_entries(adj, mask)
     kept = np.asarray(mask.sampled, dtype=np.int64)
     m = kept.size
-    if masked.nnz == 0:
-        return SparseAdjacency(rows=m * n, cols=m * n)
-    rank = np.searchsorted(kept, masked.entries[:, 0] // n)
-    rank_c = np.searchsorted(kept, masked.entries[:, 1] // n)
-    rows = rank * n + masked.entries[:, 0] % n
-    cols = rank_c * n + masked.entries[:, 1] % n
-    return SparseAdjacency.from_pairs(m * n, m * n, np.column_stack([rows, cols]))
+    rank = np.zeros(n, dtype=np.int64)
+    rank[kept] = np.arange(m, dtype=np.int64)
+    reindexed = rank[entries // n] * n + entries % n
+    return SparseAdjacency(rows=m * n, cols=m * n, entries=reindexed)
 
 
 def restrict_rows(x: np.ndarray, mask: SamplingMask) -> np.ndarray:

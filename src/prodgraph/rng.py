@@ -8,6 +8,8 @@ graphs, samples, and parameter draws on every platform.
 
 from __future__ import annotations
 
+import numpy as np
+
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
@@ -31,6 +33,23 @@ class SplitMix64:
 
     def uniform(self, low: float, high: float) -> float:
         return low + (high - low) * self.next_float()
+
+    def uniform_array(self, low: float, high: float, size: int) -> np.ndarray:
+        """`size` successive uniform(low, high) draws as one float64 array.
+
+        The stream is evaluated with wrapping uint64 arithmetic, so values and
+        the final state are bit-identical to calling uniform() size times.
+        """
+        if size < 0:
+            raise ValueError("size must be non-negative")
+        steps = np.arange(1, size + 1, dtype=np.uint64)
+        z = np.uint64(self._state) + steps * np.uint64(_GAMMA)
+        self._state = (self._state + size * _GAMMA) & _MASK64
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4B9FE)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        z = z ^ (z >> np.uint64(31))
+        unit = (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        return low + (high - low) * unit
 
     def next_below(self, bound: int) -> int:
         """Uniform integer in [0, bound) without modulo bias."""

@@ -1,10 +1,10 @@
 """Self-verification suites: every structural invariant vs an independent oracle.
 
 Each check rebuilds the quantity under test by a second route (dense
-Kronecker products, masked dense softmax, direct diagonalization, finite
-differences, brute-force enumeration) and reports the worst deviation.  The
-`full` scale runs the complete seed counts; `quick` shrinks them but still
-exercises every check.
+Kronecker products, masked dense softmax, direct Jacobi diagonalization,
+finite differences, brute-force enumeration) and reports the worst
+deviation.  The `full` scale runs the complete seed counts; `quick` shrinks
+them but still exercises every check.
 """
 
 from __future__ import annotations
@@ -316,6 +316,7 @@ def check_pe_cost_structure(scale: str):
     times = []
     for n in (16, 32, 64):
         g = random_graph(n, 0.3, seed=n)
+        product_pe(g, 8)  # warm-up: keep first-call setup out of the timing
         best = min(
             _timed(lambda: product_pe(g, 8)) for _ in range(5 if scale == "full" else 3)
         )
@@ -739,6 +740,11 @@ ALL_CHECKS = [
 ]
 
 
+# Wall-time ratios and tracemalloc need an otherwise idle process, so these
+# run alone after the thread pool has drained.
+ISOLATED_CHECKS = frozenset({"pe-cost-structure"})
+
+
 def run_checks(scale: str = "quick", jobs: int = 1) -> VerifyReport:
     def run_one(item):
         name, fn = item
@@ -747,9 +753,13 @@ def run_checks(scale: str = "quick", jobs: int = 1) -> VerifyReport:
         return CheckResult(name=name, passed=passed, max_deviation=dev,
                            elapsed=time.perf_counter() - start)
 
+    shared = [item for item in ALL_CHECKS if item[0] not in ISOLATED_CHECKS]
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = tuple(pool.map(run_one, ALL_CHECKS))
+            done = list(pool.map(run_one, shared))
     else:
-        results = tuple(run_one(item) for item in ALL_CHECKS)
+        done = [run_one(item) for item in shared]
+    done += [run_one(item) for item in ALL_CHECKS if item[0] in ISOLATED_CHECKS]
+    by_name = {r.name: r for r in done}
+    results = tuple(by_name[name] for name, _ in ALL_CHECKS)
     return VerifyReport(scale=scale, results=results)

@@ -164,6 +164,7 @@ def test_criterion_5_pe_cost_structure():
     times = []
     for n in (16, 32, 64):
         gn = random_graph(n, 0.3, seed=n)
+        product_pe(gn, 8)  # warm-up: keep first-call setup out of the timing
         best = None
         for _ in range(5):
             t0 = time.perf_counter()

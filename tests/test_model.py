@@ -29,6 +29,7 @@ from prodgraph import (
     save_parameters,
     sparse_attention,
 )
+from prodgraph import model as model_module
 from prodgraph.graphs import complete_graph, path_graph
 from prodgraph.model import (
     ForwardConfig,
@@ -526,3 +527,26 @@ def test_run_forward_sampling_is_seeded():
 def test_build_forward_model_rejects_bad_heads():
     with pytest.raises(ShapeMismatch):
         build_forward_model(P2, ForwardConfig(d=6, heads=4))
+
+
+def _scalar_uniform_array(rng, shape, fan_in):
+    """Reference parameter fill: one SplitMix64.uniform call per element."""
+    bound = 1.0 / np.sqrt(max(1, fan_in))
+    size = int(np.prod(shape)) if shape else 1
+    return np.array([rng.uniform(-bound, bound) for _ in range(size)]).reshape(shape)
+
+
+def test_build_forward_model_matches_scalar_draws(monkeypatch):
+    g = random_graph(9, 0.4, seed=2)
+    cfg = ForwardConfig(seed=11)
+    fast = build_forward_model(g, cfg)
+    monkeypatch.setattr(model_module, "_uniform_array", _scalar_uniform_array)
+    ref = build_forward_model(g, cfg)
+    assert [name for name, _ in fast.named()] == [name for name, _ in ref.named()]
+    for (name, got), (_, want) in zip(fast.named(), ref.named()):
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert np.array_equal(got, want), name
+    fast_bytes, ref_bytes = io.BytesIO(), io.BytesIO()
+    save_parameters(fast_bytes, fast.named())
+    save_parameters(ref_bytes, ref.named())
+    assert fast_bytes.getvalue() == ref_bytes.getvalue()

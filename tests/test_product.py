@@ -28,7 +28,7 @@ from prodgraph import (
     restrict_rows,
 )
 from prodgraph.product import build_product_bundle
-from prodgraph.graphs import complete_graph, path_graph
+from prodgraph.graphs import SparseAdjacency, complete_graph, path_graph
 from prodgraph.rng import SplitMix64
 
 P2 = path_graph(2)
@@ -342,6 +342,34 @@ def test_mask_filters_p2_examples():
     assert masked_internal.entry_set() == {(0, 1), (1, 0)}
     masked_external = apply_sampling_mask(external_adjacency(P2), mask)
     assert masked_external.nnz == 0  # every external edge crosses subgraphs
+
+
+def _from_pairs_restriction(adj, mask):
+    """Reference route: filter, reindex, then sort and dedup via from_pairs."""
+    n = mask.n
+    kept = np.asarray(mask.sampled)
+    ent = adj.entries
+    keep = np.isin(ent[:, 0] // n, kept) & np.isin(ent[:, 1] // n, kept)
+    masked = SparseAdjacency.from_pairs(adj.rows, adj.cols, ent[keep])
+    rows = np.searchsorted(kept, masked.entries[:, 0] // n) * n + masked.entries[:, 0] % n
+    cols = np.searchsorted(kept, masked.entries[:, 1] // n) * n + masked.entries[:, 1] % n
+    m = kept.size
+    return masked, SparseAdjacency.from_pairs(m * n, m * n, np.column_stack([rows, cols]))
+
+
+def test_restriction_matches_from_pairs_route():
+    for seed in range(12):
+        n = 3 + seed % 6
+        g = random_graph(n, 0.5, seed=seed + 40)
+        rng = SplitMix64(seed)
+        mask = SamplingMask.from_ratio(n, 0.2 + 0.1 * (seed % 8), rng)
+        for adj in (internal_adjacency(g), external_adjacency(g), point_adjacency(n)):
+            masked_ref, restricted_ref = _from_pairs_restriction(adj, mask)
+            masked = apply_sampling_mask(adj, mask)
+            restricted = restrict_adjacency(adj, mask)
+            assert np.array_equal(masked.entries, masked_ref.entries)
+            assert np.array_equal(restricted.entries, restricted_ref.entries)
+            assert (restricted.rows, restricted.cols) == (restricted_ref.rows, restricted_ref.cols)
 
 
 def test_mask_idempotent():

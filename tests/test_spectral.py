@@ -113,6 +113,33 @@ def test_jacobi_is_deterministic():
     assert np.array_equal(u1, u2)
 
 
+def _sorted_jacobi(mat):
+    values, vectors = jacobi_eigh(mat)
+    order = np.argsort(values, kind="stable")
+    return values[order], vectors[:, order]
+
+
+def test_eig_sym_agrees_with_jacobi():
+    """LAPACK route vs the Jacobi oracle: values, and projectors per cluster."""
+    rng = np.random.default_rng(7)
+    mats = []
+    for n in (1, 2, 5, 12, 30):
+        mat = rng.standard_normal((n, n))
+        mats.append((mat + mat.T) / 2)
+    # degenerate spectra: repeated eigenvalues make single vectors ambiguous
+    mats += [laplacian(K3), laplacian(cycle_graph(6)), laplacian(complete_graph(5))]
+    for mat in mats:
+        dec = eig_sym(mat)
+        values, vectors = _sorted_jacobi(mat)
+        scale = max(1.0, float(np.abs(mat).max()))
+        assert np.abs(dec.values - values).max() <= 1e-10 * scale
+        cuts = np.flatnonzero(np.diff(values) > 1e-6 * scale) + 1
+        for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, values.size]):
+            p_lapack = dec.vectors[:, lo:hi] @ dec.vectors[:, lo:hi].T
+            p_jacobi = vectors[:, lo:hi] @ vectors[:, lo:hi].T
+            assert np.abs(p_lapack - p_jacobi).max() <= 1e-8
+
+
 def test_product_pe_p2_labels_exact():
     pe = product_pe(P2, 4)
     assert pe.eigenvalues.tolist() == [0.0, 2.0, 2.0, 4.0]

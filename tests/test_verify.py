@@ -1,5 +1,8 @@
 """The verification suite itself, plus negative-control bug injections."""
 
+import subprocess
+import sys
+
 import numpy as np
 
 from prodgraph import (
@@ -38,7 +41,16 @@ def test_parallel_jobs_match_sequential():
     seq = run_checks("quick", jobs=1)
     par = run_checks("quick", jobs=4)
     assert seq.passed and par.passed
-    assert {r.name for r in seq.results} == {r.name for r in par.results}
+    order = [name for name, _ in ALL_CHECKS]
+    assert [r.name for r in seq.results] == [r.name for r in par.results] == order
+
+
+def test_cli_verify_jobs_4_repeats_cleanly():
+    """Repeated parallel runs must neither crash nor flake."""
+    cmd = [sys.executable, "-m", "prodgraph", "verify", "--jobs", "4"]
+    for _ in range(5):
+        run = subprocess.run(cmd, capture_output=True, text=True)
+        assert run.returncode == 0, run.stdout + run.stderr
 
 
 def test_negative_control_flatten_off_by_one():
