@@ -150,7 +150,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = run_checks(scale=args.scale, jobs=args.jobs)
+    report = run_checks(scale=args.scale)
     print(report.format())
     return 0 if report.passed else 1
 
@@ -207,7 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the oracle-verification suites")
     p.add_argument("--scale", choices=["quick", "full"], default="quick")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -218,17 +218,13 @@ def random_graph(n: int, p: float, seed: int, with_features: int = 0) -> Graph:
     `with_features` > 0 attaches that many uniform[0,1) feature columns.
     """
     rng = SplitMix64(seed)
-    edges = set()
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.next_float() < p:
-                edges.add((u, v))
+    us, vs = np.triu_indices(n, 1)
+    keep = rng.uniform_array(0.0, 1.0, us.size) < p
+    edges = frozenset(zip(us[keep].tolist(), vs[keep].tolist()))
     features = None
     if with_features:
-        features = np.array(
-            [[rng.next_float() for _ in range(with_features)] for _ in range(n)]
-        )
-    return Graph(n=n, edges=frozenset(edges), features=features)
+        features = rng.uniform_array(0.0, 1.0, n * with_features).reshape(n, with_features)
+    return Graph(n=n, edges=edges, features=features)
 
 
 def path_graph(n: int) -> Graph:
@@ -314,9 +310,6 @@ class SparseAdjacency:
         if self.nnz:
             np.add.at(out, self.entries[:, 0], x[self.entries[:, 1]])
         return out
-
-    def transpose(self) -> "SparseAdjacency":
-        return SparseAdjacency.from_pairs(self.cols, self.rows, self.entries[:, ::-1])
 
     def union(self, other: "SparseAdjacency") -> "SparseAdjacency":
         if (self.rows, self.cols) != (other.rows, other.cols):

@@ -291,10 +291,6 @@ class SamplingMask:
             raise EmptySample(f"ratio {ratio} keeps ceil({ratio} * {n}) = 0 subgraphs")
         return cls(n=n, sampled=tuple(rng.sample_without_replacement(n, count)))
 
-    @property
-    def is_full(self) -> bool:
-        return len(self.sampled) == self.n
-
 
 def _tuple_grid_n(adj: SparseAdjacency) -> int:
     if adj.rows != adj.cols:

@@ -13,7 +13,6 @@ Jacobi solver stays as pe_oracle_check's independent second route.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -194,6 +193,26 @@ class PEMatrix:
         return cls(rows=rows, k=k, data=data, eigenvalues=labels)
 
 
+def _tuple_pe(g: Graph, tuple_order: int, k: int) -> PEMatrix:
+    """First k columns u_t1 (x) ... (x) u_tK over all n^K base index tuples.
+
+    Label of tuple t is lam_t1 + ... + lam_tK, summed left to right.  Tuples
+    sort by (label, t1, ..., tK); ties inherit the base order.
+    """
+    base = eig_sym(laplacian(g))
+    lam = base.values
+    tuples = [t.ravel() for t in np.indices((g.n,) * tuple_order)]
+    labels = lam[tuples[0]]
+    for t in tuples[1:]:
+        labels = labels + lam[t]
+    order = np.lexsort((*tuples[::-1], labels))[:k]
+    data = base.vectors[:, tuples[0][order]]
+    for t in tuples[1:]:
+        factor = base.vectors[:, t[order]]
+        data = (data[:, None, :] * factor[None, :, :]).reshape(-1, k)
+    return PEMatrix(rows=g.n**tuple_order, k=k, data=data, eigenvalues=labels[order])
+
+
 def product_pe(g: Graph, k: int) -> PEMatrix:
     """First k product-graph eigenvector columns, from the base spectrum.
 
@@ -205,18 +224,7 @@ def product_pe(g: Graph, k: int) -> PEMatrix:
     n = g.n
     if not 1 <= k <= n * n:
         raise RangeError(f"k must lie in [1, {n * n}], got {k}")
-    base = eig_sym(laplacian(g))
-    lam = base.values
-    i_idx = np.repeat(np.arange(n), n)
-    j_idx = np.tile(np.arange(n), n)
-    labels = lam[i_idx] + lam[j_idx]
-    order = np.lexsort((j_idx, i_idx, labels))[:k]
-    data = np.empty((n * n, k))
-    for col, pair in enumerate(order):
-        data[:, col] = np.multiply.outer(
-            base.vectors[:, i_idx[pair]], base.vectors[:, j_idx[pair]]
-        ).ravel()
-    return PEMatrix(rows=n * n, k=k, data=data, eigenvalues=labels[order])
+    return _tuple_pe(g, 2, k)
 
 
 def k_tuple_pe(g: Graph, tuple_order: int, k: int) -> PEMatrix:
@@ -231,21 +239,7 @@ def k_tuple_pe(g: Graph, tuple_order: int, k: int) -> PEMatrix:
         )
     if not 1 <= k <= size:
         raise RangeError(f"k must lie in [1, {size}], got {k}")
-    base = eig_sym(laplacian(g))
-    lam = base.values
-    tuples = sorted(
-        itertools.product(range(n), repeat=tuple_order),
-        key=lambda t: (sum(lam[i] for i in t), t),
-    )[:k]
-    data = np.empty((size, k))
-    labels = np.empty(k)
-    for col, t in enumerate(tuples):
-        vec = base.vectors[:, t[0]]
-        for idx in t[1:]:
-            vec = np.kron(vec, base.vectors[:, idx])
-        data[:, col] = vec
-        labels[col] = sum(lam[i] for i in t)
-    return PEMatrix(rows=size, k=k, data=data, eigenvalues=labels)
+    return _tuple_pe(g, tuple_order, k)
 
 
 def concatenation_pe(g: Graph, k: int) -> PEMatrix:

@@ -9,9 +9,9 @@ them but still exercises every check.
 
 from __future__ import annotations
 
+import functools
 import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +60,7 @@ from .product import (
 )
 from .rng import SplitMix64
 from .spectral import (
+    PEOracleReport,
     concatenation_pe,
     eig_sym,
     k_tuple_pe,
@@ -119,7 +120,7 @@ def dense_rgcn_oracle(x, internal_d, external_d, point_d, p: RGCNParams) -> np.n
 
 
 def _random_state(rows: int, d: int, rng: SplitMix64) -> np.ndarray:
-    return np.array([[rng.uniform(-1.0, 1.0) for _ in range(d)] for _ in range(rows)])
+    return rng.uniform_array(-1.0, 1.0, rows * d).reshape(rows, d)
 
 
 # ---------------------------------------------------------------------------
@@ -160,9 +161,7 @@ def check_sparse_roundtrip(scale: str):
     dev = 0
     for seed in range(10 if scale == "full" else 4):
         rng = SplitMix64(seed)
-        mat = np.array(
-            [[1 if rng.next_float() < 0.3 else 0 for _ in range(7)] for _ in range(5)]
-        )
+        mat = (rng.uniform_array(0.0, 1.0, 35).reshape(5, 7) < 0.3).astype(np.int64)
         back = SparseAdjacency.from_dense(mat).to_dense()
         dev = max(dev, int(np.abs(mat - back).max()))
     return dev == 0, float(dev)
@@ -274,11 +273,17 @@ def _spectral_test_graphs(scale: str) -> list[Graph]:
     return graphs
 
 
+@functools.cache
+def _pe_oracle_reports(scale: str) -> tuple[PEOracleReport, ...]:
+    """One direct n^2 x n^2 diagonalization per test graph, shared by the
+    spectrum and projector checks."""
+    return tuple(pe_oracle_check(g) for g in _spectral_test_graphs(scale))
+
+
 def check_spectrum_sum_law(scale: str):
     dev = 0.0
     ok = True
-    for g in _spectral_test_graphs(scale):
-        report = pe_oracle_check(g)
+    for report in _pe_oracle_reports(scale):
         dev = max(dev, report.eigenvalue_deviation)
         ok &= report.eigenvalue_deviation <= 1e-8
     p2 = product_pe(path_graph(2), 4)
@@ -289,8 +294,7 @@ def check_spectrum_sum_law(scale: str):
 def check_eigenspace_projectors(scale: str):
     dev = 0.0
     ok = True
-    for g in _spectral_test_graphs(scale):
-        report = pe_oracle_check(g)
+    for report in _pe_oracle_reports(scale):
         dev = max(dev, report.projector_deviation)
         ok &= report.projector_deviation <= 1e-6
     return ok, dev
@@ -740,26 +744,11 @@ ALL_CHECKS = [
 ]
 
 
-# Wall-time ratios and tracemalloc need an otherwise idle process, so these
-# run alone after the thread pool has drained.
-ISOLATED_CHECKS = frozenset({"pe-cost-structure"})
-
-
-def run_checks(scale: str = "quick", jobs: int = 1) -> VerifyReport:
-    def run_one(item):
-        name, fn = item
+def run_checks(scale: str = "quick") -> VerifyReport:
+    results = []
+    for name, fn in ALL_CHECKS:
         start = time.perf_counter()
         passed, dev = fn(scale)
-        return CheckResult(name=name, passed=passed, max_deviation=dev,
-                           elapsed=time.perf_counter() - start)
-
-    shared = [item for item in ALL_CHECKS if item[0] not in ISOLATED_CHECKS]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            done = list(pool.map(run_one, shared))
-    else:
-        done = [run_one(item) for item in shared]
-    done += [run_one(item) for item in ALL_CHECKS if item[0] in ISOLATED_CHECKS]
-    by_name = {r.name: r for r in done}
-    results = tuple(by_name[name] for name, _ in ALL_CHECKS)
-    return VerifyReport(scale=scale, results=results)
+        results.append(CheckResult(name=name, passed=passed, max_deviation=dev,
+                                   elapsed=time.perf_counter() - start))
+    return VerifyReport(scale=scale, results=tuple(results))

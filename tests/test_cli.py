@@ -200,3 +200,10 @@ def test_verify_quick_passes(capsys):
     lines = [ln for ln in stdout.splitlines() if ln.startswith("[")]
     assert len(lines) == 24
     assert all(ln.startswith("[PASS]") for ln in lines)
+
+
+def test_verify_rejects_jobs_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--jobs", "4"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err

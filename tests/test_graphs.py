@@ -20,6 +20,7 @@ from prodgraph import (
     shortest_path_distances,
 )
 from prodgraph.graphs import complete_graph, cycle_graph, path_graph
+from prodgraph.rng import SplitMix64
 
 
 def test_load_minimal_path_graph():
@@ -178,6 +179,37 @@ def test_random_graph_is_seed_deterministic():
     c = random_graph(8, 0.4, seed=124)
     assert a.edges == b.edges
     assert a.edges != c.edges  # overwhelmingly likely for these seeds
+
+
+def _scalar_random_graph(n, p, seed, with_features=0):
+    """Reference draw: one SplitMix64.next_float call per pair, then per feature."""
+    rng = SplitMix64(seed)
+    edges = set()
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.next_float() < p:
+                edges.add((u, v))
+    features = None
+    if with_features:
+        features = np.array(
+            [[rng.next_float() for _ in range(with_features)] for _ in range(n)]
+        )
+    return Graph(n=n, edges=frozenset(edges), features=features)
+
+
+@pytest.mark.parametrize("n", (1, 2, 7, 23))
+@pytest.mark.parametrize("with_features", (0, 3))
+def test_random_graph_matches_scalar_draws(n, with_features):
+    for seed in range(5):
+        p = (0.0, 0.2, 0.5, 0.9, 1.0)[seed]
+        got = random_graph(n, p, seed=seed, with_features=with_features)
+        want = _scalar_random_graph(n, p, seed=seed, with_features=with_features)
+        assert got.edges == want.edges
+        if with_features:
+            assert got.features.shape == want.features.shape == (n, with_features)
+            assert got.features.tobytes() == want.features.tobytes()
+        else:
+            assert got.features is None
 
 
 def test_named_graphs():
