@@ -14,10 +14,9 @@ Exit codes: 0 success, 1 verification failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from .errors import ProdGraphError, RangeError
 from .graphs import SparseAdjacency, load_graph
@@ -29,16 +28,15 @@ from .model import (
     run_forward,
     save_parameters,
 )
-from .graphs import dense_adjacency
 from .product import (
     SamplingMask,
     apply_sampling_mask,
-    closed_form_cartesian,
+    check_scale,
     external_adjacency,
     internal_adjacency,
-    k_factor_adjacency,
     k_point_adjacency,
     point_adjacency,
+    slot_adjacency,
 )
 from .rng import SplitMix64
 from .spectral import concatenation_pe, k_tuple_pe, node_mark_indices, product_pe
@@ -57,26 +55,25 @@ def _write_coo(adj: SparseAdjacency, path: Path) -> None:
 
 def cmd_build_product(args) -> int:
     g = _load(args.graph)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     order = args.tuple_order
     if order < 2:
         raise RangeError(f"tuple order must be >= 2, got {order}")
+    if order > 2:
+        check_scale(g.n, order)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     if order == 2:
         _write_coo(internal_adjacency(g), out / "internal.coo")
         _write_coo(external_adjacency(g), out / "external.coo")
         _write_coo(point_adjacency(g.n), out / "point.coo")
         return 0
-    a = dense_adjacency(g)
-    for k in range(order):
-        _write_coo(SparseAdjacency.from_dense(k_factor_adjacency(a, k, order)),
-                   out / f"slot{k}.coo")
-    union = SparseAdjacency.from_dense(closed_form_cartesian(a, order))
-    _write_coo(union, out / "union.coo")
+    slots = [slot_adjacency(g, order, k) for k in range(order)]
+    for k, slot in enumerate(slots):
+        _write_coo(slot, out / f"slot{k}.coo")
+    _write_coo(functools.reduce(SparseAdjacency.union, slots), out / "union.coo")
     if args.include_point:
         for i in range(1, order + 1):
-            _write_coo(SparseAdjacency.from_dense(k_point_adjacency(g.n, order, i)),
-                       out / f"point{i}.coo")
+            _write_coo(k_point_adjacency(g.n, order, i), out / f"point{i}.coo")
     return 0
 
 

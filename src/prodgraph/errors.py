@@ -22,7 +22,7 @@ class InvalidInput(ProdGraphError):
 
 
 class ScaleError(ProdGraphError):
-    """Requested dense construction exceeds the desk-scale guard."""
+    """Requested construction exceeds a size guard."""
 
 
 class RangeError(ProdGraphError):

@@ -13,7 +13,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .errors import InvalidPermutation, ParseError, ValidationError
+from .errors import InvalidPermutation, ParseError, ScaleError, ValidationError
 from .rng import SplitMix64
 
 
@@ -261,6 +261,8 @@ class SparseAdjacency:
     entries: np.ndarray = field(default_factory=lambda: np.empty((0, 2), dtype=np.int64))
 
     def __post_init__(self):
+        if self.rows * self.cols > np.iinfo(np.int64).max:
+            raise ScaleError(f"a {self.rows} x {self.cols} matrix overflows int64 entry keys")
         ent = np.asarray(self.entries, dtype=np.int64).reshape(-1, 2)
         object.__setattr__(self, "entries", _readonly(ent))
         if ent.size:

@@ -337,6 +337,9 @@ def _sab_backward_raw(dy, cache, params: SABParams):
 
 
 def _pool_forward(x: np.ndarray, variant: str, n: int, mlp: MLPParams):
+    """Column sum of all rows ("sum_sum"), or that sum divided by n ("mean_sum"),
+    then the pool MLP.  n is the base node count even when x holds only the
+    m*n rows of m sampled subgraphs."""
     if variant == "sum_sum":
         pre = x.sum(axis=0)
     elif variant == "mean_sum":
@@ -597,7 +600,8 @@ def run_forward(g: Graph, cfg: ForwardConfig, model: ForwardModel | None = None)
     With sampling, ceil(ratio * n) subgraphs are drawn from the seeded stream
     and the whole system (state rows and all three adjacencies) is restricted
     to their rows before the stack runs; ratio 1.0 reproduces the unsampled
-    forward bit for bit.
+    forward bit for bit.  Pooling "mean_sum" divides the sum over the m*n
+    sampled rows by n, whatever m is.
     """
     from .product import SamplingMask, build_product_bundle, restrict_adjacency, restrict_rows
     from .spectral import node_mark_indices, product_pe

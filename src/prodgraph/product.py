@@ -10,10 +10,13 @@ node set:
   external  (s,v)-(s',v)  for s ~ s'   == A (x) I   (across subgraphs)
   point     (s,v) <- (v,v)             (each tuple reads its root's row)
 
-The k-tuple generalization replaces pairs with K-tuples: the Cartesian
-operator C^K(A), its closed form as a sum of single-slot matrices, and the
-per-slot point adjacencies.  Dense matrices appear only for the k-tuple
-operators, guarded to n^K <= 4096 product nodes.
+The K-tuple generalization replaces pairs with K-tuples: slot j carries
+I (x) ... (x) A (x) ... (x) I with A in position j, so internal and external
+are the K = 2 slots 1 and 0, and each free slot has its own point adjacency.
+All of these are built sparsely from the base edge list.  Dense matrices
+appear only in the oracle builders (kron, cartesian_operator,
+k_factor_adjacency, closed_form_cartesian), guarded to n^K <= 4096 product
+nodes.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptySample, InvalidInput, RangeError, ScaleError, ValidationError
-from .graphs import Graph, SparseAdjacency
+from .graphs import Graph, SparseAdjacency, check_permutation, complete_graph
 
 MAX_DENSE_PRODUCT_NODES = 4096
 
@@ -40,6 +43,10 @@ class TupleIndexing:
 
     n: int
     k: int
+
+    def __post_init__(self):
+        if self.n < 1 or self.k < 1:
+            raise RangeError(f"TupleIndexing needs n, k >= 1, got n={self.n}, k={self.k}")
 
     @property
     def size(self) -> int:
@@ -66,11 +73,9 @@ class TupleIndexing:
 
     def product_permutation(self, perm: Sequence[int]) -> np.ndarray:
         """Flat image of applying a base-node permutation to every slot."""
-        perm = np.asarray(perm, dtype=np.int64)
-        out = np.zeros(self.size, dtype=np.int64)
-        for idx in range(self.size):
-            out[idx] = self.flatten([int(perm[x]) for x in self.unflatten(idx)])
-        return out
+        perm = np.asarray(check_permutation(perm, self.n), dtype=np.int64)
+        shape = (self.n,) * self.k
+        return np.ravel_multi_index(tuple(perm[np.indices(shape).reshape(self.k, -1)]), shape)
 
 
 @dataclass(frozen=True)
@@ -93,35 +98,39 @@ def _directed_edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     return src, dst
 
 
+def slot_adjacency(g: Graph, tuple_order: int, slot: int) -> SparseAdjacency:
+    """I (x) ... (x) A (x) ... (x) I with A in `slot`, 0-indexed from the left.
+
+    Tuples t, t' are adjacent iff they agree everywhere except at `slot`,
+    where t[slot] ~ t'[slot] in g.  Entries are broadcast over left digits x
+    directed edges x right digits.
+    """
+    if not 0 <= slot < tuple_order:
+        raise RangeError(f"slot {slot} out of [0, {tuple_order})")
+    n = g.n
+    src, dst = _directed_edge_arrays(g)
+    stride = n ** (tuple_order - slot - 1)
+    left = np.arange(n**slot, dtype=np.int64)[:, None, None] * (n * stride)
+    right = np.arange(stride, dtype=np.int64)[None, None, :]
+    rows = (left + src[None, :, None] * stride + right).ravel()
+    cols = (left + dst[None, :, None] * stride + right).ravel()
+    size = n**tuple_order
+    return SparseAdjacency.from_pairs(size, size, np.column_stack([rows, cols]))
+
+
 def internal_adjacency(g: Graph) -> SparseAdjacency:
     """Entries ((s,v),(s,v')) for every subgraph s and edge v ~ v'; I (x) A."""
-    n = g.n
-    u, v = _directed_edge_arrays(g)
-    s = np.arange(n, dtype=np.int64)
-    rows = (s[:, None] * n + u[None, :]).ravel()
-    cols = (s[:, None] * n + v[None, :]).ravel()
-    return SparseAdjacency.from_pairs(n * n, n * n, np.column_stack([rows, cols]))
+    return slot_adjacency(g, 2, 1)
 
 
 def external_adjacency(g: Graph) -> SparseAdjacency:
     """Entries ((s,v),(s',v)) for every node v and edge s ~ s'; A (x) I."""
-    n = g.n
-    s, t = _directed_edge_arrays(g)
-    v = np.arange(n, dtype=np.int64)
-    rows = (s[:, None] * n + v[None, :]).ravel()
-    cols = (t[:, None] * n + v[None, :]).ravel()
-    return SparseAdjacency.from_pairs(n * n, n * n, np.column_stack([rows, cols]))
+    return slot_adjacency(g, 2, 0)
 
 
 def point_adjacency(n: int) -> SparseAdjacency:
     """Row (s,v) has its single entry at column (v,v); asymmetric, nnz = n^2."""
-    if n < 1:
-        raise RangeError(f"node count must be >= 1, got {n}")
-    s = np.repeat(np.arange(n, dtype=np.int64), n)
-    v = np.tile(np.arange(n, dtype=np.int64), n)
-    rows = s * n + v
-    cols = v * n + v
-    return SparseAdjacency.from_pairs(n * n, n * n, np.column_stack([rows, cols]))
+    return k_point_adjacency(n, 2, 1)
 
 
 def cartesian_product_adjacency(g: Graph) -> SparseAdjacency:
@@ -158,11 +167,12 @@ def _check_hollow_symmetric(a: np.ndarray) -> np.ndarray:
     return a.astype(np.int8)
 
 
-def _check_scale(n: int, k: int) -> int:
+def check_scale(n: int, k: int) -> int:
+    """n^k, or ScaleError when it exceeds MAX_DENSE_PRODUCT_NODES."""
     size = n**k
     if size > MAX_DENSE_PRODUCT_NODES:
         raise ScaleError(
-            f"n^k = {n}^{k} = {size} exceeds the dense guard of {MAX_DENSE_PRODUCT_NODES}"
+            f"n^k = {n}^{k} = {size} exceeds the {MAX_DENSE_PRODUCT_NODES}-node guard"
         )
     return size
 
@@ -175,7 +185,7 @@ def cartesian_operator(a: np.ndarray, k: int) -> np.ndarray:
         raise RangeError(f"tuple order must be >= 1, got {k}")
     a = _check_hollow_symmetric(a)
     n = a.shape[0]
-    _check_scale(n, k)
+    check_scale(n, k)
     out = a
     eye_n = np.eye(n, dtype=np.int8)
     for j in range(2, k + 1):
@@ -189,7 +199,7 @@ def k_factor_adjacency(a: np.ndarray, k: int, tuple_order: int) -> np.ndarray:
         raise RangeError(f"slot {k} out of [0, {tuple_order})")
     a = _check_hollow_symmetric(a)
     n = a.shape[0]
-    _check_scale(n, tuple_order)
+    check_scale(n, tuple_order)
     left = np.eye(n**k, dtype=np.int8)
     right = np.eye(n ** (tuple_order - k - 1), dtype=np.int8)
     return kron(kron(left, a), right)
@@ -205,7 +215,7 @@ def closed_form_cartesian(a: np.ndarray, tuple_order: int) -> np.ndarray:
         raise RangeError(f"tuple order must be >= 1, got {tuple_order}")
     a = _check_hollow_symmetric(a)
     n = a.shape[0]
-    size = _check_scale(n, tuple_order)
+    size = check_scale(n, tuple_order)
     out = np.zeros((size, size), dtype=np.int8)
     for k in range(tuple_order):
         out += k_factor_adjacency(a, k, tuple_order)
@@ -214,52 +224,38 @@ def closed_form_cartesian(a: np.ndarray, tuple_order: int) -> np.ndarray:
     return out
 
 
-def k_point_adjacency(n: int, tuple_order: int, i: int) -> np.ndarray:
+def k_point_adjacency(n: int, tuple_order: int, i: int) -> SparseAdjacency:
     """Point update for K-tuples with free slot i (1-indexed).
 
     Entry ((v_1..v_K), (v'_1..v'_K)) is 1 iff the target is a root tuple,
     v'_1 = ... = v'_K = c, and every source slot except slot i equals c.
-    For K = 2, i = 1 this recovers point_adjacency(n) exactly.
+    For K = 2, i = 1 this is point_adjacency(n); nnz = n^2.
     """
     if n < 1:
         raise RangeError(f"node count must be >= 1, got {n}")
     if not 1 <= i <= tuple_order:
         raise RangeError(f"slot {i} out of [1, {tuple_order}]")
-    size = _check_scale(n, tuple_order)
-    out = np.zeros((size, size), dtype=np.int8)
+    c = np.arange(n, dtype=np.int64)
     stride = n ** (tuple_order - i)
-    # Row index decomposes as c * (everything) with slot i overwritten: start
-    # from the all-c tuple, zero slot i, then add v_i * stride.
-    all_c = (size - 1) // (n - 1) if n > 1 else 0  # flatten((c,..,c)) = c * all_ones
-    for c in range(n):
-        col = c * all_c if n > 1 else 0
-        base = col - c * stride
-        rows = base + np.arange(n, dtype=np.int64) * stride
-        out[rows, col] = 1
-    return out
+    root = c * sum(n**j for j in range(tuple_order))  # flatten((c, ..., c))
+    # Source rows: root tuple (c, ..., c) with slot i overwritten by every value in [0, n).
+    rows = (root - c * stride)[:, None] + c[None, :] * stride
+    cols = np.repeat(root, n)
+    size = n**tuple_order
+    return SparseAdjacency.from_pairs(size, size, np.column_stack([rows.ravel(), cols]))
 
 
 def global_adjacencies(n: int) -> tuple[SparseAdjacency, SparseAdjacency]:
     """Clique-derived connectivities: (I (x) (J - I),  (J - I) (x) I).
 
-    The first connects (s,v)-(s,v') for all v != v' (global within-subgraph),
-    the second (s,v)-(s',v) for all s != s'.  Each has nnz = n^2 (n-1).
+    These are the internal and external adjacencies of the complete graph
+    K_n: (s,v)-(s,v') for all v != v', and (s,v)-(s',v) for all s != s'.
+    Each has nnz = n^2 (n-1).
     """
     if n < 1:
         raise RangeError(f"node count must be >= 1, got {n}")
-    idx = np.arange(n, dtype=np.int64)
-    a, b = np.meshgrid(idx, idx, indexing="ij")
-    off = a.ravel() != b.ravel()
-    pairs_a, pairs_b = a.ravel()[off], b.ravel()[off]
-    s = np.repeat(idx, pairs_a.size)
-    gi_rows = s * n + np.tile(pairs_a, n)
-    gi_cols = s * n + np.tile(pairs_b, n)
-    ge_rows = np.tile(pairs_a, n) * n + s
-    ge_cols = np.tile(pairs_b, n) * n + s
-    nn = n * n
-    gi = SparseAdjacency.from_pairs(nn, nn, np.column_stack([gi_rows, gi_cols]))
-    ge = SparseAdjacency.from_pairs(nn, nn, np.column_stack([ge_rows, ge_cols]))
-    return gi, ge
+    clique = complete_graph(n)
+    return internal_adjacency(clique), external_adjacency(clique)
 
 
 @dataclass(frozen=True)

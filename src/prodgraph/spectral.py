@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import NotSymmetric, ParseError, ProdGraphError, RangeError, ScaleError
 from .graphs import Graph, dense_adjacency, shortest_path_distances
-from .product import MAX_DENSE_PRODUCT_NODES, cartesian_product_adjacency
+from .product import cartesian_product_adjacency, check_scale
 
 
 def laplacian(g: Graph) -> np.ndarray:
@@ -232,11 +232,7 @@ def k_tuple_pe(g: Graph, tuple_order: int, k: int) -> PEMatrix:
     n = g.n
     if tuple_order < 1:
         raise RangeError(f"tuple order must be >= 1, got {tuple_order}")
-    size = n**tuple_order
-    if size > MAX_DENSE_PRODUCT_NODES:
-        raise ScaleError(
-            f"n^K = {size} exceeds the {MAX_DENSE_PRODUCT_NODES}-node guard"
-        )
+    size = check_scale(n, tuple_order)
     if not 1 <= k <= size:
         raise RangeError(f"k must lie in [1, {size}], got {k}")
     return _tuple_pe(g, tuple_order, k)

@@ -57,6 +57,7 @@ from .product import (
     point_adjacency,
     restrict_adjacency,
     restrict_rows,
+    slot_adjacency,
 )
 from .rng import SplitMix64
 from .spectral import (
@@ -184,6 +185,9 @@ def check_kron_equivalence(scale: str):
         dev = max(dev, int(np.abs(external_adjacency(g).to_dense() - kron(a, eye)).max()))
         cart = cartesian_product_adjacency(g).to_dense()
         dev = max(dev, int(np.abs(cart - (kron(a, eye) + kron(eye, a))).max()))
+        for j in range(3):
+            slot = slot_adjacency(g, 3, j).to_dense()
+            dev = max(dev, int(np.abs(slot - k_factor_adjacency(a, j, 3)).max()))
     return dev == 0, float(dev)
 
 
@@ -204,12 +208,9 @@ def check_slot_disjointness(scale: str):
     dev = 0
     for seed in range(6 if scale == "full" else 2):
         for n in (2, 3, 4):
-            a = dense_adjacency(random_graph(n, 0.5, seed=seed))
+            g = random_graph(n, 0.5, seed=seed)
             for order in (2, 3):
-                slots = [
-                    k_factor_adjacency(a, k, order).astype(np.int64)
-                    for k in range(order)
-                ]
+                slots = [slot_adjacency(g, order, k).to_dense() for k in range(order)]
                 for i in range(order):
                     for j in range(i + 1, order):
                         dev = max(dev, int((slots[i] * slots[j]).sum()))
@@ -667,7 +668,8 @@ INVARIANT_COVERAGE = [
     ("graph-core", "permutation conjugates the dense adjacency", "permutation-conjugation"),
     ("graph-core", "BFS distances symmetric, zero-diagonal, triangle inequality", "bfs-distance-properties"),
     ("graph-core", "dense/sparse round trip is the identity", "sparse-roundtrip"),
-    ("product-graph", "internal/external/cartesian equal their Kronecker forms", "kron-equivalence"),
+    ("product-graph", "internal/external/cartesian and K = 3 slots equal their Kronecker forms",
+     "kron-equivalence"),
     ("product-graph", "recursive and closed-form Cartesian operators agree", "closed-form-equality"),
     ("product-graph", "slot adjacencies are pairwise disjoint", "slot-disjointness"),
     ("product-graph", "edge counts are 2n|E|, 2n|E|, n^2", "edge-count-formulas"),

@@ -4,9 +4,16 @@ import sys
 import numpy as np
 import pytest
 
-from prodgraph import SparseAdjacency
+from prodgraph import (
+    SparseAdjacency,
+    closed_form_cartesian,
+    dense_adjacency,
+    k_factor_adjacency,
+    load_graph,
+)
 from prodgraph.cli import main
 from prodgraph.spectral import PEMatrix
+from tuple_reference import point_pairs, reference_adjacency
 
 P2_JSON = '{"n":2,"edges":[[0,1]]}'
 
@@ -57,6 +64,28 @@ def test_build_product_k3_optional_point_files(p2_file, tmp_path, capsys):
     for i in (1, 2, 3):
         pt = SparseAdjacency.from_coo_text((out / f"point{i}.coo").read_text())
         assert pt.nnz == 4  # n^2 entries
+
+
+def test_build_product_k3_matches_oracles(tmp_path, capsys):
+    graph = tmp_path / "star.json"
+    graph.write_text('{"n":4,"edges":[[0,1],[1,2],[1,3]]}')
+    out = tmp_path / "adj3"
+    code, stdout, _ = run_cli(capsys, "build-product", str(graph), "--tuple-order", "3",
+                              "--out", str(out), "--include-point")
+    assert code == 0
+    names = ["slot0", "slot1", "slot2", "union", "point1", "point2", "point3"]
+    nnz = [96, 96, 96, 288, 16, 16, 16]
+    assert stdout.splitlines() == [
+        f"wrote {out / name}.coo (nnz={count})" for name, count in zip(names, nnz)
+    ]
+    g = load_graph(graph.read_text())
+    a = dense_adjacency(g)
+    expected = {f"slot{k}": SparseAdjacency.from_dense(k_factor_adjacency(a, k, 3)) for k in range(3)}
+    expected["union"] = SparseAdjacency.from_dense(closed_form_cartesian(a, 3))
+    for i in (1, 2, 3):
+        expected[f"point{i}"] = reference_adjacency(4, 3, point_pairs(4, 3, i))
+    for name, adj in expected.items():
+        assert (out / f"{name}.coo").read_text() == adj.to_coo_text()
 
 
 def test_build_product_malformed_json(tmp_path, capsys):
@@ -125,6 +154,25 @@ def test_forward_deterministic_and_golden(p2_file, capsys):
     )  # pinned reference run
     got = np.array([float(x) for x in out1.split()])
     assert np.abs(got - golden).max() <= 1e-12
+
+
+@pytest.mark.parametrize("pool, golden", [
+    ("sum_sum", [-2.0178575065687983, 0.44085634118806183, 0.00027024679076992353,
+                 -0.09733311030852547, 1.3133535669117771, -0.56829155384104635,
+                 1.4306649029609839, -0.29766515478288436]),
+    # mean_sum divides the sum over the m*n sampled rows by n, not by m*n
+    ("mean_sum", [-0.69371010609271755, -0.045196171493379678, -0.13983113841627598,
+                  -0.11868918377828296, 0.28933163535778877, -0.031906254747110813,
+                  0.43307136642035415, -0.25505650935286828]),
+], ids=["sum_sum", "mean_sum"])
+def test_forward_sampled_golden(tmp_path, capsys, pool, golden):
+    graph = tmp_path / "g6.json"
+    graph.write_text('{"n":6,"edges":[[0,1],[1,2],[2,3],[3,4],[1,4],[4,5],[0,2]]}')
+    code, out, _ = run_cli(capsys, "forward", str(graph), "--sample-ratio", "0.5",
+                           "--sample-seed", "3", "--pool", pool)
+    assert code == 0
+    got = np.array([float(x) for x in out.split()])
+    assert np.abs(got - np.array(golden)).max() <= 1e-12  # pinned reference run
 
 
 def test_forward_sample_ratio_one_matches_unsampled(p2_file, capsys):

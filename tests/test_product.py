@@ -5,6 +5,7 @@ from prodgraph import (
     EmptySample,
     Graph,
     InvalidInput,
+    InvalidPermutation,
     RangeError,
     SamplingMask,
     ScaleError,
@@ -26,10 +27,12 @@ from prodgraph import (
     random_permutation,
     restrict_adjacency,
     restrict_rows,
+    slot_adjacency,
 )
 from prodgraph.product import build_product_bundle
 from prodgraph.graphs import SparseAdjacency, complete_graph, path_graph
 from prodgraph.rng import SplitMix64
+from tuple_reference import point_pairs, reference_adjacency, slot_pairs
 
 P2 = path_graph(2)
 K3 = complete_graph(3)
@@ -237,30 +240,74 @@ def test_slot_disjointness():
 def test_k_point_recovers_point_adjacency():
     for n in (2, 3, 4):
         assert np.array_equal(
-            k_point_adjacency(n, 2, 1).astype(np.int64),
+            k_point_adjacency(n, 2, 1).to_dense(),
             point_adjacency(n).to_dense(),
         )
 
 
 def test_k_point_other_slot_is_transposed_variant():
     # free slot 2: row (v1, v2) reads root (v1, v1)
-    entries = sorted(map(tuple, np.argwhere(k_point_adjacency(2, 2, 2))))
+    entries = sorted(k_point_adjacency(2, 2, 2).entry_set())
     assert entries == [(0, 0), (1, 0), (2, 3), (3, 3)]
 
 
 def test_k_point_single_node():
     for order in (1, 2, 3):
         for i in range(1, order + 1):
-            assert k_point_adjacency(1, order, i).tolist() == [[1]]
+            assert k_point_adjacency(1, order, i).to_dense().tolist() == [[1]]
 
 
 def test_k_point_counts_and_range():
     kp = k_point_adjacency(3, 3, 2)
-    assert kp.sum() == 9  # one entry per (root value, free slot value)
+    assert kp.nnz == 9  # one entry per (root value, free slot value)
     with pytest.raises(RangeError):
         k_point_adjacency(3, 2, 0)
     with pytest.raises(RangeError):
         k_point_adjacency(3, 2, 3)
+
+
+def test_tuple_builders_match_brute_force_enumeration():
+    for n in range(1, 5):
+        graphs = [path_graph(n)] + [random_graph(n, 0.6, seed=seed) for seed in range(3)]
+        for order in range(1, 4):
+            for g in graphs:
+                a = dense_adjacency(g)
+                for slot in range(order):
+                    built = slot_adjacency(g, order, slot)
+                    ref = reference_adjacency(n, order, slot_pairs(g, order, slot))
+                    assert np.array_equal(built.entries, ref.entries)
+                    assert np.array_equal(built.to_dense(), k_factor_adjacency(a, slot, order))
+            for i in range(1, order + 1):
+                ref = reference_adjacency(n, order, point_pairs(n, order, i))
+                assert np.array_equal(k_point_adjacency(n, order, i).entries, ref.entries)
+
+
+def test_sparse_tuple_builders_pass_the_dense_guard():
+    g = random_graph(9, 0.4, seed=0)  # 9^4 = 6561 > 4096
+    for slot in range(4):
+        assert slot_adjacency(g, 4, slot).nnz == 2 * g.num_edges * 9**3
+    for i in range(1, 5):
+        assert k_point_adjacency(9, 4, i).nnz == 81
+    with pytest.raises(RangeError):
+        slot_adjacency(g, 2, 2)
+    with pytest.raises(RangeError):
+        slot_adjacency(g, 2, -1)
+    with pytest.raises(ScaleError):
+        k_point_adjacency(40, 6, 1)  # (40^6)^2 entry keys overflow int64
+
+
+def test_product_permutation_matches_tuple_loop():
+    for n in range(1, 6):
+        for k in range(1, 4):
+            ti = TupleIndexing(n, k)
+            perm = random_permutation(n, seed=10 * n + k)
+            ref = [ti.flatten([perm[x] for x in ti.unflatten(i)]) for i in range(ti.size)]
+            pp = ti.product_permutation(perm)
+            assert pp.dtype == np.int64 and pp.tolist() == ref
+    with pytest.raises(InvalidPermutation):
+        TupleIndexing(3, 2).product_permutation([0, 0, 1])
+    with pytest.raises(RangeError):
+        TupleIndexing(3, 0)
 
 
 def test_global_adjacencies():
