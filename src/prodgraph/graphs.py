@@ -248,6 +248,24 @@ def random_permutation(n: int, seed: int) -> list[int]:
     return perm
 
 
+def scatter_sum(index: np.ndarray, vals: np.ndarray, size: int) -> np.ndarray:
+    """out[i] = sum of vals[e] over the entries e with index[e] == i.
+
+    The result has shape (size,) + vals.shape[1:]; every index must lie in
+    [0, size).  One np.bincount per trailing channel adds the values in
+    entry order, so the float64 result is bit for bit that of the unbuffered
+    `ufunc.at` scatter of np.add.  It needs no sort of the index.
+    """
+    vals = np.asarray(vals, dtype=np.float64)
+    tail = vals.shape[1:]
+    width = int(np.prod(tail))
+    flat = vals.reshape(vals.shape[0], width)
+    out = np.empty((size, width))
+    for j in range(width):
+        out[:, j] = np.bincount(index, weights=flat[:, j], minlength=size)
+    return out.reshape((size,) + tail)
+
+
 @dataclass(frozen=True)
 class SparseAdjacency:
     """Binary sparse matrix as a sorted, deduplicated set of (row, col) pairs.
@@ -308,10 +326,8 @@ class SparseAdjacency:
         """A @ x for a dense matrix x with self.cols rows."""
         if x.shape[0] != self.cols:
             raise ValidationError(f"operand has {x.shape[0]} rows, expected {self.cols}")
-        out = np.zeros((self.rows,) + x.shape[1:], dtype=np.float64)
-        if self.nnz:
-            np.add.at(out, self.entries[:, 0], x[self.entries[:, 1]])
-        return out
+        r, c = self.entries[:, 0], self.entries[:, 1]
+        return scatter_sum(r, np.take(x, c, axis=0), self.rows)
 
     def union(self, other: "SparseAdjacency") -> "SparseAdjacency":
         if (self.rows, self.cols) != (other.rows, other.cols):

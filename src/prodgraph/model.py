@@ -18,6 +18,17 @@ an empty in-neighborhood emit zeros.  Every forward step caches what its
 hand-written backward needs; gradients are validated against central finite
 differences by grad_check.
 
+The score splits into a receiver term and a sender term,
+z_ij = s_q[i] + s_k[j] with s_q = (W_Q x)_h . a_q and s_k = (W_K x)_h . a_k,
+so both are computed once per row and only the (E, heads) sums are
+gathered per edge.  The backward pass runs the same way in reverse: dz is
+summed per receiver and per sender, and those (rows, heads) sums give
+d(a_q), d(a_k), dQ and dK.  Every scatter (messages, dV, dz sums, the
+point update and its backward) goes through graphs.scatter_sum, which adds
+in entry order: forward outputs are bit-identical to a per-edge
+accumulation in adjacency order.  No (E, heads, head_dim) array is kept in
+a cache.
+
 All math is float64.  ReLU takes subgradient 0 at 0.
 """
 
@@ -31,7 +42,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from .errors import NonFiniteGradient, ParseError, ShapeMismatch
-from .graphs import Graph, SparseAdjacency
+from .graphs import Graph, SparseAdjacency, scatter_sum
 from .product import ProductGraphBundle
 from .rng import SplitMix64
 from .spectral import NodeMarkIndex, PEMatrix
@@ -230,21 +241,20 @@ def _attention_forward(x: np.ndarray, adj: SparseAdjacency, p: AttentionParams, 
     q = (x @ p.w_query).reshape(rows_n, heads, hd)
     k = (x @ p.w_key).reshape(rows_n, heads, hd)
     v = (x @ p.w_value).reshape(rows_n, heads, hd)
-    out = np.zeros((rows_n, heads, hd))
     if adj.nnz == 0:
         cache = (x, adj, q, k, v, None, None, None, None, heads, hd)
-        return out.reshape(rows_n, d_out), cache
+        return np.zeros((rows_n, d_out)), cache
     r = adj.entries[:, 0]
     c = adj.entries[:, 1]
-    aq = p.attn[:, :hd]
-    ak = p.attn[:, hd:]
-    z = (q[r] * aq[None, :, :]).sum(-1) + (k[c] * ak[None, :, :]).sum(-1)  # (E, H)
+    s_q = (q * p.attn[:, :hd]).sum(-1)  # (rows, H): receiver half of the score
+    s_k = (k * p.attn[:, hd:]).sum(-1)  # (rows, H): sender half
+    z = np.take(s_q, r, axis=0) + np.take(s_k, c, axis=0)  # (E, H)
     e = np.where(z > 0.0, z, LEAKY_SLOPE * z)
     starts, counts = _segments(r)
     shifted = e - np.repeat(np.maximum.reduceat(e, starts, axis=0), counts, axis=0)
     ex = np.exp(shifted)
     alpha = ex / np.repeat(np.add.reduceat(ex, starts, axis=0), counts, axis=0)
-    np.add.at(out, r, alpha[:, :, None] * v[c])
+    out = scatter_sum(r, alpha[:, :, None] * np.take(v, c, axis=0), rows_n)
     cache = (x, adj, q, k, v, z, alpha, starts, counts, heads, hd)
     return out.reshape(rows_n, d_out), cache
 
@@ -253,26 +263,28 @@ def _attention_backward(dout: np.ndarray, cache, p: AttentionParams):
     x, adj, q, k, v, z, alpha, starts, counts, heads, hd = cache
     rows_n, d_in = x.shape
     d_out = p.w_query.shape[1]
-    dq = np.zeros_like(q)
-    dk = np.zeros_like(k)
-    dv = np.zeros_like(v)
     dattn = np.zeros_like(p.attn)
     if adj.nnz:
         r = adj.entries[:, 0]
         c = adj.entries[:, 1]
-        aq = p.attn[:, :hd]
-        ak = p.attn[:, hd:]
-        dout_h = dout.reshape(rows_n, heads, hd)
-        dalpha = (dout_h[r] * v[c]).sum(-1)  # (E, H)
-        np.add.at(dv, c, alpha[:, :, None] * dout_h[r])
+        dout_r = np.take(dout.reshape(rows_n, heads, hd), r, axis=0)  # (E, H, hd)
+        dalpha = np.einsum("ehd,ehd->eh", dout_r, np.take(v, c, axis=0))
+        dv = scatter_sum(c, alpha[:, :, None] * dout_r, rows_n)
+        del dout_r  # the last (E, H, hd) array; freeing it here lowers the peak
         weighted = alpha * dalpha
         seg = np.repeat(np.add.reduceat(weighted, starts, axis=0), counts, axis=0)
         dz = alpha * (dalpha - seg)
         dz = dz * np.where(z > 0.0, 1.0, LEAKY_SLOPE)
-        dattn[:, :hd] = np.einsum("eh,ehd->hd", dz, q[r])
-        dattn[:, hd:] = np.einsum("eh,ehd->hd", dz, k[c])
-        np.add.at(dq, r, dz[:, :, None] * aq[None, :, :])
-        np.add.at(dk, c, dz[:, :, None] * ak[None, :, :])
+        # z = s_q[r] + s_k[c], so the score gradient reaches each node
+        # through its per-row and per-column sums of dz.
+        dz_r = scatter_sum(r, dz, rows_n)  # (rows, H)
+        dz_c = scatter_sum(c, dz, rows_n)
+        dattn[:, :hd] = np.einsum("nh,nhd->hd", dz_r, q)
+        dattn[:, hd:] = np.einsum("nh,nhd->hd", dz_c, k)
+        dq = dz_r[:, :, None] * p.attn[:, :hd]
+        dk = dz_c[:, :, None] * p.attn[:, hd:]
+    else:
+        dq = dk = dv = np.zeros_like(q)
     dq_flat = dq.reshape(rows_n, d_out)
     dk_flat = dk.reshape(rows_n, d_out)
     dv_flat = dv.reshape(rows_n, d_out)
@@ -299,9 +311,9 @@ def _point_backward(dy: np.ndarray, cache, epsilon: np.ndarray, mlp: MLPParams):
     x, point, mlp_cache = cache
     dpre, mlp_grads = _mlp_backward(dy, mlp_cache, mlp)
     deps = float((dpre * x).sum())
-    dx = (1.0 + float(epsilon)) * dpre
-    if point.nnz:
-        np.add.at(dx, point.entries[:, 1], dpre[point.entries[:, 0]])
+    dx = (1.0 + float(epsilon)) * dpre + scatter_sum(
+        point.entries[:, 1], dpre[point.entries[:, 0]], point.cols
+    )
     return dx, deps, mlp_grads
 
 

@@ -479,6 +479,7 @@ def check_attention_row_stochastic(scale: str):
                 dev = max(dev, float(-alpha.min()))
             rows = adj.entries[:, 0]
             sums = np.zeros((adj.rows, alpha.shape[1]))
+            # deliberately np.add.at, a route independent of the model's scatter_sum
             np.add.at(sums, rows, alpha)
             nonempty = np.zeros(adj.rows, dtype=bool)
             nonempty[rows] = True
@@ -549,40 +550,55 @@ def check_pool_invariance(scale: str):
     return dev <= 1e-10, dev
 
 
+def _restrict_pipeline(pipe: Pipeline, x0: np.ndarray, mask: SamplingMask):
+    """The sampled system of `mask`: all three adjacencies and the state rows."""
+    restricted = Pipeline(
+        restrict_adjacency(pipe.internal, mask),
+        restrict_adjacency(pipe.external, mask),
+        restrict_adjacency(pipe.point, mask),
+        pipe.n,
+        pipe.layers,
+        pipe.pool_mlp,
+        pipe.variant,
+    )
+    return restricted, restrict_rows(x0, mask)
+
+
 def check_masked_full_bag(scale: str):
     dev = 0.0
     for seed in range(6 if scale == "full" else 2):
         n = 3 + seed % 3
         g = random_graph(n, 0.5, seed=seed + 950)
         pipe, x0 = _build_pipeline(g, seed)
-        mask = SamplingMask.full(n)
-        restricted = Pipeline(
-            restrict_adjacency(pipe.internal, mask),
-            restrict_adjacency(pipe.external, mask),
-            restrict_adjacency(pipe.point, mask),
-            n,
-            pipe.layers,
-            pipe.pool_mlp,
-            pipe.variant,
-        )
-        dev = max(
-            dev,
-            float(np.abs(restricted.pooled(restrict_rows(x0, mask)) - pipe.pooled(x0)).max()),
-        )
+        restricted, x0_r = _restrict_pipeline(pipe, x0, SamplingMask.full(n))
+        dev = max(dev, float(np.abs(restricted.pooled(x0_r) - pipe.pooled(x0)).max()))
     return dev == 0.0, dev
 
 
+# Path 0-1-2 plus isolated node 3, with subgraph 2 left out: rows (s, 3) have
+# no internal in-neighbor, rows (3, v) no external one, and rows (s, 2) lose
+# their point message.
+ISOLATED_NODE_GRAPH = Graph(n=4, edges=frozenset({(0, 1), (1, 2)}))
+ISOLATED_NODE_MASK = SamplingMask(n=4, sampled=(0, 1, 3))
+
+
 def check_gradient_correctness(scale: str):
+    """grad_check on unsampled 1-layer stacks over P2, P4 and K3, and on the
+    sampled 2-layer system of ISOLATED_NODE_GRAPH, whose empty rows take the
+    backward pass's empty-neighborhood paths."""
     graphs = [path_graph(2), path_graph(4), complete_graph(3)]
     seeds = range(5 if scale == "full" else 2)
+    systems = [_build_pipeline(g, seed, d=4, layers=1) for g in graphs for seed in seeds]
+    systems += [
+        _restrict_pipeline(*_build_pipeline(ISOLATED_NODE_GRAPH, seed, d=4), ISOLATED_NODE_MASK)
+        for seed in seeds
+    ]
     worst = 0.0
     ok = True
-    for g in graphs:
-        for seed in seeds:
-            pipe, x0 = _build_pipeline(g, seed, d=4, layers=1)
-            report = grad_check(pipe, x0)
-            worst = max(worst, report.max_rel_error)
-            ok &= report.passed
+    for pipe, x0 in systems:
+        report = grad_check(pipe, x0)
+        worst = max(worst, report.max_rel_error)
+        ok &= report.passed
     return ok, worst
 
 
@@ -687,7 +703,8 @@ INVARIANT_COVERAGE = [
     ("sab-model", "SAB stacks equivariant, pooled output invariant",
      "sab-equivariance, pool-invariance"),
     ("sab-model", "full-bag mask reproduces the unmasked forward", "masked-full-bag"),
-    ("sab-model", "analytic gradients match finite differences", "gradient-correctness"),
+    ("sab-model", "analytic gradients match finite differences, sampled systems with empty rows included",
+     "gradient-correctness"),
     ("sab-model", "block-weight RGCN concatenates and separates update inputs", "rgcn-simulation"),
 ]
 

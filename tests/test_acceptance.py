@@ -203,6 +203,7 @@ def test_criterion_6_sab_correctness():
             if alpha is not None:
                 stochastic_dev = max(stochastic_dev, float(max(0.0, -alpha.min())))
                 sums = np.zeros((adj.rows, alpha.shape[1]))
+                # deliberately np.add.at, a route independent of the model's scatter_sum
                 np.add.at(sums, adj.entries[:, 0], alpha)
                 nonempty = np.zeros(adj.rows, dtype=bool)
                 nonempty[adj.entries[:, 0]] = True

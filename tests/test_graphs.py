@@ -19,7 +19,7 @@ from prodgraph import (
     random_permutation,
     shortest_path_distances,
 )
-from prodgraph.graphs import complete_graph, cycle_graph, path_graph
+from prodgraph.graphs import complete_graph, cycle_graph, path_graph, scatter_sum
 from prodgraph.rng import SplitMix64
 
 
@@ -171,6 +171,36 @@ def test_sparse_matmul_matches_dense():
     adj = SparseAdjacency.from_pairs(4, 4, [(0, 1), (1, 3), (2, 0), (2, 2)])
     x = rng.standard_normal((4, 3))
     assert np.allclose(adj.matmul(x), adj.to_dense() @ x)
+
+
+def test_sparse_matmul_of_empty_adjacency_is_zero():
+    out = SparseAdjacency(rows=3, cols=5).matmul(np.ones((5, 2)))
+    assert out.shape == (3, 2) and out.dtype == np.float64
+    assert not out.any()
+
+
+def _scatter_cases():
+    rng = np.random.default_rng(11)
+    index = rng.integers(0, 7, 300)  # repeated and unsorted; size 10 leaves rows 7-9 empty
+    # magnitudes over 16 decades make every summation order round differently
+    scale = 10.0 ** rng.uniform(-8.0, 8.0, 300)
+    empty = np.empty(0, dtype=np.int64)
+    return [
+        (index, rng.standard_normal(300) * scale, 10),
+        (index, rng.standard_normal((300, 4, 2)) * scale[:, None, None], 10),
+        (empty, np.empty(0), 5),
+        (empty, np.empty((0, 4, 2)), 5),
+    ]
+
+
+@pytest.mark.parametrize("index, vals, size", _scatter_cases(),
+                         ids=["1d", "e-4-2", "empty-1d", "empty-e-4-2"])
+def test_scatter_sum_equals_add_at_bitwise(index, vals, size):
+    expected = np.zeros((size,) + vals.shape[1:])
+    np.add.at(expected, index, vals)
+    got = scatter_sum(index, vals, size)
+    assert got.shape == expected.shape and got.dtype == np.float64
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_random_graph_is_seed_deterministic():

@@ -1,4 +1,6 @@
 import io
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,16 +32,19 @@ from prodgraph import (
     sparse_attention,
 )
 from prodgraph import model as model_module
-from prodgraph.graphs import complete_graph, path_graph
+from prodgraph.graphs import complete_graph, load_graph, path_graph
 from prodgraph.model import (
     ForwardConfig,
     _uniform_array,
     build_forward_model,
     run_forward,
 )
-from prodgraph.product import TupleIndexing
+from prodgraph.product import SamplingMask, TupleIndexing
 from prodgraph.rng import SplitMix64
 from prodgraph.verify import (
+    ISOLATED_NODE_GRAPH,
+    ISOLATED_NODE_MASK,
+    _restrict_pipeline,
     dense_attention_oracle,
     dense_point_oracle,
     dense_rgcn_oracle,
@@ -379,6 +384,53 @@ def test_grad_check_rejects_non_finite_gradient():
     pipe.loss_and_grads = poisoned
     with pytest.raises(NonFiniteGradient):
         grad_check(pipe, x0)
+
+
+def test_grad_check_sampled_system_with_empty_rows():
+    full, x0 = make_pipeline(ISOLATED_NODE_GRAPH, seed=3, layers=2)
+    pipe, x0 = _restrict_pipeline(full, x0, ISOLATED_NODE_MASK)
+    for adj in (pipe.internal, pipe.external, pipe.point):  # some rows lack in-neighbors
+        assert 0 < np.unique(adj.entries[:, 0]).size < adj.rows
+    report = grad_check(pipe, x0)
+    assert report.passed
+    assert report.max_rel_error <= 1e-4
+
+
+G6 = '{"n":6,"edges":[[0,1],[1,2],[2,3],[3,4],[1,4],[4,5],[0,2]]}'
+SAMPLED_GRADS_GOLDEN = Path(__file__).with_name("golden_sampled_grads.json")
+
+
+def sampled_g6_system():
+    """What `prodgraph forward g6 --sample-ratio 0.5 --sample-seed 3` runs:
+    k = 4, seed 0, 2 layers, d = 8, 4 heads, 3 of the 6 subgraphs kept."""
+    g = load_graph(G6)
+    cfg = ForwardConfig(sample_ratio=0.5, sample_seed=3)
+    params = build_forward_model(g, cfg)
+    state = init_state(g, product_pe(g, cfg.k), node_mark_indices(g), params.mark_table,
+                       params.encoder)
+    bundle = build_product_bundle(g)
+    full = Pipeline(bundle.internal, bundle.external, bundle.point, g.n, params.layers,
+                    params.pool_mlp, cfg.pool_variant)
+    mask = SamplingMask.from_ratio(g.n, cfg.sample_ratio, SplitMix64(cfg.sample_seed))
+    return _restrict_pipeline(full, state.x, mask)
+
+
+def test_sampled_gradients_golden():
+    # every gradient, captured with the per-edge score gathers and np.add.at
+    # scatters that preceded the per-node kernels; some w_query entries are
+    # ~1e-20 rounding noise, so the bound is relative to the largest gradient
+    # entry over all parameters
+    pipe, x0 = sampled_g6_system()
+    loss, grads, dx0 = pipe.loss_and_grads(x0)
+    golden = json.loads(SAMPLED_GRADS_GOLDEN.read_text())
+    assert sorted(grads) == sorted(golden["grads"]) == sorted(n for n, _ in pipe.named_arrays())
+    bound = 1e-12 * max(np.abs(np.array(g)).max() for g in golden["grads"].values())
+    assert abs(loss - golden["loss"]) <= 1e-12 * abs(golden["loss"])
+    for name, want in golden["grads"].items():
+        want = np.array(want)
+        assert grads[name].shape == want.shape, name
+        assert np.abs(grads[name] - want).max() <= bound, name
+    assert np.abs(dx0 - np.array(golden["dx0"])).max() <= bound
 
 
 # --- init state -------------------------------------------------------------
