@@ -40,9 +40,7 @@ from .model import (
     init_state,
     load_parameters,
     point_update,
-    pool,
     rgcn_layer,
-    sab_forward,
     save_parameters,
     sparse_attention,
 )

@@ -298,8 +298,10 @@ class SparseAdjacency:
         ent = np.asarray(list(pairs) if not isinstance(pairs, np.ndarray) else pairs,
                          dtype=np.int64).reshape(-1, 2)
         if ent.size:
-            keys = ent[:, 0] * cols + ent[:, 1]
-            keys = np.unique(keys)
+            # sort plus a neighbour compare: np.unique may take a hash route
+            # that is far slower on large int64 key arrays
+            keys = np.sort(ent[:, 0] * cols + ent[:, 1])
+            keys = keys[np.r_[True, keys[1:] != keys[:-1]]]
             ent = np.column_stack([keys // cols, keys % cols])
         return cls(rows=rows, cols=cols, entries=ent)
 

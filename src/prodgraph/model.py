@@ -19,15 +19,17 @@ hand-written backward needs; gradients are validated against central finite
 differences by grad_check.
 
 The score splits into a receiver term and a sender term,
-z_ij = s_q[i] + s_k[j] with s_q = (W_Q x)_h . a_q and s_k = (W_K x)_h . a_k,
-so both are computed once per row and only the (E, heads) sums are
-gathered per edge.  The backward pass runs the same way in reverse: dz is
-summed per receiver and per sender, and those (rows, heads) sums give
-d(a_q), d(a_k), dQ and dK.  Every scatter (messages, dV, dz sums, the
-point update and its backward) goes through graphs.scatter_sum, which adds
-in entry order: forward outputs are bit-identical to a per-edge
-accumulation in adjacency order.  No (E, heads, head_dim) array is kept in
-a cache.
+z_ij = s_q[i] + s_k[j] with s_q = (W_Q x)_h . a_q and s_k = (W_K x)_h . a_k.
+Both are linear in x, so the projection and the scoring vector fold into
+one (d_in, heads) map each: s_q = x @ M_q with
+M_q[:, h] = W_Q[:, h-block] @ a_q[h], and the same for K.  No query or key
+projection is formed, and only the (E, heads) sums are gathered per edge.
+The backward pass runs the same way in reverse: dz is summed per receiver
+and per sender, dM_q = x.T @ (per-receiver sums), and dW_Q and d(a_q)
+follow from dM_q through the fold (likewise for K).  Every scatter
+(messages, dV, dz sums, the point update and its backward) goes through
+graphs.scatter_sum, which adds in entry order.  No (E, heads, head_dim)
+array is kept in a cache.  `Pipeline` holds the only loop over the blocks.
 
 All math is float64.  ReLU takes subgradient 0 at 0.
 """
@@ -36,12 +38,13 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import IO, Sequence
 
 import numpy as np
 
-from .errors import NonFiniteGradient, ParseError, ShapeMismatch
+from . import product, spectral
+from .errors import NonFiniteGradient, ParseError, RangeError, ShapeMismatch
 from .graphs import Graph, SparseAdjacency, scatter_sum
 from .product import ProductGraphBundle
 from .rng import SplitMix64
@@ -127,6 +130,8 @@ class SABParams:
 
     @classmethod
     def from_rng(cls, d_in: int, d_out: int, rng: SplitMix64, heads: int = 4) -> "SABParams":
+        if min(d_in, d_out, heads) < 1:
+            raise RangeError(f"need d_in, d_out, heads >= 1, got {d_in}, {d_out}, {heads}")
         if d_out % heads:
             raise ShapeMismatch(f"d_out={d_out} not divisible by heads={heads}")
         return cls(
@@ -230,6 +235,16 @@ def _segments(rows: np.ndarray):
     return starts, counts
 
 
+def _score_maps(p: AttentionParams, heads: int):
+    """(d_in, heads) maps from a row to its receiver and sender score terms:
+    M_q[:, h] = W_Q[:, h-block] @ a_q[h], and the same for K."""
+    d_in, d_out = p.w_query.shape
+    hd = d_out // heads
+    m_q = np.einsum("dhk,hk->dh", p.w_query.reshape(d_in, heads, hd), p.attn[:, :hd])
+    m_k = np.einsum("dhk,hk->dh", p.w_key.reshape(d_in, heads, hd), p.attn[:, hd:])
+    return m_q, m_k
+
+
 def _attention_forward(x: np.ndarray, adj: SparseAdjacency, p: AttentionParams, heads: int):
     rows_n, d_in = x.shape
     if adj.rows != rows_n or adj.cols != rows_n:
@@ -238,63 +253,58 @@ def _attention_forward(x: np.ndarray, adj: SparseAdjacency, p: AttentionParams, 
         raise ShapeMismatch(f"attention expects width {p.w_query.shape[0]}, got {d_in}")
     d_out = p.w_query.shape[1]
     hd = d_out // heads
-    q = (x @ p.w_query).reshape(rows_n, heads, hd)
-    k = (x @ p.w_key).reshape(rows_n, heads, hd)
     v = (x @ p.w_value).reshape(rows_n, heads, hd)
     if adj.nnz == 0:
-        cache = (x, adj, q, k, v, None, None, None, None, heads, hd)
-        return np.zeros((rows_n, d_out)), cache
+        return np.zeros((rows_n, d_out)), (x, adj, v, None, None, None, None, heads, hd)
     r = adj.entries[:, 0]
     c = adj.entries[:, 1]
-    s_q = (q * p.attn[:, :hd]).sum(-1)  # (rows, H): receiver half of the score
-    s_k = (k * p.attn[:, hd:]).sum(-1)  # (rows, H): sender half
-    z = np.take(s_q, r, axis=0) + np.take(s_k, c, axis=0)  # (E, H)
+    m_q, m_k = _score_maps(p, heads)
+    z = np.take(x @ m_q, r, axis=0) + np.take(x @ m_k, c, axis=0)  # (E, H)
     e = np.where(z > 0.0, z, LEAKY_SLOPE * z)
     starts, counts = _segments(r)
     shifted = e - np.repeat(np.maximum.reduceat(e, starts, axis=0), counts, axis=0)
     ex = np.exp(shifted)
     alpha = ex / np.repeat(np.add.reduceat(ex, starts, axis=0), counts, axis=0)
     out = scatter_sum(r, alpha[:, :, None] * np.take(v, c, axis=0), rows_n)
-    cache = (x, adj, q, k, v, z, alpha, starts, counts, heads, hd)
+    cache = (x, adj, v, z, alpha, starts, counts, heads, hd)
     return out.reshape(rows_n, d_out), cache
 
 
 def _attention_backward(dout: np.ndarray, cache, p: AttentionParams):
-    x, adj, q, k, v, z, alpha, starts, counts, heads, hd = cache
+    x, adj, v, z, alpha, starts, counts, heads, hd = cache
     rows_n, d_in = x.shape
     d_out = p.w_query.shape[1]
-    dattn = np.zeros_like(p.attn)
-    if adj.nnz:
-        r = adj.entries[:, 0]
-        c = adj.entries[:, 1]
-        dout_r = np.take(dout.reshape(rows_n, heads, hd), r, axis=0)  # (E, H, hd)
-        dalpha = np.einsum("ehd,ehd->eh", dout_r, np.take(v, c, axis=0))
-        dv = scatter_sum(c, alpha[:, :, None] * dout_r, rows_n)
-        del dout_r  # the last (E, H, hd) array; freeing it here lowers the peak
-        weighted = alpha * dalpha
-        seg = np.repeat(np.add.reduceat(weighted, starts, axis=0), counts, axis=0)
-        dz = alpha * (dalpha - seg)
-        dz = dz * np.where(z > 0.0, 1.0, LEAKY_SLOPE)
-        # z = s_q[r] + s_k[c], so the score gradient reaches each node
-        # through its per-row and per-column sums of dz.
-        dz_r = scatter_sum(r, dz, rows_n)  # (rows, H)
-        dz_c = scatter_sum(c, dz, rows_n)
-        dattn[:, :hd] = np.einsum("nh,nhd->hd", dz_r, q)
-        dattn[:, hd:] = np.einsum("nh,nhd->hd", dz_c, k)
-        dq = dz_r[:, :, None] * p.attn[:, :hd]
-        dk = dz_c[:, :, None] * p.attn[:, hd:]
-    else:
-        dq = dk = dv = np.zeros_like(q)
-    dq_flat = dq.reshape(rows_n, d_out)
-    dk_flat = dk.reshape(rows_n, d_out)
-    dv_flat = dv.reshape(rows_n, d_out)
+    if not adj.nnz:
+        names = ("w_query", "w_key", "w_value", "attn")
+        return np.zeros_like(x), {name: np.zeros_like(getattr(p, name)) for name in names}
+    r = adj.entries[:, 0]
+    c = adj.entries[:, 1]
+    dout_r = np.take(dout.reshape(rows_n, heads, hd), r, axis=0)  # (E, H, hd)
+    dalpha = np.einsum("ehd,ehd->eh", dout_r, np.take(v, c, axis=0))
+    dv = scatter_sum(c, alpha[:, :, None] * dout_r, rows_n).reshape(rows_n, d_out)
+    del dout_r  # the last (E, H, hd) array; freeing it here lowers the peak
+    weighted = alpha * dalpha
+    seg = np.repeat(np.add.reduceat(weighted, starts, axis=0), counts, axis=0)
+    dz = alpha * (dalpha - seg)
+    dz = dz * np.where(z > 0.0, 1.0, LEAKY_SLOPE)
+    # z = (x @ M_q)[r] + (x @ M_k)[c], so the score gradient reaches each
+    # node through its per-row and per-column sums of dz, and the maps
+    # through x.T times those sums.
+    dz_r = scatter_sum(r, dz, rows_n)  # (rows, H)
+    dz_c = scatter_sum(c, dz, rows_n)
+    dm_q = x.T @ dz_r  # (d_in, H)
+    dm_k = x.T @ dz_c
+    w_q = p.w_query.reshape(d_in, heads, hd)
+    w_k = p.w_key.reshape(d_in, heads, hd)
     grads = {
-        "w_query": x.T @ dq_flat,
-        "w_key": x.T @ dk_flat,
-        "w_value": x.T @ dv_flat,
-        "attn": dattn,
+        "w_query": (dm_q[..., None] * p.attn[:, :hd]).reshape(d_in, d_out),
+        "w_key": (dm_k[..., None] * p.attn[:, hd:]).reshape(d_in, d_out),
+        "w_value": x.T @ dv,
+        "attn": np.hstack([np.einsum("dhk,dh->hk", w_q, dm_q),
+                           np.einsum("dhk,dh->hk", w_k, dm_k)]),
     }
-    dx = dq_flat @ p.w_query.T + dk_flat @ p.w_key.T + dv_flat @ p.w_value.T
+    m_q, m_k = _score_maps(p, heads)
+    dx = dz_r @ m_q.T + dz_c @ m_k.T + dv @ p.w_value.T
     return dx, grads
 
 
@@ -335,16 +345,10 @@ def _sab_backward_raw(dy, cache, params: SABParams):
     dx_int, int_grads = _attention_backward(d_int, c_int, params.internal)
     dx_ext, ext_grads = _attention_backward(d_ext, c_ext, params.external)
     dx_pt, deps, point_grads = _point_backward(d_pt, c_pt, params.epsilon, params.point_mlp)
-    grads = {}
-    for key, val in int_grads.items():
-        grads[f"internal.{key}"] = val
-    for key, val in ext_grads.items():
-        grads[f"external.{key}"] = val
-    for key, val in point_grads.items():
-        grads[f"point_mlp.{key}"] = val
+    parts = {"internal": int_grads, "external": ext_grads, "point_mlp": point_grads,
+             "fuse_mlp": fuse_grads}
+    grads = {f"{prefix}.{key}": val for prefix, part in parts.items() for key, val in part.items()}
     grads["epsilon"] = np.array(deps)
-    for key, val in fuse_grads.items():
-        grads[f"fuse_mlp.{key}"] = val
     return dx_int + dx_ext + dx_pt, grads
 
 
@@ -383,16 +387,6 @@ def sparse_attention(state: ProductState, adj: SparseAdjacency, params: Attentio
 
 def point_update(state: ProductState, point: SparseAdjacency, epsilon: float, mlp: MLPParams) -> np.ndarray:
     out, _ = _point_forward(state.x, point, np.asarray(epsilon), mlp)
-    return out
-
-
-def sab_forward(state: ProductState, bundle: ProductGraphBundle, params: SABParams) -> ProductState:
-    y, _ = _sab_forward_raw(state.x, bundle.internal, bundle.external, bundle.point, params)
-    return ProductState(n=state.n, x=y)
-
-
-def pool(state: ProductState, variant: str, mlp: MLPParams) -> np.ndarray:
-    out, _ = _pool_forward(state.x, variant, state.n, mlp)
     return out
 
 
@@ -445,8 +439,10 @@ class Pipeline:
     """SAB stack + pooling on a fixed set of adjacencies.
 
     Works on raw (rows, d) arrays so the same machinery drives both the full
-    n^2-row system and row-restricted sampled systems.  The scalar objective
-    used by loss/grad checking is the sum of the pooled vector.
+    n^2-row system and row-restricted sampled systems (`sampled`).  Every
+    forward and backward pass walks the layers through `_layers`; the
+    forward-only methods keep no layer caches.  The scalar objective used by
+    loss/grad checking is the sum of the pooled vector.
     """
 
     internal: SparseAdjacency
@@ -464,22 +460,43 @@ class Pipeline:
         out += self.pool_mlp.named("pool_mlp")
         return out
 
-    def pooled(self, x0: np.ndarray) -> np.ndarray:
-        x = x0
+    def sampled(self, x0: np.ndarray, mask: product.SamplingMask) -> tuple["Pipeline", np.ndarray]:
+        """The sampled system of `mask`: this stack on the three adjacencies
+        restricted to the m*n rows of the sampled subgraphs, and those rows
+        of x0.  A full mask reproduces the unsampled system bit for bit."""
+        restricted = replace(
+            self,
+            internal=product.restrict_adjacency(self.internal, mask),
+            external=product.restrict_adjacency(self.external, mask),
+            point=product.restrict_adjacency(self.point, mask),
+        )
+        return restricted, product.restrict_rows(x0, mask)
+
+    def _layers(self, x: np.ndarray, caches: list | None = None) -> np.ndarray:
+        """The one walk of the SAB stack.  Each layer's backward cache is
+        appended to `caches` when a list is given; otherwise it is dropped
+        as soon as the layer returns."""
         for layer in self.layers:
-            x, _ = _sab_forward_raw(x, self.internal, self.external, self.point, layer)
-        out, _ = _pool_forward(x, self.variant, self.n, self.pool_mlp)
+            x, cache = _sab_forward_raw(x, self.internal, self.external, self.point, layer)
+            if caches is not None:
+                caches.append(cache)
+            del cache
+        return x
+
+    def stack(self, x0: np.ndarray) -> np.ndarray:
+        """Per-row output of the SAB stack, before pooling."""
+        return self._layers(x0)
+
+    def pooled(self, x0: np.ndarray) -> np.ndarray:
+        out, _ = _pool_forward(self._layers(x0), self.variant, self.n, self.pool_mlp)
         return out
 
     def loss(self, x0: np.ndarray) -> float:
         return float(self.pooled(x0).sum())
 
     def loss_and_grads(self, x0: np.ndarray):
-        x = x0
-        caches = []
-        for layer in self.layers:
-            x, cache = _sab_forward_raw(x, self.internal, self.external, self.point, layer)
-            caches.append(cache)
+        caches: list = []
+        x = self._layers(x0, caches)
         pooled, pool_cache = _pool_forward(x, self.variant, self.n, self.pool_mlp)
         loss = float(pooled.sum())
         dpooled = np.ones_like(pooled)
@@ -594,6 +611,9 @@ class ForwardModel:
 
 
 def build_forward_model(g: Graph, cfg: ForwardConfig) -> ForwardModel:
+    if min(cfg.d, cfg.heads) < 1 or cfg.layers < 0:
+        raise RangeError(f"need d, heads >= 1 and layers >= 0, got d={cfg.d}, "
+                         f"heads={cfg.heads}, layers={cfg.layers}")
     if cfg.d % cfg.heads:
         raise ShapeMismatch(f"d={cfg.d} not divisible by heads={cfg.heads}")
     rng = SplitMix64(cfg.seed)
@@ -615,27 +635,22 @@ def run_forward(g: Graph, cfg: ForwardConfig, model: ForwardModel | None = None)
     forward bit for bit.  Pooling "mean_sum" divides the sum over the m*n
     sampled rows by n, whatever m is.
     """
-    from .product import SamplingMask, build_product_bundle, restrict_adjacency, restrict_rows
-    from .spectral import node_mark_indices, product_pe
-
+    # product.* and spectral.* are looked up at call time, so that wrappers
+    # installed on those modules (profilers, tracers) see every stage.
     if model is None:
         model = build_forward_model(g, cfg)
-    pe = product_pe(g, cfg.k)
-    marks = node_mark_indices(g)
-    state = init_state(g, pe, marks, model.mark_table, model.encoder)
-    bundle = build_product_bundle(g)
-    x = state.x
-    internal, external, point = bundle.internal, bundle.external, bundle.point
+    pe = spectral.product_pe(g, cfg.k)
+    marks = spectral.node_mark_indices(g)
+    x = init_state(g, pe, marks, model.mark_table, model.encoder).x
+    bundle = product.build_product_bundle(g)
+    pipeline = Pipeline(
+        bundle.internal, bundle.external, bundle.point, g.n, model.layers, model.pool_mlp,
+        cfg.pool_variant,
+    )
     if cfg.sample_ratio is not None:
         sample_seed = cfg.seed if cfg.sample_seed is None else cfg.sample_seed
-        mask = SamplingMask.from_ratio(g.n, cfg.sample_ratio, SplitMix64(sample_seed))
-        internal = restrict_adjacency(internal, mask)
-        external = restrict_adjacency(external, mask)
-        point = restrict_adjacency(point, mask)
-        x = restrict_rows(x, mask)
-    pipeline = Pipeline(
-        internal, external, point, g.n, model.layers, model.pool_mlp, cfg.pool_variant
-    )
+        mask = product.SamplingMask.from_ratio(g.n, cfg.sample_ratio, SplitMix64(sample_seed))
+        pipeline, x = pipeline.sampled(x, mask)
     return pipeline.pooled(x)
 
 

@@ -280,8 +280,8 @@ class SamplingMask:
     @classmethod
     def from_ratio(cls, n: int, ratio: float, rng) -> "SamplingMask":
         """ceil(ratio * n) subgraphs chosen uniformly without replacement."""
-        if ratio > 1.0:
-            raise RangeError(f"sampling ratio must be <= 1, got {ratio}")
+        if not (math.isfinite(ratio) and ratio <= 1.0):
+            raise RangeError(f"sampling ratio must be finite and <= 1, got {ratio}")
         count = math.ceil(ratio * n)
         if count <= 0:
             raise EmptySample(f"ratio {ratio} keeps ceil({ratio} * {n}) = 0 subgraphs")

@@ -199,7 +199,7 @@ def test_criterion_6_sab_correctness():
             sparse, cache = _attention_forward(x, adj, params.internal, params.heads)
             dense = dense_attention_oracle(x, adj.to_dense(), params.internal, params.heads)
             oracle_dev = max(oracle_dev, float(np.abs(sparse - dense).max()))
-            alpha = cache[6]
+            alpha = cache[4]
             if alpha is not None:
                 stochastic_dev = max(stochastic_dev, float(max(0.0, -alpha.min())))
                 sums = np.zeros((adj.rows, alpha.shape[1]))

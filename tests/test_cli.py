@@ -1,9 +1,12 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import prodgraph
 from prodgraph import (
     SparseAdjacency,
     closed_form_cartesian,
@@ -200,6 +203,23 @@ def test_forward_bad_sample_ratio(p2_file, capsys):
     assert "RangeError" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["forward", "{graph}", "--sample-ratio", "nan"],
+    ["sample", "{graph}", "--ratio", "nan"],
+    ["forward", "{graph}", "--sample-ratio=-inf"],
+    ["forward", "{graph}", "--heads", "0"],
+    ["forward", "{graph}", "--heads=-4"],
+    ["forward", "{graph}", "--d", "0"],
+    ["forward", "{graph}", "--layers", "-1"],
+], ids=["forward-ratio-nan", "sample-ratio-nan", "ratio-minus-inf", "heads-0",
+        "heads-minus-4", "d-0", "layers-minus-1"])
+def test_out_of_range_model_and_sampling_arguments_are_input_errors(p2_file, capsys, argv):
+    code, out, err = run_cli(capsys, *(a.format(graph=p2_file) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("RangeError: ") and "Traceback" not in err
+
+
 def test_sample_masked_files(p2_file, tmp_path, capsys):
     out = tmp_path / "masked"
     code, stdout, _ = run_cli(capsys, "sample", p2_file, "--ratio", "0.5", "--seed", "3",
@@ -236,8 +256,11 @@ def test_missing_file_is_input_error(capsys):
 
 def test_cli_subprocess_byte_determinism(p2_file):
     cmd = [sys.executable, "-m", "prodgraph", "forward", p2_file, "--k", "4", "--seed", "5"]
-    a = subprocess.run(cmd, capture_output=True)
-    b = subprocess.run(cmd, capture_output=True)
+    # the child imports the same prodgraph as this process, installed or not
+    src = str(Path(prodgraph.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    a = subprocess.run(cmd, capture_output=True, env=env)
+    b = subprocess.run(cmd, capture_output=True, env=env)
     assert a.returncode == 0
     assert a.stdout == b.stdout
 

@@ -147,6 +147,21 @@ def test_sparse_entries_sorted_and_deduped():
     assert (np.diff(keys) > 0).all()
 
 
+def test_from_pairs_dedups_shuffled_keys_like_sorted_set():
+    rng = SplitMix64(17)
+    for rows, cols, count in ((1, 1, 3), (7, 5, 60), (40, 33, 2000)):
+        drawn = np.column_stack([
+            (rng.uniform_array(0.0, 1.0, count) * rows).astype(np.int64),
+            (rng.uniform_array(0.0, 1.0, count) * cols).astype(np.int64),
+        ])
+        pairs = np.concatenate([drawn, drawn[: count // 3]])  # duplicates for sure
+        pairs = pairs[random_permutation(len(pairs), seed=count)]
+        adj = SparseAdjacency.from_pairs(rows, cols, pairs)
+        assert adj.entries.tolist() == [list(p) for p in sorted(set(map(tuple, pairs.tolist())))]
+        assert adj.entries.dtype == np.int64
+    assert SparseAdjacency.from_pairs(3, 3, []).nnz == 0
+
+
 def test_sparse_rejects_out_of_bounds():
     with pytest.raises(ValidationError):
         SparseAdjacency.from_pairs(2, 2, [(0, 5)])

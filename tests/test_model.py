@@ -23,11 +23,9 @@ from prodgraph import (
     node_mark_indices,
     point_adjacency,
     point_update,
-    pool,
     product_pe,
     random_graph,
     rgcn_layer,
-    sab_forward,
     save_parameters,
     sparse_attention,
 )
@@ -44,7 +42,6 @@ from prodgraph.rng import SplitMix64
 from prodgraph.verify import (
     ISOLATED_NODE_GRAPH,
     ISOLATED_NODE_MASK,
-    _restrict_pipeline,
     dense_attention_oracle,
     dense_point_oracle,
     dense_rgcn_oracle,
@@ -78,6 +75,12 @@ def zero_sab_params(d, heads=4, with_bias=None):
     if with_bias is not None:
         params.fuse_mlp.b2[...] = with_bias
     return params
+
+
+def pipeline_on(g, layers, pool_mlp, variant="sum_sum"):
+    """A Pipeline over g's product bundle; pooling tests pass no layers."""
+    bundle = build_product_bundle(g)
+    return Pipeline(bundle.internal, bundle.external, bundle.point, g.n, layers, pool_mlp, variant)
 
 
 # --- sparse attention ------------------------------------------------------
@@ -185,23 +188,19 @@ def test_point_update_matches_dense_oracle():
 
 
 def test_sab_zero_weights():
-    bundle = build_product_bundle(P2)
     x = random_state(4, 4, seed=13)
-    out = sab_forward(ProductState(n=2, x=x), bundle, zero_sab_params(4)).x
+    out = pipeline_on(P2, [zero_sab_params(4)], identity_mlp(4)).stack(x)
     assert not out.any()
-    biased = sab_forward(
-        ProductState(n=2, x=x), bundle, zero_sab_params(4, with_bias=2.5)
-    ).x
+    biased = pipeline_on(P2, [zero_sab_params(4, with_bias=2.5)], identity_mlp(4)).stack(x)
     assert np.abs(biased - 2.5).max() == 0.0  # constant rows with bias
 
 
 def test_sab_golden_p2():
     # reference run pinned at the first correct build (seed 42, d = 4)
-    bundle = build_product_bundle(P2)
     rng = SplitMix64(42)
     params = SABParams.from_rng(4, 4, rng)
     x0 = np.array([[rng.uniform(-1.0, 1.0) for _ in range(4)] for _ in range(4)])
-    out = sab_forward(ProductState(n=2, x=x0), bundle, params).x
+    out = pipeline_on(P2, [params], identity_mlp(4)).stack(x0)
     golden = np.array(
         [
             [-0.3473828393775458, -0.1603411238727743, 0.6737755799488487, 0.29212997992926715],
@@ -217,19 +216,17 @@ def test_sab_golden_p2():
 def test_sab_permutation_equivariance():
     n = 4
     g = random_graph(n, 0.5, seed=21)
-    bundle = build_product_bundle(g)
     rng = SplitMix64(22)
     params = SABParams.from_rng(4, 4, rng)
     x = random_state(n * n, 4, seed=23)
-    out = sab_forward(ProductState(n=n, x=x), bundle, params).x
+    out = pipeline_on(g, [params], identity_mlp(4)).stack(x)
     from prodgraph import permute_graph, random_permutation
 
     perm = random_permutation(n, seed=24)
     pp = TupleIndexing(n, 2).product_permutation(perm)
-    bundle_p = build_product_bundle(permute_graph(g, perm))
     x_p = np.empty_like(x)
     x_p[pp] = x
-    out_p = sab_forward(ProductState(n=n, x=x_p), bundle_p, params).x
+    out_p = pipeline_on(permute_graph(g, perm), [params], identity_mlp(4)).stack(x_p)
     expected = np.empty_like(out)
     expected[pp] = out
     assert np.abs(out_p - expected).max() <= 1e-10
@@ -241,7 +238,7 @@ def test_sab_permutation_equivariance():
 def test_pool_zero_state():
     mlp = MLPParams.from_rng(4, 4, 4, SplitMix64(31))
     x = np.zeros((4, 4))
-    out = pool(ProductState(n=2, x=x), "sum_sum", mlp)
+    out = pipeline_on(P2, [], mlp).pooled(x)
     h = np.maximum(mlp.b1, 0.0)
     assert np.abs(out - (h @ mlp.w2 + mlp.b2)).max() <= 1e-15
 
@@ -250,15 +247,15 @@ def test_pool_variants_differ_by_factor_n():
     n = 3
     x = np.ones((9, 4))
     mlp = identity_mlp(4)
-    s = pool(ProductState(n=n, x=x), "sum_sum", mlp)
-    m = pool(ProductState(n=n, x=x), "mean_sum", mlp)
+    s = pipeline_on(path_graph(n), [], mlp, "sum_sum").pooled(x)
+    m = pipeline_on(path_graph(n), [], mlp, "mean_sum").pooled(x)
     assert np.abs(s - n * m).max() <= 1e-12
 
 
 def test_pool_rejects_unknown_variant():
     mlp = identity_mlp(4)
     with pytest.raises(ShapeMismatch):
-        pool(ProductState(n=2, x=np.zeros((4, 4))), "max", mlp)
+        pipeline_on(P2, [], mlp, "max").pooled(np.zeros((4, 4)))
 
 
 # --- RGCN -------------------------------------------------------------------
@@ -318,23 +315,18 @@ def test_rgcn_matches_dense_oracle():
 
 
 def make_pipeline(g, seed, d=4, layers=1, variant="sum_sum"):
-    bundle = build_product_bundle(g)
     rng = SplitMix64(seed)
     layer_params = [SABParams.from_rng(d, d, rng) for _ in range(layers)]
     pool_mlp = MLPParams.from_rng(d, d, d, rng)
-    pipe = Pipeline(
-        bundle.internal, bundle.external, bundle.point, g.n, layer_params, pool_mlp, variant
-    )
     x0 = random_state(g.n * g.n, d, seed=seed + 1000)
-    return pipe, x0
+    return pipeline_on(g, layer_params, pool_mlp, variant), x0
 
 
 def test_grad_check_linear_pipeline_is_exact():
     # no SAB layers; pool MLP with ReLU forced active is affine per parameter
-    bundle = build_product_bundle(P2)
     mlp = MLPParams.from_rng(4, 4, 4, SplitMix64(51))
     mlp.b1[...] = 10.0  # pre-activations strictly positive for this state
-    pipe = Pipeline(bundle.internal, bundle.external, bundle.point, 2, [], mlp, "sum_sum")
+    pipe = pipeline_on(P2, [], mlp)
     x0 = random_state(4, 4, seed=52)
     report = grad_check(pipe, x0)
     assert report.passed
@@ -388,7 +380,7 @@ def test_grad_check_rejects_non_finite_gradient():
 
 def test_grad_check_sampled_system_with_empty_rows():
     full, x0 = make_pipeline(ISOLATED_NODE_GRAPH, seed=3, layers=2)
-    pipe, x0 = _restrict_pipeline(full, x0, ISOLATED_NODE_MASK)
+    pipe, x0 = full.sampled(x0, ISOLATED_NODE_MASK)
     for adj in (pipe.internal, pipe.external, pipe.point):  # some rows lack in-neighbors
         assert 0 < np.unique(adj.entries[:, 0]).size < adj.rows
     report = grad_check(pipe, x0)
@@ -408,11 +400,9 @@ def sampled_g6_system():
     params = build_forward_model(g, cfg)
     state = init_state(g, product_pe(g, cfg.k), node_mark_indices(g), params.mark_table,
                        params.encoder)
-    bundle = build_product_bundle(g)
-    full = Pipeline(bundle.internal, bundle.external, bundle.point, g.n, params.layers,
-                    params.pool_mlp, cfg.pool_variant)
+    full = pipeline_on(g, params.layers, params.pool_mlp, cfg.pool_variant)
     mask = SamplingMask.from_ratio(g.n, cfg.sample_ratio, SplitMix64(cfg.sample_seed))
-    return _restrict_pipeline(full, state.x, mask)
+    return full.sampled(state.x, mask)
 
 
 def test_sampled_gradients_golden():
@@ -431,6 +421,24 @@ def test_sampled_gradients_golden():
         assert grads[name].shape == want.shape, name
         assert np.abs(grads[name] - want).max() <= bound, name
     assert np.abs(dx0 - np.array(golden["dx0"])).max() <= bound
+
+
+def test_loss_is_the_loss_of_loss_and_grads_bitwise():
+    sampled = sampled_g6_system()
+    unsampled = make_pipeline(path_graph(4), seed=4, layers=2)
+    for pipe, x0 in (sampled, unsampled):
+        loss = pipe.loss(x0)
+        assert np.isfinite(loss)
+        assert loss == pipe.loss_and_grads(x0)[0]
+
+
+def test_full_mask_sampled_system_reproduces_pooled_bitwise():
+    for g in (P2, path_graph(4), K3, ISOLATED_NODE_GRAPH):
+        for variant in ("sum_sum", "mean_sum"):
+            pipe, x0 = make_pipeline(g, seed=5, layers=2, variant=variant)
+            restricted, x_r = pipe.sampled(x0, SamplingMask.full(g.n))
+            assert np.array_equal(x_r, x0)
+            assert restricted.pooled(x_r).tobytes() == pipe.pooled(x0).tobytes()
 
 
 # --- init state -------------------------------------------------------------
@@ -579,6 +587,19 @@ def test_run_forward_sampling_is_seeded():
 def test_build_forward_model_rejects_bad_heads():
     with pytest.raises(ShapeMismatch):
         build_forward_model(P2, ForwardConfig(d=6, heads=4))
+
+
+def test_model_arguments_out_of_range_are_range_errors():
+    from prodgraph import RangeError
+
+    for heads, d_out in ((0, 8), (-4, 8), (4, 0)):
+        with pytest.raises(RangeError):
+            SABParams.from_rng(4, d_out, SplitMix64(0), heads=heads)
+    for cfg in (ForwardConfig(heads=0), ForwardConfig(heads=-4), ForwardConfig(d=0),
+                ForwardConfig(layers=-1)):
+        with pytest.raises(RangeError):
+            build_forward_model(P2, cfg)
+    assert build_forward_model(P2, ForwardConfig(layers=0)).layers == []
 
 
 def _scalar_uniform_array(rng, shape, fan_in):
