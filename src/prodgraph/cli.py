@@ -79,13 +79,13 @@ def cmd_build_product(args) -> int:
 
 def cmd_pe(args) -> int:
     g = _load(args.graph)
+    kind, _, order = args.variant.partition(":")
     if args.variant == "product":
         pe = product_pe(g, args.k)
     elif args.variant == "concat":
         pe = concatenation_pe(g, args.k)
-    elif args.variant.startswith("tuple:"):
-        order = int(args.variant.split(":", 1)[1])
-        pe = k_tuple_pe(g, order, args.k)
+    elif kind == "tuple" and order.isdecimal():
+        pe = k_tuple_pe(g, int(order), args.k)
     else:
         raise RangeError(f"unknown PE variant {args.variant!r}")
     if args.out:

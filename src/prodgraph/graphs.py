@@ -61,19 +61,12 @@ class Graph:
     def neighbors(self) -> list[list[int]]:
         """Adjacency lists, each sorted ascending."""
         adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
+        for u, v in sorted(self.edges | {(v, u) for u, v in self.edges}):
             adj[u].append(v)
-            adj[v].append(u)
-        for lst in adj:
-            lst.sort()
         return adj
 
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=np.int64)
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+        return np.array([len(nb) for nb in self.neighbors()], dtype=np.int64)
 
 
 def load_graph(source: IO[bytes] | IO[str] | bytes | str) -> Graph:
@@ -163,23 +156,27 @@ class DistanceMatrix:
 
 
 def shortest_path_distances(g: Graph) -> DistanceMatrix:
-    """BFS from every source; O(n * (n + |E|))."""
-    adj = g.neighbors()
+    """Level-synchronous BFS from every source: a step follows every edge of
+    the (source, node) pairs first reached at the last depth.  Each pair is
+    expanded once, so the work is O(n * (n + |E|)) whatever the diameter."""
     n = g.n
+    adj = g.neighbors()
+    nbrs = np.array([w for lst in adj for w in lst], dtype=np.int64)
+    start = np.cumsum([0] + [len(lst) for lst in adj])
     dist = np.full((n, n), n, dtype=np.int64)
-    for src in range(n):
-        dist[src, src] = 0
-        frontier = [src]
-        depth = 0
-        while frontier:
-            depth += 1
-            nxt = []
-            for u in frontier:
-                for w in adj[u]:
-                    if dist[src, w] == n and w != src:
-                        dist[src, w] = depth
-                        nxt.append(w)
-            frontier = nxt
+    claim = np.empty((n, n), dtype=np.int64)
+    src = node = np.arange(n)
+    depth = 0
+    while src.size:
+        dist[src, node] = depth
+        depth += 1
+        deg = start[node + 1] - start[node]
+        edge = np.arange(deg.sum()) + np.repeat(start[node] - np.cumsum(deg) + deg, deg)
+        src, node = np.repeat(src, deg), nbrs[edge]
+        fresh = np.flatnonzero(dist[src, node] == n)
+        claim[src[fresh], node[fresh]] = fresh  # a repeated pair keeps one candidate:
+        fresh = fresh[claim[src[fresh], node[fresh]] == fresh]  # the one whose write landed
+        src, node = src[fresh], node[fresh]
     return DistanceMatrix(n=n, dist=_readonly(dist))
 
 

@@ -18,6 +18,11 @@ an empty in-neighborhood emit zeros.  Every forward step caches what its
 hand-written backward needs; gradients are validated against central finite
 differences by grad_check.
 
+Parameters are dataclass trees; `_named` gives each array its dotted name
+(fields in declaration order, list items as .0, .1, ...).  Backward steps
+return gradient trees of their parameters' types, so the gradients of
+`loss_and_grads` carry the `named_arrays()` names.
+
 The score splits into a receiver term and a sender term,
 z_ij = s_q[i] + s_k[j] with s_q = (W_Q x)_h . a_q and s_k = (W_K x)_h . a_k.
 Both are linear in x, so the projection and the scoring vector fold into
@@ -37,9 +42,10 @@ All math is float64.  ReLU takes subgradient 0 at 0.
 from __future__ import annotations
 
 import json
+import math
 import struct
-from dataclasses import dataclass, replace
-from typing import IO, Sequence
+from dataclasses import dataclass, fields, is_dataclass, replace
+from typing import IO, NamedTuple, Sequence
 
 import numpy as np
 
@@ -60,6 +66,20 @@ def _uniform_array(rng: SplitMix64, shape: tuple[int, ...], fan_in: int) -> np.n
     return rng.uniform_array(-bound, bound, size).reshape(shape)
 
 
+def _named(node, path: tuple[str, ...] = ()) -> list[tuple[str, np.ndarray]]:
+    """(dotted name, array) leaves of a parameter tree: dataclass fields in
+    declaration order, list items as .0, .1, ...; int size fields are skipped."""
+    if isinstance(node, np.ndarray):
+        return [(".".join(path), node)]
+    if isinstance(node, list):
+        items = enumerate(node)
+    elif is_dataclass(node):
+        items = ((f.name, getattr(node, f.name)) for f in fields(node))
+    else:
+        return []
+    return [leaf for key, child in items for leaf in _named(child, path + (str(key),))]
+
+
 @dataclass
 class MLPParams:
     """Single hidden layer with ReLU: y = relu(x W1 + b1) W2 + b2."""
@@ -77,14 +97,6 @@ class MLPParams:
             w2=_uniform_array(rng, (hidden, d_out), hidden),
             b2=_uniform_array(rng, (d_out,), hidden),
         )
-
-    def named(self, prefix: str):
-        return [
-            (f"{prefix}.w1", self.w1),
-            (f"{prefix}.b1", self.b1),
-            (f"{prefix}.w2", self.w2),
-            (f"{prefix}.b2", self.b2),
-        ]
 
 
 @dataclass
@@ -106,14 +118,6 @@ class AttentionParams:
             attn=_uniform_array(rng, (heads, 2 * hd), 2 * hd),
         )
 
-    def named(self, prefix: str):
-        return [
-            (f"{prefix}.w_query", self.w_query),
-            (f"{prefix}.w_key", self.w_key),
-            (f"{prefix}.w_value", self.w_value),
-            (f"{prefix}.attn", self.attn),
-        ]
-
 
 @dataclass
 class SABParams:
@@ -124,8 +128,8 @@ class SABParams:
     heads: int
     internal: AttentionParams
     external: AttentionParams
-    epsilon: np.ndarray  # 0-d array so finite differences can perturb it
     point_mlp: MLPParams  # d_in -> d_out
+    epsilon: np.ndarray  # 0-d array so finite differences can perturb it
     fuse_mlp: MLPParams  # 3 * d_out -> d_out
 
     @classmethod
@@ -146,12 +150,7 @@ class SABParams:
         )
 
     def named(self, prefix: str):
-        out = self.internal.named(f"{prefix}.internal")
-        out += self.external.named(f"{prefix}.external")
-        out += self.point_mlp.named(f"{prefix}.point_mlp")
-        out.append((f"{prefix}.epsilon", self.epsilon))
-        out += self.fuse_mlp.named(f"{prefix}.fuse_mlp")
-        return out
+        return _named(self, (prefix,))
 
 
 @dataclass
@@ -225,12 +224,12 @@ def _mlp_backward(dy: np.ndarray, cache, p: MLPParams):
     dw1 = x.T @ dh
     db1 = dh.sum(axis=0)
     dx = dh @ p.w1.T
-    return dx, {"w1": dw1, "b1": db1, "w2": dw2, "b2": db2}
+    return dx, MLPParams(w1=dw1, b1=db1, w2=dw2, b2=db2)
 
 
 def _segments(rows: np.ndarray):
     """Start offsets and lengths of the contiguous equal-row runs."""
-    starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
     counts = np.diff(np.r_[starts, rows.size])
     return starts, counts
 
@@ -245,6 +244,16 @@ def _score_maps(p: AttentionParams, heads: int):
     return m_q, m_k
 
 
+class _AttentionCache(NamedTuple):
+    x: np.ndarray
+    adj: SparseAdjacency
+    v: np.ndarray  # (rows, heads, hd)
+    z: np.ndarray  # (E, heads) scores before the LeakyReLU
+    alpha: np.ndarray  # (E, heads), each receiver's row sums to 1
+    starts: np.ndarray  # _segments of the receiver column
+    counts: np.ndarray
+
+
 def _attention_forward(x: np.ndarray, adj: SparseAdjacency, p: AttentionParams, heads: int):
     rows_n, d_in = x.shape
     if adj.rows != rows_n or adj.cols != rows_n:
@@ -254,8 +263,6 @@ def _attention_forward(x: np.ndarray, adj: SparseAdjacency, p: AttentionParams, 
     d_out = p.w_query.shape[1]
     hd = d_out // heads
     v = (x @ p.w_value).reshape(rows_n, heads, hd)
-    if adj.nnz == 0:
-        return np.zeros((rows_n, d_out)), (x, adj, v, None, None, None, None, heads, hd)
     r = adj.entries[:, 0]
     c = adj.entries[:, 1]
     m_q, m_k = _score_maps(p, heads)
@@ -266,17 +273,13 @@ def _attention_forward(x: np.ndarray, adj: SparseAdjacency, p: AttentionParams, 
     ex = np.exp(shifted)
     alpha = ex / np.repeat(np.add.reduceat(ex, starts, axis=0), counts, axis=0)
     out = scatter_sum(r, alpha[:, :, None] * np.take(v, c, axis=0), rows_n)
-    cache = (x, adj, v, z, alpha, starts, counts, heads, hd)
-    return out.reshape(rows_n, d_out), cache
+    return out.reshape(rows_n, d_out), _AttentionCache(x, adj, v, z, alpha, starts, counts)
 
 
-def _attention_backward(dout: np.ndarray, cache, p: AttentionParams):
-    x, adj, v, z, alpha, starts, counts, heads, hd = cache
-    rows_n, d_in = x.shape
-    d_out = p.w_query.shape[1]
-    if not adj.nnz:
-        names = ("w_query", "w_key", "w_value", "attn")
-        return np.zeros_like(x), {name: np.zeros_like(getattr(p, name)) for name in names}
+def _attention_backward(dout: np.ndarray, cache: _AttentionCache, p: AttentionParams):
+    x, adj, v, z, alpha, starts, counts = cache
+    rows_n, heads, hd = v.shape
+    d_in, d_out = p.w_query.shape
     r = adj.entries[:, 0]
     c = adj.entries[:, 1]
     dout_r = np.take(dout.reshape(rows_n, heads, hd), r, axis=0)  # (E, H, hd)
@@ -296,13 +299,13 @@ def _attention_backward(dout: np.ndarray, cache, p: AttentionParams):
     dm_k = x.T @ dz_c
     w_q = p.w_query.reshape(d_in, heads, hd)
     w_k = p.w_key.reshape(d_in, heads, hd)
-    grads = {
-        "w_query": (dm_q[..., None] * p.attn[:, :hd]).reshape(d_in, d_out),
-        "w_key": (dm_k[..., None] * p.attn[:, hd:]).reshape(d_in, d_out),
-        "w_value": x.T @ dv,
-        "attn": np.hstack([np.einsum("dhk,dh->hk", w_q, dm_q),
-                           np.einsum("dhk,dh->hk", w_k, dm_k)]),
-    }
+    grads = AttentionParams(
+        w_query=(dm_q[..., None] * p.attn[:, :hd]).reshape(d_in, d_out),
+        w_key=(dm_k[..., None] * p.attn[:, hd:]).reshape(d_in, d_out),
+        w_value=x.T @ dv,
+        attn=np.hstack([np.einsum("dhk,dh->hk", w_q, dm_q),
+                        np.einsum("dhk,dh->hk", w_k, dm_k)]),
+    )
     m_q, m_k = _score_maps(p, heads)
     dx = dz_r @ m_q.T + dz_c @ m_k.T + dv @ p.w_value.T
     return dx, grads
@@ -345,10 +348,8 @@ def _sab_backward_raw(dy, cache, params: SABParams):
     dx_int, int_grads = _attention_backward(d_int, c_int, params.internal)
     dx_ext, ext_grads = _attention_backward(d_ext, c_ext, params.external)
     dx_pt, deps, point_grads = _point_backward(d_pt, c_pt, params.epsilon, params.point_mlp)
-    parts = {"internal": int_grads, "external": ext_grads, "point_mlp": point_grads,
-             "fuse_mlp": fuse_grads}
-    grads = {f"{prefix}.{key}": val for prefix, part in parts.items() for key, val in part.items()}
-    grads["epsilon"] = np.array(deps)
+    grads = replace(params, internal=int_grads, external=ext_grads, point_mlp=point_grads,
+                    epsilon=np.array(deps), fuse_mlp=fuse_grads)
     return dx_int + dx_ext + dx_pt, grads
 
 
@@ -454,11 +455,7 @@ class Pipeline:
     variant: str = "sum_sum"
 
     def named_arrays(self):
-        out = []
-        for idx, layer in enumerate(self.layers):
-            out += layer.named(f"layers.{idx}")
-        out += self.pool_mlp.named("pool_mlp")
-        return out
+        return _named(self.layers, ("layers",)) + _named(self.pool_mlp, ("pool_mlp",))
 
     def sampled(self, x0: np.ndarray, mask: product.SamplingMask) -> tuple["Pipeline", np.ndarray]:
         """The sampled system of `mask`: this stack on the three adjacencies
@@ -499,14 +496,18 @@ class Pipeline:
         x = self._layers(x0, caches)
         pooled, pool_cache = _pool_forward(x, self.variant, self.n, self.pool_mlp)
         loss = float(pooled.sum())
-        dpooled = np.ones_like(pooled)
-        dx, pool_grads = _pool_backward(dpooled, pool_cache, self.pool_mlp)
-        grads = {f"pool_mlp.{k}": v for k, v in pool_grads.items()}
-        for idx in range(len(self.layers) - 1, -1, -1):
-            dx, layer_grads = _sab_backward_raw(dx, caches[idx], self.layers[idx])
-            for key, val in layer_grads.items():
-                grads[f"layers.{idx}.{key}"] = val
-        return loss, grads, dx
+        dx, pool_grads = _pool_backward(np.ones_like(pooled), pool_cache, self.pool_mlp)
+        layer_grads = []
+        for layer, cache in zip(reversed(self.layers), reversed(caches)):
+            dx, layer_grad = _sab_backward_raw(dx, cache, layer)
+            layer_grads.insert(0, layer_grad)
+        # a Pipeline of gradients: its names are named_arrays() names by construction
+        grads = replace(self, layers=layer_grads, pool_mlp=pool_grads)
+        return loss, dict(grads.named_arrays()), dx
+
+
+GRAD_CHECK_STEP = 1e-5
+GRAD_CHECK_TOLERANCE = 1e-4
 
 
 @dataclass(frozen=True)
@@ -516,20 +517,15 @@ class GradCheckReport:
     worst_parameter: str
     worst_index: tuple
     parameter_count: int
-    tolerance: float
 
 
-def grad_check(
-    pipeline: Pipeline,
-    x0: np.ndarray,
-    step: float = 1e-5,
-    tolerance: float = 1e-4,
-) -> GradCheckReport:
-    """Compare analytic gradients against central finite differences.
+def grad_check(pipeline: Pipeline, x0: np.ndarray) -> GradCheckReport:
+    """Compare analytic gradients against central finite differences of
+    step GRAD_CHECK_STEP.
 
-    Relative error per parameter entry is |a - f| / max(|a|, |f|, 1e-6);
-    the report carries the worst offender so a corrupted gradient can be
-    pinpointed.
+    Relative error per parameter entry is |a - f| / max(|a|, |f|, 1e-6), and
+    the check passes when no entry exceeds GRAD_CHECK_TOLERANCE; the report
+    carries the worst offender so a corrupted gradient can be pinpointed.
     """
     _, grads, _ = pipeline.loss_and_grads(x0)
     for name, g in grads.items():
@@ -545,12 +541,12 @@ def grad_check(
         for idx in range(flat.size):
             count += 1
             orig = flat[idx]
-            flat[idx] = orig + step
+            flat[idx] = orig + GRAD_CHECK_STEP
             f_plus = pipeline.loss(x0)
-            flat[idx] = orig - step
+            flat[idx] = orig - GRAD_CHECK_STEP
             f_minus = pipeline.loss(x0)
             flat[idx] = orig
-            fd = (f_plus - f_minus) / (2.0 * step)
+            fd = (f_plus - f_minus) / (2.0 * GRAD_CHECK_STEP)
             if not np.isfinite(fd):
                 raise NonFiniteGradient(f"finite difference of {name}[{idx}] is not finite")
             rel = abs(gflat[idx] - fd) / max(abs(gflat[idx]), abs(fd), 1e-6)
@@ -559,12 +555,11 @@ def grad_check(
                 worst_name = name
                 worst_index = np.unravel_index(idx, arr.shape) if arr.shape else ()
     return GradCheckReport(
-        passed=max_rel <= tolerance,
+        passed=max_rel <= GRAD_CHECK_TOLERANCE,
         max_rel_error=max_rel,
         worst_parameter=worst_name,
         worst_index=tuple(int(i) for i in worst_index),
         parameter_count=count,
-        tolerance=tolerance,
     )
 
 
@@ -601,13 +596,7 @@ class ForwardModel:
     pool_mlp: MLPParams
 
     def named(self):
-        out = [("mark_table", self.mark_table)]
-        out.append(("encoder.weight", self.encoder.weight))
-        out.append(("encoder.bias", self.encoder.bias))
-        for idx, layer in enumerate(self.layers):
-            out += layer.named(f"layers.{idx}")
-        out += self.pool_mlp.named("pool_mlp")
-        return out
+        return _named(self)
 
 
 def build_forward_model(g: Graph, cfg: ForwardConfig) -> ForwardModel:
@@ -684,14 +673,22 @@ def load_parameters(fileobj: IO[bytes]) -> dict[str, np.ndarray]:
         manifest = json.loads(fileobj.read(length).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"bad parameter manifest: {exc}") from exc
+    arrays = manifest.get("arrays", []) if isinstance(manifest, dict) else None
+    if not isinstance(arrays, list):
+        raise ParseError('parameter manifest must be an object with an "arrays" list')
     out: dict[str, np.ndarray] = {}
-    for item in manifest.get("arrays", []):
-        shape = tuple(item["shape"])
-        size = int(np.prod(shape)) if shape else 1
+    for item in arrays:
+        entry = item if isinstance(item, dict) else {}
+        name, shape = entry.get("name"), entry.get("shape")
+        if not (isinstance(name, str) and isinstance(shape, list)
+                and all(type(s) is int and s >= 0 for s in shape)):
+            raise ParseError(f"bad parameter manifest entry {item!r}: need a name string "
+                             "and a shape list of non-negative integers")
+        size = math.prod(shape)
         buf = fileobj.read(8 * size)
         if len(buf) != 8 * size:
-            raise ParseError(f"parameter container truncated at {item['name']}")
-        out[item["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+            raise ParseError(f"parameter container truncated at {name}")
+        out[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
     return out
 
 

@@ -65,7 +65,13 @@ def _round_robin_rounds(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     return rounds
 
 
-def jacobi_eigh(matrix: np.ndarray, tol: float = 1e-12, max_sweeps: int = 60):
+JACOBI_TOL = 1e-12
+JACOBI_MAX_SWEEPS = 60
+PE_EIGENVALUE_TOL = 1e-8  # pe_oracle_check: eigenvalue multisets agree within this
+PE_PROJECTOR_TOL = 1e-6  # and cluster projectors within this, in max-norm
+
+
+def jacobi_eigh(matrix: np.ndarray):
     """Cyclic Jacobi diagonalization of a symmetric matrix.
 
     This is the solver-independent oracle for eig_sym: pe_oracle_check uses
@@ -74,7 +80,8 @@ def jacobi_eigh(matrix: np.ndarray, tol: float = 1e-12, max_sweeps: int = 60):
     Pivots follow a round-robin ordering; each round's pivots touch disjoint
     index pairs, so the whole round is applied as one batched rotation (the
     result is bit-identical to applying those rotations sequentially).  Stops
-    when the off-diagonal Frobenius norm falls below tol * max(1, ||A||_F).
+    when the off-diagonal Frobenius norm falls below
+    JACOBI_TOL * max(1, ||A||_F), and gives up after JACOBI_MAX_SWEEPS sweeps.
 
     Returns (values, vectors) with values unsorted (diagonal order).
     """
@@ -86,9 +93,9 @@ def jacobi_eigh(matrix: np.ndarray, tol: float = 1e-12, max_sweeps: int = 60):
     scale = max(1.0, float(np.linalg.norm(a)))
     rounds = _round_robin_rounds(n)
     diag_mask = ~np.eye(n, dtype=bool)
-    for _ in range(max_sweeps):
+    for _ in range(JACOBI_MAX_SWEEPS):
         off = float(np.linalg.norm(a[diag_mask]))
-        if off <= tol * scale:
+        if off <= JACOBI_TOL * scale:
             return a.diagonal().copy(), v
         for p_all, q_all in rounds:
             apq = a[p_all, q_all]
@@ -120,7 +127,7 @@ def jacobi_eigh(matrix: np.ndarray, tol: float = 1e-12, max_sweeps: int = 60):
             vcp, vcq = v[:, p], v[:, q]
             v[:, p] = c * vcp - s * vcq
             v[:, q] = s * vcp + c * vcq
-    raise ProdGraphError(f"jacobi did not converge in {max_sweeps} sweeps")
+    raise ProdGraphError(f"jacobi did not converge in {JACOBI_MAX_SWEEPS} sweeps")
 
 
 def _canonical_signs(vectors: np.ndarray, threshold: float = 1e-9) -> np.ndarray:
@@ -281,8 +288,6 @@ class PEOracleReport:
     passed: bool
     eigenvalue_deviation: float
     projector_deviation: float
-    eigenvalue_tolerance: float
-    projector_tolerance: float
     eigenvalues: np.ndarray
 
 
@@ -297,17 +302,17 @@ def _cluster_bounds(values: np.ndarray, gap: float) -> list[tuple[int, int]]:
     return bounds
 
 
-def pe_oracle_check(g: Graph, eig_tol: float = 1e-8, proj_tol: float = 1e-6) -> PEOracleReport:
+def pe_oracle_check(g: Graph) -> PEOracleReport:
     """Diagonalize the product-graph Laplacian directly and compare.
 
     The factored PE rests on the LAPACK base decomposition; the direct route
     diagonalizes the n^2 x n^2 product Laplacian with jacobi_eigh instead, so
     the two sides share no solver.
 
-    Eigenvalue multisets must agree within eig_tol; for each eigenvalue
-    cluster the two orthogonal eigenspace projectors must agree within
-    proj_tol in max-norm (individual eigenvectors of repeated eigenvalues
-    are basis-ambiguous, projectors are not).
+    Eigenvalue multisets must agree within PE_EIGENVALUE_TOL; for each
+    eigenvalue cluster the two orthogonal eigenspace projectors must agree
+    within PE_PROJECTOR_TOL in max-norm (individual eigenvectors of repeated
+    eigenvalues are basis-ambiguous, projectors are not).
     """
     if g.n > 8:
         raise ScaleError(f"oracle check is limited to n <= 8, got n={g.n}")
@@ -326,10 +331,8 @@ def pe_oracle_check(g: Graph, eig_tol: float = 1e-8, proj_tol: float = 1e-6) -> 
         proj_dev = max(proj_dev, float(np.abs(p_factored - p_direct).max()))
     return PEOracleReport(
         n=g.n,
-        passed=eig_dev <= eig_tol and proj_dev <= proj_tol,
+        passed=eig_dev <= PE_EIGENVALUE_TOL and proj_dev <= PE_PROJECTOR_TOL,
         eigenvalue_deviation=eig_dev,
         projector_deviation=proj_dev,
-        eigenvalue_tolerance=eig_tol,
-        projector_tolerance=proj_tol,
         eigenvalues=factored.eigenvalues,
     )

@@ -58,6 +58,8 @@ from .product import (
 )
 from .rng import SplitMix64
 from .spectral import (
+    PE_EIGENVALUE_TOL,
+    PE_PROJECTOR_TOL,
     PEOracleReport,
     concatenation_pe,
     eig_sym,
@@ -283,9 +285,9 @@ def check_spectrum_sum_law(scale: str):
     ok = True
     for report in _pe_oracle_reports(scale):
         dev = max(dev, report.eigenvalue_deviation)
-        ok &= report.eigenvalue_deviation <= 1e-8
+        ok &= report.eigenvalue_deviation <= PE_EIGENVALUE_TOL
     p2 = product_pe(path_graph(2), 4)
-    ok &= np.abs(p2.eigenvalues - np.array([0.0, 2.0, 2.0, 4.0])).max() <= 1e-8
+    ok &= np.abs(p2.eigenvalues - np.array([0.0, 2.0, 2.0, 4.0])).max() <= PE_EIGENVALUE_TOL
     return ok, dev
 
 
@@ -294,7 +296,7 @@ def check_eigenspace_projectors(scale: str):
     ok = True
     for report in _pe_oracle_reports(scale):
         dev = max(dev, report.projector_deviation)
-        ok &= report.projector_deviation <= 1e-6
+        ok &= report.projector_deviation <= PE_PROJECTOR_TOL
     return ok, dev
 
 
@@ -469,8 +471,8 @@ def check_attention_row_stochastic(scale: str):
         x = _random_state(n * n, 4, rng)
         for adj in (internal_adjacency(g), external_adjacency(g)):
             _, cache = _attention_forward(x, adj, params.internal, params.heads)
-            alpha = cache[4]
-            if alpha is None:
+            alpha = cache.alpha
+            if alpha.size == 0:
                 continue
             if alpha.min() < 0:
                 dev = max(dev, float(-alpha.min()))

@@ -199,8 +199,8 @@ def test_criterion_6_sab_correctness():
             sparse, cache = _attention_forward(x, adj, params.internal, params.heads)
             dense = dense_attention_oracle(x, adj.to_dense(), params.internal, params.heads)
             oracle_dev = max(oracle_dev, float(np.abs(sparse - dense).max()))
-            alpha = cache[4]
-            if alpha is not None:
+            alpha = cache.alpha
+            if alpha.size:
                 stochastic_dev = max(stochastic_dev, float(max(0.0, -alpha.min())))
                 sums = np.zeros((adj.rows, alpha.shape[1]))
                 # deliberately np.add.at, a route independent of the model's scatter_sum
@@ -230,7 +230,7 @@ def test_criterion_6_sab_correctness():
             pipe = Pipeline(bundle.internal, bundle.external, bundle.point, g.n,
                             layers, pool_mlp, "sum_sum")
             x0 = _random_state(g.n * g.n, 4, seed=seed + 99)
-            report = grad_check(pipe, x0, tolerance=1e-4)
+            report = grad_check(pipe, x0)
             grad_worst = max(grad_worst, report.max_rel_error)
             grad_ok &= report.passed
     elapsed = time.perf_counter() - start

@@ -1,4 +1,6 @@
+import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -218,6 +220,33 @@ def test_out_of_range_model_and_sampling_arguments_are_input_errors(p2_file, cap
     assert code == 2
     assert out == ""
     assert err.startswith("RangeError: ") and "Traceback" not in err
+
+
+def _container(manifest) -> bytes:
+    """A parameter container holding `manifest` and no array data."""
+    body = json.dumps(manifest).encode("utf-8")
+    return struct.pack("<Q", len(body)) + body
+
+
+@pytest.mark.parametrize("argv, container", [
+    (["pe", "{graph}", "--k", "4", "--variant", "tuple:x"], None),
+    (["pe", "{graph}", "--k", "4", "--variant", "tuple:"], None),
+    (["forward", "{graph}", "--load-params", "{params}"], []),
+    (["forward", "{graph}", "--load-params", "{params}"], {"arrays": [{"shape": [2]}]}),
+    (["forward", "{graph}", "--load-params", "{params}"],
+     {"arrays": [{"name": "mark_table", "shape": [-1, 8]}]}),
+    (["forward", "{graph}", "--load-params", "{params}"],
+     {"arrays": [{"name": "mark_table", "shape": "ab"}]}),
+], ids=["tuple-x", "tuple-empty", "manifest-list", "entry-without-name", "shape-negative",
+        "shape-string"])
+def test_malformed_outside_input_is_input_error(p2_file, tmp_path, capsys, argv, container):
+    params = tmp_path / "params.bin"
+    if container is not None:
+        params.write_bytes(_container(container) + bytes(64))
+    code, out, err = run_cli(capsys, *(a.format(graph=p2_file, params=params) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(("ParseError: ", "RangeError: ")) and err.count("\n") == 1
 
 
 def test_sample_masked_files(p2_file, tmp_path, capsys):

@@ -97,6 +97,32 @@ def test_bfs_symmetry_and_zero_diagonal():
         assert not np.diag(d).any()
 
 
+def _queue_bfs(g):
+    """Reference: one Python queue per source, unreachable pairs left at n."""
+    nbrs = g.neighbors()
+    dist = np.full((g.n, g.n), g.n, dtype=np.int64)
+    for src in range(g.n):
+        dist[src, src] = 0
+        queue = [src]
+        for u in queue:
+            for w in nbrs[u]:
+                if dist[src, w] == g.n:
+                    dist[src, w] = dist[src, u] + 1
+                    queue.append(w)
+    return dist
+
+
+def test_bfs_matches_queue_reference():
+    for seed in range(60):
+        g = random_graph(1 + seed % 30, (seed % 7) / 12, seed=seed + 400)
+        got = shortest_path_distances(g).dist
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _queue_bfs(g))
+    # long diameters: one BFS level per hop
+    for g in (path_graph(1), path_graph(40), cycle_graph(41), Graph(n=4, edges=frozenset())):
+        assert np.array_equal(shortest_path_distances(g).dist, _queue_bfs(g))
+
+
 def test_permute_identity_and_swap():
     g = path_graph(2)
     assert permute_graph(g, [0, 1]).edges == g.edges

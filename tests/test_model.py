@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 from pathlib import Path
@@ -623,3 +624,32 @@ def test_build_forward_model_matches_scalar_draws(monkeypatch):
     save_parameters(fast_bytes, fast.named())
     save_parameters(ref_bytes, ref.named())
     assert fast_bytes.getvalue() == ref_bytes.getvalue()
+
+
+SAB_LEAVES = [f"{part}.{leaf}" for part, leaves in (
+    ("internal", ("w_query", "w_key", "w_value", "attn")),
+    ("external", ("w_query", "w_key", "w_value", "attn")),
+    ("point_mlp", ("w1", "b1", "w2", "b2")),
+) for leaf in leaves] + ["epsilon"] + [f"fuse_mlp.{leaf}" for leaf in ("w1", "b1", "w2", "b2")]
+
+
+def test_parameter_layout_is_pinned():
+    # names, order and container bytes of the default 2-layer model on G6;
+    # saved parameter files depend on all three
+    model = build_forward_model(load_graph(G6), ForwardConfig(layers=2))
+    expected = (["mark_table", "encoder.weight", "encoder.bias"]
+                + [f"layers.{idx}.{leaf}" for idx in range(2) for leaf in SAB_LEAVES]
+                + ["pool_mlp.w1", "pool_mlp.b1", "pool_mlp.w2", "pool_mlp.b2"])
+    assert [name for name, _ in model.named()] == expected
+    buf = io.BytesIO()
+    save_parameters(buf, model.named())
+    digest = hashlib.sha256(buf.getvalue()).hexdigest()
+    assert digest == "3ea730a7a93ae5307f34eb309a38d69f0fe13fb786d759fd78af0ddb51d1219f"
+
+
+@pytest.mark.parametrize("layers", [0, 1, 2])
+def test_gradient_names_are_parameter_names(layers):
+    pipe, x0 = make_pipeline(path_graph(3), seed=4, layers=layers)
+    _, grads, _ = pipe.loss_and_grads(x0)
+    assert list(grads) == [name for name, _ in pipe.named_arrays()]
+    assert len(grads) == 4 + layers * len(SAB_LEAVES)
