@@ -8,7 +8,9 @@ immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -69,11 +71,22 @@ class Graph:
         return np.array([len(nb) for nb in self.neighbors()], dtype=np.int64)
 
 
+def _finite_number(value) -> bool:
+    """A JSON number that float64 holds as a finite value.  Python's json
+    reads NaN and Infinity as floats; a bool is not a number here."""
+    if type(value) not in (int, float):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float64 range
+        return False
+
+
 def load_graph(source: IO[bytes] | IO[str] | bytes | str) -> Graph:
     """Parse a graph from the JSON format and validate it.
 
     The format is an object with keys "n" (int), "edges" (array of 2-arrays
-    of ints), and optional "features" (array of n arrays of floats).  Edge
+    of ints), and optional "features" (array of n arrays of finite numbers).  Edge
     order and direction are irrelevant; duplicates collapse.
     """
     if hasattr(source, "read"):
@@ -87,7 +100,7 @@ def load_graph(source: IO[bytes] | IO[str] | bytes | str) -> Graph:
             raise ParseError(f"input is not valid UTF-8: {exc}") from exc
     try:
         doc = json.loads(payload)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer literal too long to convert
         raise ParseError(f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("top-level JSON value must be an object")
@@ -111,6 +124,9 @@ def load_graph(source: IO[bytes] | IO[str] | bytes | str) -> Graph:
     if features is not None:
         if not isinstance(features, list) or not all(isinstance(r, list) for r in features):
             raise ParseError('"features" must be an array of arrays')
+        for value in (value for row in features for value in row):
+            if not _finite_number(value):
+                raise ParseError(f"feature values must be finite numbers, got {value!r:.40}")
         widths = {len(r) for r in features}
         if len(widths) > 1:
             raise ValidationError("feature rows have inconsistent widths")
@@ -246,21 +262,21 @@ def random_permutation(n: int, seed: int) -> list[int]:
 
 
 def scatter_sum(index: np.ndarray, vals: np.ndarray, size: int) -> np.ndarray:
-    """out[i] = sum of vals[e] over the entries e with index[e] == i.
+    """out[i, ...] = sum of vals[..., e] over the entries e with index[e] == i.
 
-    The result has shape (size,) + vals.shape[1:]; every index must lie in
-    [0, size).  One np.bincount per trailing channel adds the values in
-    entry order, so the float64 result is bit for bit that of the unbuffered
-    `ufunc.at` scatter of np.add.  It needs no sort of the index.
+    `vals` is channel-major: its last axis runs over the entries, so each
+    channel is one contiguous row.  The result is row-major, of shape
+    (size,) + vals.shape[:-1]; every index must lie in [0, size).  One
+    np.bincount per channel adds the values in entry order, so the float64
+    result is bit for bit that of the unbuffered `ufunc.at` scatter of
+    np.add.  It needs no sort of the index.
     """
     vals = np.asarray(vals, dtype=np.float64)
-    tail = vals.shape[1:]
-    width = int(np.prod(tail))
-    flat = vals.reshape(vals.shape[0], width)
-    out = np.empty((size, width))
-    for j in range(width):
-        out[:, j] = np.bincount(index, weights=flat[:, j], minlength=size)
-    return out.reshape((size,) + tail)
+    channels = vals.reshape(math.prod(vals.shape[:-1]), vals.shape[-1])
+    out = np.empty((channels.shape[0], size))
+    for j, weights in enumerate(channels):
+        out[j] = np.bincount(index, weights=weights, minlength=size)
+    return np.ascontiguousarray(out.T).reshape((size,) + vals.shape[:-1])
 
 
 @dataclass(frozen=True)
@@ -268,7 +284,9 @@ class SparseAdjacency:
     """Binary sparse matrix as a sorted, deduplicated set of (row, col) pairs.
 
     The entry set IS the matrix: every stored position holds 1.  Entries are
-    kept in row-major order in a read-only (nnz, 2) int64 array.
+    kept in row-major order in a read-only (nnz, 2) int64 array stored
+    column-major, so `entries[:, 0]` (rows) and `entries[:, 1]` (columns)
+    are contiguous views that gathers and scatters read without a copy.
     """
 
     rows: int
@@ -278,7 +296,7 @@ class SparseAdjacency:
     def __post_init__(self):
         if self.rows * self.cols > np.iinfo(np.int64).max:
             raise ScaleError(f"a {self.rows} x {self.cols} matrix overflows int64 entry keys")
-        ent = np.asarray(self.entries, dtype=np.int64).reshape(-1, 2)
+        ent = np.asfortranarray(np.asarray(self.entries, dtype=np.int64).reshape(-1, 2))
         object.__setattr__(self, "entries", _readonly(ent))
         if ent.size:
             if ent[:, 0].min() < 0 or ent[:, 0].max() >= self.rows:
@@ -299,7 +317,7 @@ class SparseAdjacency:
             # that is far slower on large int64 key arrays
             keys = np.sort(ent[:, 0] * cols + ent[:, 1])
             keys = keys[np.r_[True, keys[1:] != keys[:-1]]]
-            ent = np.column_stack([keys // cols, keys % cols])
+            ent = np.array([keys // cols, keys % cols]).T  # column-major, as stored
         return cls(rows=rows, cols=cols, entries=ent)
 
     @classmethod
@@ -311,6 +329,15 @@ class SparseAdjacency:
     @property
     def nnz(self) -> int:
         return self.entries.shape[0]
+
+    @cached_property
+    def row_segments(self) -> tuple[np.ndarray, np.ndarray]:
+        """(starts, counts): the offset and length of each run of equal rows
+        in `entries`, one run per non-empty row, built once per adjacency."""
+        rows = self.entries[:, 0]
+        starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        counts = np.diff(np.r_[starts, rows.size])
+        return _readonly(starts), _readonly(counts)
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.rows, self.cols), dtype=np.int64)
@@ -326,7 +353,7 @@ class SparseAdjacency:
         if x.shape[0] != self.cols:
             raise ValidationError(f"operand has {x.shape[0]} rows, expected {self.cols}")
         r, c = self.entries[:, 0], self.entries[:, 1]
-        return scatter_sum(r, np.take(x, c, axis=0), self.rows)
+        return scatter_sum(r, np.take(np.moveaxis(x, 0, -1), c, axis=-1), self.rows)
 
     def union(self, other: "SparseAdjacency") -> "SparseAdjacency":
         if (self.rows, self.cols) != (other.rows, other.cols):

@@ -28,13 +28,27 @@ z_ij = s_q[i] + s_k[j] with s_q = (W_Q x)_h . a_q and s_k = (W_K x)_h . a_k.
 Both are linear in x, so the projection and the scoring vector fold into
 one (d_in, heads) map each: s_q = x @ M_q with
 M_q[:, h] = W_Q[:, h-block] @ a_q[h], and the same for K.  No query or key
-projection is formed, and only the (E, heads) sums are gathered per edge.
+projection is formed, and only the two score sums are gathered per edge.
 The backward pass runs the same way in reverse: dz is summed per receiver
 and per sender, dM_q = x.T @ (per-receiver sums), and dW_Q and d(a_q)
-follow from dM_q through the fold (likewise for K).  Every scatter
-(messages, dV, dz sums, the point update and its backward) goes through
-graphs.scatter_sum, which adds in entry order.  No (E, heads, head_dim)
-array is kept in a cache.  `Pipeline` holds the only loop over the blocks.
+follow from dM_q through the fold (likewise for K).
+
+Per-edge arrays are channel-major, so that every channel is one contiguous
+row: scores and weights are (heads, E), messages (heads, head_dim, E), and
+the receiver and sender indices are the contiguous columns of the
+adjacency's column-major entries.  The softmax runs in place.  Each row's
+maximum comes from np.maximum.at (a maximum is exact in any order); the
+sums come from np.add.reduceat over the adjacency's `row_segments`, built
+once per adjacency and shared by every layer's forward and backward pass.
+Gathered values and upstream gradients are (heads, E, head_dim), so the
+backward einsum sums head_dim as its inner axis.  Both choices keep the
+summation order of the entry-major (E, heads) kernel in
+tests/attention_reference.py, so outputs and gradients match it bit for
+bit.  Every scatter (messages, dV, dz sums, the point update and
+its backward) goes through graphs.scatter_sum: one np.bincount per
+contiguous channel, adding in entry order.  Per edge, a cache keeps only
+the weights and a bool mask of the LeakyReLU's negative side.  `Pipeline`
+holds the only loop over the blocks.
 
 All math is float64.  ReLU takes subgradient 0 at 0.
 """
@@ -227,13 +241,6 @@ def _mlp_backward(dy: np.ndarray, cache, p: MLPParams):
     return dx, MLPParams(w1=dw1, b1=db1, w2=dw2, b2=db2)
 
 
-def _segments(rows: np.ndarray):
-    """Start offsets and lengths of the contiguous equal-row runs."""
-    starts = np.flatnonzero(np.diff(rows, prepend=-1))
-    counts = np.diff(np.r_[starts, rows.size])
-    return starts, counts
-
-
 def _score_maps(p: AttentionParams, heads: int):
     """(d_in, heads) maps from a row to its receiver and sender score terms:
     M_q[:, h] = W_Q[:, h-block] @ a_q[h], and the same for K."""
@@ -247,11 +254,9 @@ def _score_maps(p: AttentionParams, heads: int):
 class _AttentionCache(NamedTuple):
     x: np.ndarray
     adj: SparseAdjacency
-    v: np.ndarray  # (rows, heads, hd)
-    z: np.ndarray  # (E, heads) scores before the LeakyReLU
-    alpha: np.ndarray  # (E, heads), each receiver's row sums to 1
-    starts: np.ndarray  # _segments of the receiver column
-    counts: np.ndarray
+    v: np.ndarray  # (heads, rows, hd) values, head-major
+    negative: np.ndarray  # (heads, E) bool: score <= 0, where the LeakyReLU has LEAKY_SLOPE
+    alpha: np.ndarray  # (E, heads) view of the (heads, E) weights; each receiver's row sums to 1
 
 
 def _attention_forward(x: np.ndarray, adj: SparseAdjacency, p: AttentionParams, heads: int):
@@ -262,34 +267,48 @@ def _attention_forward(x: np.ndarray, adj: SparseAdjacency, p: AttentionParams, 
         raise ShapeMismatch(f"attention expects width {p.w_query.shape[0]}, got {d_in}")
     d_out = p.w_query.shape[1]
     hd = d_out // heads
-    v = (x @ p.w_value).reshape(rows_n, heads, hd)
+    v = np.ascontiguousarray((x @ p.w_value).reshape(rows_n, heads, hd).transpose(1, 0, 2))
     r = adj.entries[:, 0]
     c = adj.entries[:, 1]
     m_q, m_k = _score_maps(p, heads)
-    z = np.take(x @ m_q, r, axis=0) + np.take(x @ m_k, c, axis=0)  # (E, H)
-    e = np.where(z > 0.0, z, LEAKY_SLOPE * z)
-    starts, counts = _segments(r)
-    shifted = e - np.repeat(np.maximum.reduceat(e, starts, axis=0), counts, axis=0)
-    ex = np.exp(shifted)
-    alpha = ex / np.repeat(np.add.reduceat(ex, starts, axis=0), counts, axis=0)
-    out = scatter_sum(r, alpha[:, :, None] * np.take(v, c, axis=0), rows_n)
-    return out.reshape(rows_n, d_out), _AttentionCache(x, adj, v, z, alpha, starts, counts)
+    z = np.take((x @ m_q).T, r, axis=1)  # (H, E)
+    z += np.take((x @ m_k).T, c, axis=1)
+    alpha = LEAKY_SLOPE * z
+    np.maximum(z, alpha, out=alpha)  # the LeakyReLU; the softmax runs in place below
+    # Each row's maximum is exact in any order, so a per-head ufunc.at is
+    # used; the sums go through reduceat to keep their summation order.
+    row_max = np.full((heads, rows_n), -np.inf)
+    for h in range(heads):
+        np.maximum.at(row_max[h], r, alpha[h])
+    alpha -= np.take(row_max, r, axis=1)
+    np.exp(alpha, out=alpha)
+    starts, counts = adj.row_segments
+    alpha /= np.repeat(np.add.reduceat(alpha, starts, axis=1), counts, axis=1)
+    # messages (H, hd, E): one contiguous row per output channel for the scatter
+    out = scatter_sum(r, np.multiply(alpha[:, None, :], np.take(v, c, axis=1).transpose(0, 2, 1),
+                                     order="C"), rows_n)
+    return out.reshape(rows_n, d_out), _AttentionCache(x, adj, v, z <= 0.0, alpha.T)
 
 
 def _attention_backward(dout: np.ndarray, cache: _AttentionCache, p: AttentionParams):
-    x, adj, v, z, alpha, starts, counts = cache
-    rows_n, heads, hd = v.shape
+    x, adj, v, negative, alpha = cache
+    heads, rows_n, hd = v.shape
     d_in, d_out = p.w_query.shape
+    alpha = alpha.T  # (H, E), contiguous
     r = adj.entries[:, 0]
     c = adj.entries[:, 1]
-    dout_r = np.take(dout.reshape(rows_n, heads, hd), r, axis=0)  # (E, H, hd)
-    dalpha = np.einsum("ehd,ehd->eh", dout_r, np.take(v, c, axis=0))
-    dv = scatter_sum(c, alpha[:, :, None] * dout_r, rows_n).reshape(rows_n, d_out)
-    del dout_r  # the last (E, H, hd) array; freeing it here lowers the peak
-    weighted = alpha * dalpha
-    seg = np.repeat(np.add.reduceat(weighted, starts, axis=0), counts, axis=0)
-    dz = alpha * (dalpha - seg)
-    dz = dz * np.where(z > 0.0, 1.0, LEAKY_SLOPE)
+    dout_r = np.take(dout.reshape(rows_n, heads, hd).transpose(1, 0, 2), r, axis=1)  # (H, E, hd)
+    # hd is this dot product's inner axis, as in the (E, heads) reference
+    # kernel, so einsum sums it in the same order for every head_dim
+    dalpha = np.einsum("hed,hed->he", dout_r, np.take(v, c, axis=1))
+    dv = scatter_sum(c, np.multiply(alpha[:, None, :], dout_r.transpose(0, 2, 1), order="C"),
+                     rows_n).reshape(rows_n, d_out)
+    del dout_r  # the last per-edge (H, E, hd) array; freeing it here lowers the peak
+    starts, counts = adj.row_segments
+    dz = alpha * dalpha
+    dalpha -= np.repeat(np.add.reduceat(dz, starts, axis=1), counts, axis=1)
+    np.multiply(alpha, dalpha, out=dz)
+    dz *= negative * LEAKY_SLOPE + ~negative  # exactly LEAKY_SLOPE or 1; branch-free, unlike np.where
     # z = (x @ M_q)[r] + (x @ M_k)[c], so the score gradient reaches each
     # node through its per-row and per-column sums of dz, and the maps
     # through x.T times those sums.
@@ -325,7 +344,7 @@ def _point_backward(dy: np.ndarray, cache, epsilon: np.ndarray, mlp: MLPParams):
     dpre, mlp_grads = _mlp_backward(dy, mlp_cache, mlp)
     deps = float((dpre * x).sum())
     dx = (1.0 + float(epsilon)) * dpre + scatter_sum(
-        point.entries[:, 1], dpre[point.entries[:, 0]], point.cols
+        point.entries[:, 1], np.take(dpre.T, point.entries[:, 0], axis=1), point.cols
     )
     return dx, deps, mlp_grads
 
@@ -688,7 +707,10 @@ def load_parameters(fileobj: IO[bytes]) -> dict[str, np.ndarray]:
         buf = fileobj.read(8 * size)
         if len(buf) != 8 * size:
             raise ParseError(f"parameter container truncated at {name}")
-        out[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+        arr = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+        if not np.isfinite(arr).all():
+            raise ParseError(f"parameter {name} holds non-finite values")
+        out[name] = arr
     return out
 
 

@@ -301,7 +301,8 @@ def _sampled_entries(adj: SparseAdjacency, mask: SamplingMask) -> tuple[int, np.
     """Grid size n and the entries whose row and column subgraphs are sampled.
 
     A boolean subset of row-major entries keeps their order, so the result
-    is still sorted and unique.
+    is still sorted and unique.  It is selected from the (2, nnz) view of
+    the column-major entries, so it comes out column-major too.
     """
     n = _tuple_grid_n(adj)
     if mask.n != n:
@@ -309,7 +310,7 @@ def _sampled_entries(adj: SparseAdjacency, mask: SamplingMask) -> tuple[int, np.
     is_sampled = np.zeros(n, dtype=bool)
     is_sampled[np.asarray(mask.sampled, dtype=np.int64)] = True
     keep = is_sampled[adj.entries[:, 0] // n] & is_sampled[adj.entries[:, 1] // n]
-    return n, adj.entries[keep]
+    return n, adj.entries.T[:, keep].T
 
 
 def apply_sampling_mask(adj: SparseAdjacency, mask: SamplingMask) -> SparseAdjacency:

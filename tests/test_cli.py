@@ -17,6 +17,7 @@ from prodgraph import (
     load_graph,
 )
 from prodgraph.cli import main
+from prodgraph.model import ForwardConfig, build_forward_model, save_parameters
 from prodgraph.spectral import PEMatrix
 from tuple_reference import point_pairs, reference_adjacency
 
@@ -247,6 +248,38 @@ def test_malformed_outside_input_is_input_error(p2_file, tmp_path, capsys, argv,
     assert code == 2
     assert out == ""
     assert err.startswith(("ParseError: ", "RangeError: ")) and err.count("\n") == 1
+
+
+FEATURE_COMMANDS = (["forward", "{graph}"], ["pe", "{graph}", "--k", "2"], ["mark", "{graph}"],
+                    ["sample", "{graph}", "--ratio", "0.5"],
+                    ["build-product", "{graph}", "--out", "{out}"])
+
+
+@pytest.mark.parametrize("value", ['"a"', "true", "null", "[1]", "NaN", "-Infinity", "1e400",
+                                   "1" + "0" * 400, "1" + "0" * 5000],
+                         ids=["string", "bool", "null", "array", "nan", "minus-inf",
+                              "float-overflow", "int-overflow", "int-too-long"])
+def test_feature_values_must_be_finite_numbers(tmp_path, capsys, value):
+    graph = tmp_path / "g.json"
+    graph.write_text('{"n":3,"edges":[[0,1]],"features":[[1],[2.5],[%s]]}' % value)
+    for argv in FEATURE_COMMANDS:
+        code, out, err = run_cli(capsys, *(a.format(graph=graph, out=tmp_path / "adj") for a in argv))
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("ParseError: ") and err.count("\n") == 1
+
+
+def test_non_finite_parameter_container_is_parse_error(p2_file, tmp_path, capsys):
+    g = load_graph(P2_JSON)
+    named = build_forward_model(g, ForwardConfig()).named()
+    dict(named)["layers.0.fuse_mlp.w1"][0, 0] = np.nan
+    params = tmp_path / "nan.bin"
+    with params.open("wb") as fh:
+        save_parameters(fh, named)
+    code, out, err = run_cli(capsys, "forward", p2_file, "--load-params", str(params))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("ParseError: ") and "layers.0.fuse_mlp.w1" in err
 
 
 def test_sample_masked_files(p2_file, tmp_path, capsys):

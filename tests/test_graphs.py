@@ -8,15 +8,20 @@ from prodgraph import (
     Graph,
     InvalidPermutation,
     ParseError,
+    SamplingMask,
     SparseAdjacency,
     ValidationError,
+    apply_sampling_mask,
     dense_adjacency,
+    external_adjacency,
     graph_to_json,
+    internal_adjacency,
     load_graph,
     permutation_matrix,
     permute_graph,
     random_graph,
     random_permutation,
+    restrict_adjacency,
     shortest_path_distances,
 )
 from prodgraph.graphs import complete_graph, cycle_graph, path_graph, scatter_sum
@@ -188,6 +193,42 @@ def test_from_pairs_dedups_shuffled_keys_like_sorted_set():
     assert SparseAdjacency.from_pairs(3, 3, []).nnz == 0
 
 
+def _adjacency_routes():
+    g = random_graph(5, 0.5, seed=3)
+    internal = internal_adjacency(g)
+    pairs = np.array([(3, 2), (0, 1), (1, 1), (0, 1), (4, 0)])
+    mask = SamplingMask(n=5, sampled=(0, 2, 3))
+    return {
+        "direct": SparseAdjacency(4, 4, np.array([[0, 1], [1, 1], [3, 2]])),
+        "from_pairs": SparseAdjacency.from_pairs(5, 5, pairs),
+        "from_dense": SparseAdjacency.from_dense(dense_adjacency(g)),
+        "union": internal.union(external_adjacency(g)),
+        "from_coo_text": SparseAdjacency.from_coo_text(internal.to_coo_text()),
+        "restrict_adjacency": restrict_adjacency(internal, mask),
+        "apply_sampling_mask": apply_sampling_mask(internal, mask),
+    }
+
+
+@pytest.mark.parametrize("route", list(_adjacency_routes()))
+def test_entry_columns_are_contiguous(route):
+    adj = _adjacency_routes()[route]
+    assert adj.nnz > 1
+    assert adj.entries[:, 0].flags.c_contiguous and adj.entries[:, 1].flags.c_contiguous
+    assert not adj.entries.flags.writeable
+
+
+def test_row_segments_are_the_row_runs_and_built_once():
+    for adj in _adjacency_routes().values():
+        starts, counts = adj.row_segments
+        rows = adj.entries[:, 0]
+        want = [i for i in range(adj.nnz) if i == 0 or rows[i] != rows[i - 1]]
+        assert starts.tolist() == want
+        assert counts.tolist() == np.diff(want + [adj.nnz]).tolist()
+        assert adj.row_segments is adj.row_segments
+    starts, counts = SparseAdjacency(3, 3).row_segments
+    assert starts.size == counts.size == 0
+
+
 def test_sparse_rejects_out_of_bounds():
     with pytest.raises(ValidationError):
         SparseAdjacency.from_pairs(2, 2, [(0, 5)])
@@ -239,7 +280,7 @@ def _scatter_cases():
 def test_scatter_sum_equals_add_at_bitwise(index, vals, size):
     expected = np.zeros((size,) + vals.shape[1:])
     np.add.at(expected, index, vals)
-    got = scatter_sum(index, vals, size)
+    got = scatter_sum(index, np.moveaxis(vals, 0, -1), size)  # channel-major values
     assert got.shape == expected.shape and got.dtype == np.float64
     assert got.tobytes() == expected.tobytes()
 
