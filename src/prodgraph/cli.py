@@ -8,7 +8,8 @@ Subcommands:
   sample         draw a subgraph sample, optionally write masked adjacencies
   verify         run the oracle-verification suites
 
-Exit codes: 0 success, 1 verification failure, 2 input error.
+Exit codes: 0 success, 1 verification failure, 2 input error (an input too
+large to hold in memory included).
 """
 
 from __future__ import annotations
@@ -215,6 +216,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ProdGraphError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"MemoryError: {str(exc) or 'the input is too large to hold in memory'}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"IOError: {exc}", file=sys.stderr)

@@ -39,6 +39,8 @@ class Graph:
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 1:
             raise ValidationError(f"node count must be a positive integer, got {self.n!r}")
+        if self.n * self.n > np.iinfo(np.int64).max:
+            raise ScaleError(f"n = {self.n}: the n^2 product-node indices overflow int64")
         normalized = set()
         for edge in self.edges:
             u, v = edge
@@ -60,8 +62,18 @@ class Graph:
     def num_edges(self) -> int:
         return len(self.edges)
 
+    @cached_property
+    def directed_edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """Both directions of every edge as parallel read-only (source,
+        target) int64 arrays, sorted by (source, target); built once."""
+        uv = np.array(list(self.edges), dtype=np.int64).reshape(-1, 2)
+        keys = np.sort(np.concatenate([uv[:, 0] * self.n + uv[:, 1], uv[:, 1] * self.n + uv[:, 0]]))
+        src, dst = np.divmod(keys, self.n)
+        return _readonly(src), _readonly(dst)
+
     def neighbors(self) -> list[list[int]]:
-        """Adjacency lists, each sorted ascending."""
+        """Adjacency lists, each sorted ascending.  Built from the edge set
+        without `directed_edges`, so tests use it as an independent reference."""
         adj: list[list[int]] = [[] for _ in range(self.n)]
         for u, v in sorted(self.edges | {(v, u) for u, v in self.edges}):
             adj[u].append(v)
@@ -148,9 +160,7 @@ def graph_to_json(g: Graph) -> str:
 def dense_adjacency(g: Graph) -> np.ndarray:
     """Symmetric 0/1 adjacency matrix with zero diagonal."""
     a = np.zeros((g.n, g.n), dtype=np.int64)
-    for u, v in g.edges:
-        a[u, v] = 1
-        a[v, u] = 1
+    a[g.directed_edges] = 1
     return a
 
 
@@ -176,11 +186,10 @@ def shortest_path_distances(g: Graph) -> DistanceMatrix:
     the (source, node) pairs first reached at the last depth.  Each pair is
     expanded once, so the work is O(n * (n + |E|)) whatever the diameter."""
     n = g.n
-    adj = g.neighbors()
-    nbrs = np.array([w for lst in adj for w in lst], dtype=np.int64)
-    start = np.cumsum([0] + [len(lst) for lst in adj])
     dist = np.full((n, n), n, dtype=np.int64)
     claim = np.empty((n, n), dtype=np.int64)
+    heads, nbrs = g.directed_edges  # sorted by source: nbrs[start[u]:start[u + 1]] are u's
+    start = np.r_[0, np.cumsum(np.bincount(heads, minlength=n))]
     src = node = np.arange(n)
     depth = 0
     while src.size:
@@ -309,7 +318,9 @@ class SparseAdjacency:
 
     @classmethod
     def from_pairs(cls, rows: int, cols: int, pairs: Iterable[tuple[int, int]] | np.ndarray) -> "SparseAdjacency":
-        """Build from an arbitrary iterable of index pairs; sorts and dedups."""
+        """Build from an arbitrary iterable of index pairs; sorts and dedups.
+        Builders that know their entry order construct SparseAdjacency
+        directly instead."""
         ent = np.asarray(list(pairs) if not isinstance(pairs, np.ndarray) else pairs,
                          dtype=np.int64).reshape(-1, 2)
         if ent.size:

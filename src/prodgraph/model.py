@@ -75,9 +75,38 @@ LEAKY_SLOPE = 0.2
 
 def _uniform_array(rng: SplitMix64, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
     """Uniform draws in [-1/sqrt(fan_in), +1/sqrt(fan_in)], C-order fill."""
-    bound = 1.0 / np.sqrt(max(1, fan_in))
-    size = int(np.prod(shape)) if shape else 1
-    return rng.uniform_array(-bound, bound, size).reshape(shape)
+    bound = 1.0 / math.sqrt(max(1, fan_in))
+    return rng.uniform_array(-bound, bound, math.prod(shape)).reshape(shape)
+
+
+_DRAW_BLOCK = 4096
+
+
+class _BlockDraws:
+    """A SplitMix64 stream read in blocks of at least _DRAW_BLOCK units.
+
+    `uniform_array(low, high, size)` serves the next `size` units u of
+    `rng.uniform_array(0.0, 1.0, block)` calls as low + (high - low) * u,
+    which are the values of the same call on the raw stream, bit for bit
+    (0.0 + 1.0 * u is u).  It reads the stream past the last unit it
+    serves, so the stream must not be drawn from afterwards.
+    """
+
+    def __init__(self, rng: SplitMix64):
+        self._rng = rng
+        self._units = np.empty(0)
+        self._pos = 0
+
+    def uniform_array(self, low: float, high: float, size: int) -> np.ndarray:
+        if size < 0:
+            raise ValueError("size must be non-negative")
+        if self._pos + size > self._units.size:
+            rest = self._units[self._pos:]
+            fresh = self._rng.uniform_array(0.0, 1.0, max(_DRAW_BLOCK, size - rest.size))
+            self._units, self._pos = np.concatenate([rest, fresh]), 0
+        unit = self._units[self._pos:self._pos + size]
+        self._pos += size
+        return low + (high - low) * unit
 
 
 def _named(node, path: tuple[str, ...] = ()) -> list[tuple[str, np.ndarray]]:
@@ -619,12 +648,18 @@ class ForwardModel:
 
 
 def build_forward_model(g: Graph, cfg: ForwardConfig) -> ForwardModel:
+    """Every parameter of the forward pass, drawn from SplitMix64(cfg.seed).
+
+    The draws go through one _BlockDraws, so a model of fewer than
+    _DRAW_BLOCK values costs one stream evaluation; each array holds the
+    values that per-array uniform_array calls on the raw stream give.
+    """
     if min(cfg.d, cfg.heads) < 1 or cfg.layers < 0:
         raise RangeError(f"need d, heads >= 1 and layers >= 0, got d={cfg.d}, "
                          f"heads={cfg.heads}, layers={cfg.layers}")
     if cfg.d % cfg.heads:
         raise ShapeMismatch(f"d={cfg.d} not divisible by heads={cfg.heads}")
-    rng = SplitMix64(cfg.seed)
+    rng = _BlockDraws(SplitMix64(cfg.seed))
     d_feat = g.features.shape[1] if g.features is not None else 1
     mark_table = _uniform_array(rng, (g.n + 1, cfg.d), g.n + 1)
     encoder = EncoderParams.from_rng(d_feat + cfg.k + cfg.d, cfg.d, rng)

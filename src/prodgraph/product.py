@@ -13,7 +13,11 @@ node set:
 The K-tuple generalization replaces pairs with K-tuples: slot j carries
 I (x) ... (x) A (x) ... (x) I with A in position j, so internal and external
 are the K = 2 slots 1 and 0, and each free slot has its own point adjacency.
-All of these are built sparsely from the base edge list.  Dense matrices
+All of these are built sparsely from the base edge list, each entry placed
+at its row-major position by index arithmetic, so no builder sorts or
+dedups: SparseAdjacency's strict-order check is their guard, and
+SparseAdjacency.from_pairs, which sorts and dedups, serves arbitrary input
+only (union, from_dense, from_coo_text).  Dense matrices
 appear only in the oracle builders (kron, cartesian_operator,
 k_factor_adjacency, closed_form_cartesian), guarded to n^K <= 4096 product
 nodes.
@@ -88,34 +92,34 @@ class ProductGraphBundle:
     point: SparseAdjacency
 
 
-def _directed_edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Both directions of every edge, as parallel (source, target) arrays."""
-    if not g.edges:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    pairs = np.array(sorted(g.edges), dtype=np.int64)
-    src = np.concatenate([pairs[:, 0], pairs[:, 1]])
-    dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
-    return src, dst
-
-
 def slot_adjacency(g: Graph, tuple_order: int, slot: int) -> SparseAdjacency:
     """I (x) ... (x) A (x) ... (x) I with A in `slot`, 0-indexed from the left.
 
     Tuples t, t' are adjacent iff they agree everywhere except at `slot`,
-    where t[slot] ~ t'[slot] in g.  Entries are broadcast over left digits x
-    directed edges x right digits.
+    where t[slot] ~ t'[slot] in g.  Entries are built in row-major order:
+    left digits, then source, right digits, target.  Within one left-digit
+    block, directed edge e (sorted by source, then target) with rank k in
+    its source's run of deg entries, starting at first[source], and right
+    digits r sits at first[source] * stride + r * deg + k.
     """
     if not 0 <= slot < tuple_order:
         raise RangeError(f"slot {slot} out of [0, {tuple_order})")
     n = g.n
-    src, dst = _directed_edge_arrays(g)
+    src, dst = g.directed_edges
     stride = n ** (tuple_order - slot - 1)
-    left = np.arange(n**slot, dtype=np.int64)[:, None, None] * (n * stride)
-    right = np.arange(stride, dtype=np.int64)[None, None, :]
-    rows = (left + src[None, :, None] * stride + right).ravel()
-    cols = (left + dst[None, :, None] * stride + right).ravel()
+    deg = np.bincount(src, minlength=n)[src]
+    first = np.searchsorted(src, src)
+    rank = np.arange(src.size) - first
+    right = np.arange(stride, dtype=np.int64)
+    pos = (first * stride + rank)[:, None] + right * deg[:, None]
+    block = np.empty((2, pos.size), dtype=np.int64)  # (row, col) of one left-digit block
+    block[0][pos] = src[:, None] * stride + right
+    block[1][pos] = dst[:, None] * stride + right
+    left = np.arange(n**slot, dtype=np.int64)[:, None] * (n * stride)
+    entries = np.empty((2, left.size, pos.size), dtype=np.int64)
+    np.add(block[:, None, :], left, out=entries)
     size = n**tuple_order
-    return SparseAdjacency.from_pairs(size, size, np.column_stack([rows, cols]))
+    return SparseAdjacency(rows=size, cols=size, entries=entries.reshape(2, -1).T)
 
 
 def internal_adjacency(g: Graph) -> SparseAdjacency:
@@ -229,7 +233,9 @@ def k_point_adjacency(n: int, tuple_order: int, i: int) -> SparseAdjacency:
 
     Entry ((v_1..v_K), (v'_1..v'_K)) is 1 iff the target is a root tuple,
     v'_1 = ... = v'_K = c, and every source slot except slot i equals c.
-    For K = 2, i = 1 this is point_adjacency(n); nnz = n^2.
+    For K = 2, i = 1 this is point_adjacency(n); nnz = n^2.  Entries are
+    built in row-major order: by (c, c') for i > 1, where the leading digit
+    is c, and by (c', c) for i = 1, where it is the free value c'.
     """
     if n < 1:
         raise RangeError(f"node count must be >= 1, got {n}")
@@ -238,11 +244,13 @@ def k_point_adjacency(n: int, tuple_order: int, i: int) -> SparseAdjacency:
     c = np.arange(n, dtype=np.int64)
     stride = n ** (tuple_order - i)
     root = c * sum(n**j for j in range(tuple_order))  # flatten((c, ..., c))
-    # Source rows: root tuple (c, ..., c) with slot i overwritten by every value in [0, n).
+    # Source rows: root tuple (c, ..., c) with slot i overwritten by every value c' in [0, n).
     rows = (root - c * stride)[:, None] + c[None, :] * stride
-    cols = np.repeat(root, n)
+    cols = np.broadcast_to(root[:, None], rows.shape)
+    if i == 1:  # c' is the leading digit, so the rows ascend in (c', c) order
+        rows, cols = rows.T, cols.T
     size = n**tuple_order
-    return SparseAdjacency.from_pairs(size, size, np.column_stack([rows.ravel(), cols]))
+    return SparseAdjacency(rows=size, cols=size, entries=np.array([rows.ravel(), cols.ravel()]).T)
 
 
 def global_adjacencies(n: int) -> tuple[SparseAdjacency, SparseAdjacency]:

@@ -132,13 +132,11 @@ def jacobi_eigh(matrix: np.ndarray):
 
 def _canonical_signs(vectors: np.ndarray, threshold: float = 1e-9) -> np.ndarray:
     """Flip each column so its first entry above threshold is positive."""
-    out = vectors.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        nz = np.flatnonzero(np.abs(col) > threshold)
-        if nz.size and col[nz[0]] < 0:
-            out[:, j] = -col
-    return out
+    if not vectors.shape[0]:
+        return vectors.copy()
+    above = np.abs(vectors) > threshold
+    lead = vectors[above.argmax(axis=0), np.arange(vectors.shape[1])]
+    return np.where(above.any(axis=0) & (lead < 0), -vectors, vectors)
 
 
 def eig_sym(matrix: np.ndarray) -> EigenDecomposition:

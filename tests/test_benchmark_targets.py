@@ -1,25 +1,33 @@
-"""Every library name the benchmark's tracer wraps or replays still exists.
+"""The benchmark still measures what the library does.
 
 perfbench/tracing.py reports a target the library no longer defines as
 absent instead of failing, so a refactor that renames or removes one would
-silently blank a benchmark span.  The tracer's source is read and run here
-without writing anything next to it.
+silently blank a benchmark span.  perfbench/workloads.py builds the sampled
+training system itself, so a library change could make it measure a system
+that `Pipeline.sampled` no longer builds.  The benchmark's sources are read
+and run here without writing anything next to them.
 """
 
 import types
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+import numpy as np
+
+from prodgraph import model, product
+from prodgraph.rng import SplitMix64
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _tracing_module():
-    module = types.ModuleType("perfbench_tracing")
-    exec(compile(TRACING.read_text(), str(TRACING), "exec"), module.__dict__)
+def _perfbench_module(name):
+    path = PERFBENCH / f"{name}.py"
+    module = types.ModuleType(f"perfbench_{name}")
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
     return module
 
 
 def test_trace_and_replay_targets_resolve():
-    tracing = _tracing_module()
+    tracing = _perfbench_module("tracing")
     assert tracing.TARGETS and tracing.REPLAY_TARGETS
     for owner_path, attr, span in tracing.TARGETS:
         owner = tracing._resolve(owner_path)
@@ -27,3 +35,28 @@ def test_trace_and_replay_targets_resolve():
         assert owner is not None and vars(owner).get(attr) is not None, span
     for owner_path, attr in tracing.REPLAY_TARGETS:
         assert callable(getattr(tracing._resolve(owner_path), attr, None)), f"{owner_path}.{attr}"
+
+
+def test_sampled_training_workload_runs_the_library_sampled_system():
+    workload = _perfbench_module("workloads").TrainER256Sampled(seed=1)
+    full = model.Pipeline(workload.bundle.internal, workload.bundle.external,
+                          workload.bundle.point, workload.n, workload.model.layers,
+                          workload.model.pool_mlp, workload.cfg.pool_variant)
+    for i in range(2):
+        pipe, x = workload.sampled_system(i)
+        mask = product.SamplingMask.from_ratio(workload.n, workload.ratio,
+                                               SplitMix64(workload.mask_seed + i))
+        ref_pipe, ref_x = full.sampled(workload.state.x, mask)
+        for kind in ("internal", "external", "point"):
+            got, want = getattr(pipe, kind), getattr(ref_pipe, kind)
+            assert (got.rows, got.cols) == (want.rows, want.cols), kind
+            assert np.array_equal(got.entries, want.entries), kind
+        assert x.tobytes() == ref_x.tobytes()
+        assert (pipe.n, pipe.variant) == (ref_pipe.n, ref_pipe.variant)
+        loss, grads, dx = pipe.loss_and_grads(x)
+        ref_loss, ref_grads, ref_dx = ref_pipe.loss_and_grads(ref_x)
+        assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+        assert list(grads) == list(ref_grads)
+        for name, grad in grads.items():
+            assert grad.tobytes() == ref_grads[name].tobytes(), name
+        assert dx.tobytes() == ref_dx.tobytes()

@@ -316,15 +316,55 @@ def test_missing_file_is_input_error(capsys):
     assert code == 2
 
 
+def _child_env():
+    """The environment of a child that imports the same prodgraph as this
+    process, installed or not."""
+    src = str(Path(prodgraph.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_cli_subprocess_byte_determinism(p2_file):
     cmd = [sys.executable, "-m", "prodgraph", "forward", p2_file, "--k", "4", "--seed", "5"]
-    # the child imports the same prodgraph as this process, installed or not
-    src = str(Path(prodgraph.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = _child_env()
     a = subprocess.run(cmd, capture_output=True, env=env)
     b = subprocess.run(cmd, capture_output=True, env=env)
     assert a.returncode == 0
     assert a.stdout == b.stdout
+
+
+def _limit_address_space():
+    # a regression that allocates per node then fails fast instead of
+    # filling the machine's memory
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("argv", [
+    ("forward",), ("pe", "--k", "4"), ("mark",), ("sample", "--ratio", "0.5", "--out", "s"),
+    ("build-product", "--out", "b"),
+])
+def test_impossible_node_count_is_input_error(tmp_path, argv):
+    # n^2 overflows int64, so no product-node index exists; each subcommand
+    # must refuse the graph on loading, before it allocates anything
+    graph = tmp_path / "huge.json"
+    graph.write_text('{"n": 1000000000000, "edges": [[0, 1]]}')
+    cmd = [sys.executable, "-m", "prodgraph", argv[0], str(graph), *argv[1:]]
+    env = {**_child_env(), "OPENBLAS_NUM_THREADS": "1"}  # BLAS thread buffers stay inside the limit
+    done = subprocess.run(cmd, capture_output=True, text=True, env=env, cwd=tmp_path,
+                          timeout=60, preexec_fn=_limit_address_space)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("ScaleError:") and done.stderr.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.json"]
+
+
+@pytest.mark.parametrize("exc", [MemoryError(), MemoryError("Unable to allocate 7.28 TiB")])
+def test_memory_error_is_input_error(p2_file, capsys, monkeypatch, exc):
+    def fail(g):
+        raise exc
+    monkeypatch.setattr("prodgraph.cli.node_mark_indices", fail)
+    code, out, err = run_cli(capsys, "mark", p2_file)
+    assert code == 2 and out == ""
+    assert err.startswith("MemoryError: ") and err.count("\n") == 1 and len(err) > 15
 
 
 def test_verify_quick_passes(capsys):

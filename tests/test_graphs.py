@@ -9,6 +9,7 @@ from prodgraph import (
     InvalidPermutation,
     ParseError,
     SamplingMask,
+    ScaleError,
     SparseAdjacency,
     ValidationError,
     apply_sampling_mask,
@@ -83,6 +84,24 @@ def test_dense_adjacency_examples():
     assert not dense_adjacency(Graph(n=3, edges=frozenset())).any()
     k3 = dense_adjacency(complete_graph(3))
     assert k3.tolist() == [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
+
+
+def test_directed_edges_are_the_sorted_neighbour_lists():
+    for g in (Graph(n=3, edges=frozenset()), path_graph(2), random_graph(9, 0.4, seed=4)):
+        src, dst = g.directed_edges
+        assert src.dtype == dst.dtype == np.int64
+        assert g.directed_edges is g.directed_edges and not src.flags.writeable
+        assert list(zip(src.tolist(), dst.tolist())) == [
+            (u, w) for u, nbrs in enumerate(g.neighbors()) for w in nbrs]
+
+
+def test_node_count_whose_square_overflows_int64_is_refused():
+    limit = 3037000499  # the largest n with n * n <= 2^63 - 1
+    assert Graph(n=limit, edges=frozenset({(0, 1)})).n == limit
+    with pytest.raises(ScaleError):
+        Graph(n=limit + 1, edges=frozenset({(0, 1)}))
+    with pytest.raises(ScaleError):
+        load_graph('{"n": 1000000000000, "edges": [[0, 1]]}')
 
 
 def test_bfs_examples():

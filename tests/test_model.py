@@ -614,6 +614,7 @@ def test_build_forward_model_matches_scalar_draws(monkeypatch):
     g = random_graph(9, 0.4, seed=2)
     cfg = ForwardConfig(seed=11)
     fast = build_forward_model(g, cfg)
+    monkeypatch.setattr(model_module, "_BlockDraws", lambda rng: rng)
     monkeypatch.setattr(model_module, "_uniform_array", _scalar_uniform_array)
     ref = build_forward_model(g, cfg)
     assert [name for name, _ in fast.named()] == [name for name, _ in ref.named()]
@@ -624,6 +625,35 @@ def test_build_forward_model_matches_scalar_draws(monkeypatch):
     save_parameters(fast_bytes, fast.named())
     save_parameters(ref_bytes, ref.named())
     assert fast_bytes.getvalue() == ref_bytes.getvalue()
+
+
+def _container_bytes(model):
+    buf = io.BytesIO()
+    save_parameters(buf, model.named())
+    return buf.getvalue()
+
+
+def test_multi_block_model_matches_per_array_draws(monkeypatch):
+    # mark_table alone is 601 x 8 = 4808 draws, more than one block
+    g = path_graph(600)
+    cfg = ForwardConfig(seed=5)
+    fast = build_forward_model(g, cfg)
+    assert fast.mark_table.size > model_module._DRAW_BLOCK
+    monkeypatch.setattr(model_module, "_BlockDraws", lambda rng: rng)
+    assert _container_bytes(fast) == _container_bytes(build_forward_model(g, cfg))
+
+
+def test_block_draws_match_raw_stream_across_blocks():
+    block = model_module._DRAW_BLOCK
+    draws = model_module._BlockDraws(SplitMix64(7))
+    raw = SplitMix64(7)
+    for low, high, size in ((-0.5, 0.5, 3), (-2.0, 1.0, block - 1), (0.0, 1.0, 0),
+                            (-0.25, 0.25, 2), (-1.0, 1.0, 2 * block + 5), (3.0, 4.0, 1)):
+        got = draws.uniform_array(low, high, size)
+        want = raw.uniform_array(low, high, size)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    with pytest.raises(ValueError):
+        draws.uniform_array(0.0, 1.0, -1)
 
 
 SAB_LEAVES = [f"{part}.{leaf}" for part, leaves in (

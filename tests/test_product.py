@@ -267,9 +267,11 @@ def test_k_point_counts_and_range():
 
 
 def test_tuple_builders_match_brute_force_enumeration():
+    # K = 4 at n <= 3 is the first case with right-digit strides > 1 on
+    # both sides of an inner slot
     for n in range(1, 5):
         graphs = [path_graph(n)] + [random_graph(n, 0.6, seed=seed) for seed in range(3)]
-        for order in range(1, 4):
+        for order in range(1, 5 if n <= 3 else 4):
             for g in graphs:
                 a = dense_adjacency(g)
                 for slot in range(order):
@@ -280,6 +282,22 @@ def test_tuple_builders_match_brute_force_enumeration():
             for i in range(1, order + 1):
                 ref = reference_adjacency(n, order, point_pairs(n, order, i))
                 assert np.array_equal(k_point_adjacency(n, order, i).entries, ref.entries)
+
+
+def test_tuple_builders_emit_row_major_entries_without_from_pairs(monkeypatch):
+    # the builders place every entry by index arithmetic; the strict-order
+    # check of SparseAdjacency.__post_init__ is their only guard
+    def spy(*args, **kwargs):
+        raise AssertionError("a tuple builder called SparseAdjacency.from_pairs")
+    monkeypatch.setattr(SparseAdjacency, "from_pairs", spy)
+    for g in (EMPTY2, P2, K3, random_graph(5, 0.5, seed=1)):
+        for order in range(1, 5):
+            for slot in range(order):
+                slot_adjacency(g, order, slot)
+            for i in range(1, order + 1):
+                k_point_adjacency(g.n, order, i)
+        build_product_bundle(g)
+        global_adjacencies(g.n)
 
 
 def test_sparse_tuple_builders_pass_the_dense_guard():

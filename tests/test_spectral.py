@@ -24,6 +24,7 @@ from prodgraph import (
 )
 from prodgraph.graphs import complete_graph, cycle_graph, path_graph
 from prodgraph.product import TupleIndexing
+from prodgraph.spectral import _canonical_signs
 
 P2 = path_graph(2)
 P4 = path_graph(4)
@@ -103,6 +104,36 @@ def test_eig_sym_sign_convention():
             col = dec.vectors[:, j]
             first = col[np.abs(col) > 1e-9][0]
             assert first > 0
+
+
+def _loop_canonical_signs(vectors, threshold=1e-9):
+    """Reference sign rule, one column at a time."""
+    out = vectors.copy()
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        nz = np.flatnonzero(np.abs(col) > threshold)
+        if nz.size and col[nz[0]] < 0:
+            out[:, j] = -col
+    return out
+
+
+def test_canonical_signs_match_column_loop_bitwise():
+    t = 1e-9
+    columns = [
+        [1e-10, -5e-10, 0.0, -t],  # entirely at or below the threshold
+        [0.0, 0.0, 0.0, 0.0],  # exact zeros
+        [-0.0, 0.0, -0.0, -0.0],  # negative zeros, none above the threshold
+        [-0.0, -t, -2e-9, 0.5],  # a tie at the threshold, then a negative lead
+        [t, -t, 3e-9, -1.0],  # ties in both signs, then a positive lead
+        [-0.0, 0.0, -0.7, 0.7],  # zeros ahead of a negative lead
+        [0.25, -0.0, -0.5, -0.0],  # a positive lead keeps its -0.0 entries
+        [-1.0, 0.0, -0.0, 1e-12],
+    ]
+    vectors = np.array(columns).T
+    rng = np.random.default_rng(3)
+    for m in (vectors, rng.standard_normal((6, 5)), np.zeros((3, 0))):
+        assert _canonical_signs(m).tobytes() == _loop_canonical_signs(m).tobytes()
+        assert _canonical_signs(m).shape == m.shape
 
 
 def test_jacobi_is_deterministic():
