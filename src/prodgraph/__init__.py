@@ -68,7 +68,6 @@ from .product import (
 from .rng import SplitMix64
 from .spectral import (
     EigenDecomposition,
-    NodeMarkIndex,
     PEMatrix,
     PEOracleReport,
     concatenation_pe,

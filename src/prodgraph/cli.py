@@ -59,22 +59,22 @@ def cmd_build_product(args) -> int:
     order = args.tuple_order
     if order < 2:
         raise RangeError(f"tuple order must be >= 2, got {order}")
-    if order > 2:
+    # every adjacency is built before the output directory is made, so a
+    # graph too large to build leaves nothing behind
+    if order == 2:
+        adjs = {"internal": internal_adjacency(g), "external": external_adjacency(g),
+                "point": point_adjacency(g.n)}
+    else:
         check_scale(g.n, order)
+        slots = [slot_adjacency(g, order, k) for k in range(order)]
+        adjs = {f"slot{k}": slot for k, slot in enumerate(slots)}
+        adjs["union"] = functools.reduce(SparseAdjacency.union, slots)
+        if args.include_point:
+            adjs.update((f"point{i}", k_point_adjacency(g.n, order, i)) for i in range(1, order + 1))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if order == 2:
-        _write_coo(internal_adjacency(g), out / "internal.coo")
-        _write_coo(external_adjacency(g), out / "external.coo")
-        _write_coo(point_adjacency(g.n), out / "point.coo")
-        return 0
-    slots = [slot_adjacency(g, order, k) for k in range(order)]
-    for k, slot in enumerate(slots):
-        _write_coo(slot, out / f"slot{k}.coo")
-    _write_coo(functools.reduce(SparseAdjacency.union, slots), out / "union.coo")
-    if args.include_point:
-        for i in range(1, order + 1):
-            _write_coo(k_point_adjacency(g.n, order, i), out / f"point{i}.coo")
+    for name, adj in adjs.items():
+        _write_coo(adj, out / f"{name}.coo")
     return 0
 
 
@@ -100,7 +100,7 @@ def cmd_mark(args) -> int:
     g = _load(args.graph)
     marks = node_mark_indices(g)
     lines = [f"{marks.n} {marks.vocabulary}"]
-    lines += [" ".join(str(int(x)) for x in row) for row in marks.marks]
+    lines += [" ".join(str(int(x)) for x in row) for row in marks.dist]
     text = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(text)

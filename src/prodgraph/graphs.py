@@ -157,8 +157,16 @@ def graph_to_json(g: Graph) -> str:
     return json.dumps(doc)
 
 
+def _check_addressable(n: int) -> None:
+    """ScaleError when an n x n int64 matrix exceeds the address space; n^2
+    may still fit int64, as Graph requires, while 8 n^2 bytes do not."""
+    if n * n * 8 > np.iinfo(np.intp).max:
+        raise ScaleError(f"n = {n}: an n x n int64 matrix of {n * n * 8} bytes is not addressable")
+
+
 def dense_adjacency(g: Graph) -> np.ndarray:
     """Symmetric 0/1 adjacency matrix with zero diagonal."""
+    _check_addressable(g.n)
     a = np.zeros((g.n, g.n), dtype=np.int64)
     a[g.directed_edges] = 1
     return a
@@ -168,17 +176,25 @@ def dense_adjacency(g: Graph) -> np.ndarray:
 class DistanceMatrix:
     """All-pairs BFS hop counts; unreachable pairs carry the sentinel n.
 
-    The sentinel n is strictly greater than any finite shortest-path distance
-    in an n-node graph, and doubles as a valid embedding-table index for node
-    marking.
+    It is also the node-mark index of the encoder: product node (s, v)
+    looks up row dist[s, v] of a mark table of `vocabulary` = n + 1 rows.
+    The sentinel n is strictly greater than any finite shortest-path
+    distance in an n-node graph, so it is that table's last row.
     """
 
-    n: int
     dist: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.dist.shape[0]
 
     @property
     def unreachable(self) -> int:
         return self.n
+
+    @property
+    def vocabulary(self) -> int:
+        return self.n + 1
 
 
 def shortest_path_distances(g: Graph) -> DistanceMatrix:
@@ -186,6 +202,7 @@ def shortest_path_distances(g: Graph) -> DistanceMatrix:
     the (source, node) pairs first reached at the last depth.  Each pair is
     expanded once, so the work is O(n * (n + |E|)) whatever the diameter."""
     n = g.n
+    _check_addressable(n)
     dist = np.full((n, n), n, dtype=np.int64)
     claim = np.empty((n, n), dtype=np.int64)
     heads, nbrs = g.directed_edges  # sorted by source: nbrs[start[u]:start[u + 1]] are u's
@@ -202,7 +219,7 @@ def shortest_path_distances(g: Graph) -> DistanceMatrix:
         claim[src[fresh], node[fresh]] = fresh  # a repeated pair keeps one candidate:
         fresh = fresh[claim[src[fresh], node[fresh]] == fresh]  # the one whose write landed
         src, node = src[fresh], node[fresh]
-    return DistanceMatrix(n=n, dist=_readonly(dist))
+    return DistanceMatrix(dist=_readonly(dist))
 
 
 def check_permutation(perm: Sequence[int], n: int) -> list[int]:

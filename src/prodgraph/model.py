@@ -58,17 +58,17 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import IO, NamedTuple, Sequence
 
 import numpy as np
 
 from . import product, spectral
 from .errors import NonFiniteGradient, ParseError, RangeError, ShapeMismatch
-from .graphs import Graph, SparseAdjacency, scatter_sum
+from .graphs import DistanceMatrix, Graph, SparseAdjacency, scatter_sum
 from .product import ProductGraphBundle
 from .rng import SplitMix64
-from .spectral import NodeMarkIndex, PEMatrix
+from .spectral import PEMatrix
 
 LEAKY_SLOPE = 0.2
 
@@ -111,15 +111,14 @@ class _BlockDraws:
 
 def _named(node, path: tuple[str, ...] = ()) -> list[tuple[str, np.ndarray]]:
     """(dotted name, array) leaves of a parameter tree: dataclass fields in
-    declaration order, list items as .0, .1, ...; int size fields are skipped."""
+    declaration order, list items as .0, .1, ....  Every leaf is an array:
+    sizes are read from the arrays' shapes, never stored beside them."""
     if isinstance(node, np.ndarray):
         return [(".".join(path), node)]
     if isinstance(node, list):
         items = enumerate(node)
-    elif is_dataclass(node):
-        items = ((f.name, getattr(node, f.name)) for f in fields(node))
     else:
-        return []
+        items = ((f.name, getattr(node, f.name)) for f in fields(node))
     return [leaf for key, child in items for leaf in _named(child, path + (str(key),))]
 
 
@@ -166,9 +165,6 @@ class AttentionParams:
 class SABParams:
     """All weights of one subgraph attention block."""
 
-    d_in: int
-    d_out: int
-    heads: int
     internal: AttentionParams
     external: AttentionParams
     point_mlp: MLPParams  # d_in -> d_out
@@ -182,15 +178,16 @@ class SABParams:
         if d_out % heads:
             raise ShapeMismatch(f"d_out={d_out} not divisible by heads={heads}")
         return cls(
-            d_in=d_in,
-            d_out=d_out,
-            heads=heads,
             internal=AttentionParams.from_rng(d_in, d_out, heads, rng),
             external=AttentionParams.from_rng(d_in, d_out, heads, rng),
             epsilon=np.array(0.0),
             point_mlp=MLPParams.from_rng(d_in, d_out, d_out, rng),
             fuse_mlp=MLPParams.from_rng(3 * d_out, d_out, d_out, rng),
         )
+
+    @property
+    def heads(self) -> int:
+        return self.internal.attn.shape[0]
 
     def named(self, prefix: str):
         return _named(self, (prefix,))
@@ -270,10 +267,11 @@ def _mlp_backward(dy: np.ndarray, cache, p: MLPParams):
     return dx, MLPParams(w1=dw1, b1=db1, w2=dw2, b2=db2)
 
 
-def _score_maps(p: AttentionParams, heads: int):
+def _score_maps(p: AttentionParams):
     """(d_in, heads) maps from a row to its receiver and sender score terms:
     M_q[:, h] = W_Q[:, h-block] @ a_q[h], and the same for K."""
     d_in, d_out = p.w_query.shape
+    heads = p.attn.shape[0]
     hd = d_out // heads
     m_q = np.einsum("dhk,hk->dh", p.w_query.reshape(d_in, heads, hd), p.attn[:, :hd])
     m_k = np.einsum("dhk,hk->dh", p.w_key.reshape(d_in, heads, hd), p.attn[:, hd:])
@@ -288,18 +286,19 @@ class _AttentionCache(NamedTuple):
     alpha: np.ndarray  # (E, heads) view of the (heads, E) weights; each receiver's row sums to 1
 
 
-def _attention_forward(x: np.ndarray, adj: SparseAdjacency, p: AttentionParams, heads: int):
+def _attention_forward(x: np.ndarray, adj: SparseAdjacency, p: AttentionParams):
     rows_n, d_in = x.shape
     if adj.rows != rows_n or adj.cols != rows_n:
         raise ShapeMismatch(f"adjacency is {adj.rows}x{adj.cols}, state has {rows_n} rows")
     if p.w_query.shape[0] != d_in:
         raise ShapeMismatch(f"attention expects width {p.w_query.shape[0]}, got {d_in}")
     d_out = p.w_query.shape[1]
+    heads = p.attn.shape[0]
     hd = d_out // heads
     v = np.ascontiguousarray((x @ p.w_value).reshape(rows_n, heads, hd).transpose(1, 0, 2))
     r = adj.entries[:, 0]
     c = adj.entries[:, 1]
-    m_q, m_k = _score_maps(p, heads)
+    m_q, m_k = _score_maps(p)
     z = np.take((x @ m_q).T, r, axis=1)  # (H, E)
     z += np.take((x @ m_k).T, c, axis=1)
     alpha = LEAKY_SLOPE * z
@@ -354,7 +353,7 @@ def _attention_backward(dout: np.ndarray, cache: _AttentionCache, p: AttentionPa
         attn=np.hstack([np.einsum("dhk,dh->hk", w_q, dm_q),
                         np.einsum("dhk,dh->hk", w_k, dm_k)]),
     )
-    m_q, m_k = _score_maps(p, heads)
+    m_q, m_k = _score_maps(p)
     dx = dz_r @ m_q.T + dz_c @ m_k.T + dv @ p.w_value.T
     return dx, grads
 
@@ -379,25 +378,23 @@ def _point_backward(dy: np.ndarray, cache, epsilon: np.ndarray, mlp: MLPParams):
 
 
 def _sab_forward_raw(x, internal, external, point, params: SABParams):
-    a_int, c_int = _attention_forward(x, internal, params.internal, params.heads)
-    a_ext, c_ext = _attention_forward(x, external, params.external, params.heads)
+    a_int, c_int = _attention_forward(x, internal, params.internal)
+    a_ext, c_ext = _attention_forward(x, external, params.external)
     a_pt, c_pt = _point_forward(x, point, params.epsilon, params.point_mlp)
     fused_in = np.hstack([a_int, a_ext, a_pt])
     y, c_fuse = _mlp_forward(fused_in, params.fuse_mlp)
-    return y, (c_int, c_ext, c_pt, c_fuse, params.d_out)
+    return y, (c_int, c_ext, c_pt, c_fuse)
 
 
 def _sab_backward_raw(dy, cache, params: SABParams):
-    c_int, c_ext, c_pt, c_fuse, d_out = cache
+    c_int, c_ext, c_pt, c_fuse = cache
     dfused, fuse_grads = _mlp_backward(dy, c_fuse, params.fuse_mlp)
-    d_int = dfused[:, :d_out]
-    d_ext = dfused[:, d_out : 2 * d_out]
-    d_pt = dfused[:, 2 * d_out :]
+    d_int, d_ext, d_pt = np.split(dfused, 3, axis=1)
     dx_int, int_grads = _attention_backward(d_int, c_int, params.internal)
     dx_ext, ext_grads = _attention_backward(d_ext, c_ext, params.external)
     dx_pt, deps, point_grads = _point_backward(d_pt, c_pt, params.epsilon, params.point_mlp)
-    grads = replace(params, internal=int_grads, external=ext_grads, point_mlp=point_grads,
-                    epsilon=np.array(deps), fuse_mlp=fuse_grads)
+    grads = SABParams(internal=int_grads, external=ext_grads, point_mlp=point_grads,
+                      epsilon=np.array(deps), fuse_mlp=fuse_grads)
     return dx_int + dx_ext + dx_pt, grads
 
 
@@ -430,7 +427,11 @@ def _pool_backward(dy: np.ndarray, cache, mlp: MLPParams):
 
 
 def sparse_attention(state: ProductState, adj: SparseAdjacency, params: AttentionParams, heads: int) -> np.ndarray:
-    out, _ = _attention_forward(state.x, adj, params, heads)
+    """Attention of every row over its stored in-neighbours.  The head count
+    is that of `params`; `heads` must agree with it."""
+    if heads != params.attn.shape[0]:
+        raise ShapeMismatch(f"heads={heads}, but the parameters have {params.attn.shape[0]} heads")
+    out, _ = _attention_forward(state.x, adj, params)
     return out
 
 
@@ -457,7 +458,7 @@ def rgcn_layer(state: ProductState, bundle: ProductGraphBundle, params: RGCNPara
 def init_state(
     g: Graph,
     pe: PEMatrix,
-    marks: NodeMarkIndex,
+    marks: DistanceMatrix,
     mark_table: np.ndarray,
     encoder: EncoderParams,
 ) -> ProductState:
@@ -469,7 +470,7 @@ def init_state(
         raise ShapeMismatch("mark table rows must equal the mark vocabulary")
     feats = g.features if g.features is not None else np.ones((n, 1))
     node_part = np.tile(feats, (n, 1))  # row s*n + v carries feat(v)
-    mark_part = mark_table[marks.flat()]
+    mark_part = mark_table[marks.dist.ravel()]  # row s*n + v carries mark dist(s, v)
     combined = np.hstack([node_part, pe.data, mark_part])
     if combined.shape[1] != encoder.weight.shape[0]:
         raise ShapeMismatch(
@@ -654,8 +655,8 @@ def build_forward_model(g: Graph, cfg: ForwardConfig) -> ForwardModel:
     _DRAW_BLOCK values costs one stream evaluation; each array holds the
     values that per-array uniform_array calls on the raw stream give.
     """
-    if min(cfg.d, cfg.heads) < 1 or cfg.layers < 0:
-        raise RangeError(f"need d, heads >= 1 and layers >= 0, got d={cfg.d}, "
+    if min(cfg.k, cfg.d, cfg.heads) < 1 or cfg.layers < 0:
+        raise RangeError(f"need k, d, heads >= 1 and layers >= 0, got k={cfg.k}, d={cfg.d}, "
                          f"heads={cfg.heads}, layers={cfg.layers}")
     if cfg.d % cfg.heads:
         raise ShapeMismatch(f"d={cfg.d} not divisible by heads={cfg.heads}")

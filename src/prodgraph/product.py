@@ -86,7 +86,6 @@ class TupleIndexing:
 class ProductGraphBundle:
     """The three 2-tuple adjacencies of one base graph."""
 
-    n: int
     internal: SparseAdjacency
     external: SparseAdjacency
     point: SparseAdjacency
@@ -144,7 +143,6 @@ def cartesian_product_adjacency(g: Graph) -> SparseAdjacency:
 
 def build_product_bundle(g: Graph) -> ProductGraphBundle:
     return ProductGraphBundle(
-        n=g.n,
         internal=internal_adjacency(g),
         external=external_adjacency(g),
         point=point_adjacency(g.n),
@@ -296,34 +294,26 @@ class SamplingMask:
         return cls(n=n, sampled=tuple(rng.sample_without_replacement(n, count)))
 
 
-def _tuple_grid_n(adj: SparseAdjacency) -> int:
-    if adj.rows != adj.cols:
-        raise ValidationError("mask applies to square product adjacencies only")
-    n = math.isqrt(adj.rows)
-    if n * n != adj.rows:
-        raise ValidationError(f"adjacency size {adj.rows} is not a perfect square")
-    return n
+def _sampled_entries(adj: SparseAdjacency, mask: SamplingMask) -> np.ndarray:
+    """The entries whose row and column subgraphs are sampled.
 
-
-def _sampled_entries(adj: SparseAdjacency, mask: SamplingMask) -> tuple[int, np.ndarray]:
-    """Grid size n and the entries whose row and column subgraphs are sampled.
-
-    A boolean subset of row-major entries keeps their order, so the result
-    is still sorted and unique.  It is selected from the (2, nnz) view of
-    the column-major entries, so it comes out column-major too.
+    The adjacency must be square on the mask's n^2 product nodes.  A boolean
+    subset of row-major entries keeps their order, so the result is still
+    sorted and unique.  It is selected from the (2, nnz) view of the
+    column-major entries, so it comes out column-major too.
     """
-    n = _tuple_grid_n(adj)
-    if mask.n != n:
-        raise ValidationError(f"mask is for n={mask.n}, adjacency for n={n}")
+    n = mask.n
+    if adj.rows != n * n or adj.cols != n * n:
+        raise ValidationError(f"mask is for {n * n} product nodes, adjacency is {adj.rows}x{adj.cols}")
     is_sampled = np.zeros(n, dtype=bool)
     is_sampled[np.asarray(mask.sampled, dtype=np.int64)] = True
     keep = is_sampled[adj.entries[:, 0] // n] & is_sampled[adj.entries[:, 1] // n]
-    return n, adj.entries.T[:, keep].T
+    return adj.entries.T[:, keep].T
 
 
 def apply_sampling_mask(adj: SparseAdjacency, mask: SamplingMask) -> SparseAdjacency:
     """Keep entry ((s,v),(s',v')) iff both s and s' are sampled."""
-    _, entries = _sampled_entries(adj, mask)
+    entries = _sampled_entries(adj, mask)
     if entries.shape[0] == adj.nnz:
         return adj
     return SparseAdjacency(rows=adj.rows, cols=adj.cols, entries=entries)
@@ -336,7 +326,8 @@ def restrict_adjacency(adj: SparseAdjacency, mask: SamplingMask) -> SparseAdjace
     With a full mask this is the identity reindexing.  The rank map is
     strictly increasing, so the reindexed entries stay row-major sorted.
     """
-    n, entries = _sampled_entries(adj, mask)
+    n = mask.n
+    entries = _sampled_entries(adj, mask)
     kept = np.asarray(mask.sampled, dtype=np.int64)
     m = kept.size
     rank = np.zeros(n, dtype=np.int64)
@@ -346,10 +337,14 @@ def restrict_adjacency(adj: SparseAdjacency, mask: SamplingMask) -> SparseAdjace
 
 
 def restrict_rows(x: np.ndarray, mask: SamplingMask) -> np.ndarray:
-    """Rows of an (n^2, d) product-node matrix for sampled subgraphs only."""
+    """Rows of an (n^2, d) product-node matrix for sampled subgraphs only.
+
+    Row s*n + v is entry (s, v) of the (n, n, d) view, so this is a slice of
+    the subgraph axis: the m sampled (n, d) blocks, in mask order.
+    """
     n = mask.n
     if x.shape[0] != n * n:
         raise ValidationError(f"expected {n * n} rows, got {x.shape[0]}")
-    idx = (np.asarray(mask.sampled, dtype=np.int64)[:, None] * n
-           + np.arange(n, dtype=np.int64)[None, :]).ravel()
-    return x[idx]
+    sampled = np.asarray(mask.sampled, dtype=np.int64)
+    d = x.shape[1]
+    return x.reshape(n, n, d)[sampled].reshape(sampled.size * n, d)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotSymmetric, ParseError, ProdGraphError, RangeError, ScaleError
-from .graphs import Graph, dense_adjacency, shortest_path_distances
+from .graphs import DistanceMatrix, Graph, dense_adjacency, shortest_path_distances
 from .product import cartesian_product_adjacency, check_scale
 
 
@@ -32,7 +32,6 @@ def laplacian(g: Graph) -> np.ndarray:
 class EigenDecomposition:
     """Eigenpairs of a symmetric matrix, values ascending, vectors orthonormal."""
 
-    n: int
     values: np.ndarray
     vectors: np.ndarray
 
@@ -142,9 +141,9 @@ def _canonical_signs(vectors: np.ndarray, threshold: float = 1e-9) -> np.ndarray
 def eig_sym(matrix: np.ndarray) -> EigenDecomposition:
     """Full decomposition of a symmetric matrix, deterministic ordering.
 
-    Eigenpairs come from LAPACK (numpy.linalg.eigh).  Values ascend (stable
-    sort, so equal values keep LAPACK's order) and each eigenvector's first
-    entry with magnitude > 1e-9 is positive.
+    Eigenpairs come from LAPACK (numpy.linalg.eigh) in its order: values
+    ascend, and equal values keep the order LAPACK gives them.  Each
+    eigenvector's first entry with magnitude > 1e-9 is positive.
     """
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -153,12 +152,7 @@ def eig_sym(matrix: np.ndarray) -> EigenDecomposition:
     if m.size and float(np.abs(m - m.T).max()) > bound:
         raise NotSymmetric("matrix is not symmetric within 1e-12")
     values, vectors = np.linalg.eigh(m)
-    order = np.argsort(values, kind="stable")
-    return EigenDecomposition(
-        n=m.shape[0],
-        values=values[order],
-        vectors=_canonical_signs(vectors[:, order]),
-    )
+    return EigenDecomposition(values=values, vectors=_canonical_signs(vectors))
 
 
 @dataclass(frozen=True)
@@ -260,22 +254,10 @@ def concatenation_pe(g: Graph, k: int) -> PEMatrix:
     return PEMatrix(rows=n * n, k=2 * k, data=data, eigenvalues=labels)
 
 
-@dataclass(frozen=True)
-class NodeMarkIndex:
-    """Embedding-table indices for node marking: dist(s, v) with sentinel n."""
-
-    n: int
-    marks: np.ndarray
-    vocabulary: int
-
-    def flat(self) -> np.ndarray:
-        """Marks in product-node order, index (s * n + v)."""
-        return self.marks.ravel()
-
-
-def node_mark_indices(g: Graph) -> NodeMarkIndex:
-    dist = shortest_path_distances(g)
-    return NodeMarkIndex(n=g.n, marks=dist.dist, vocabulary=g.n + 1)
+def node_mark_indices(g: Graph) -> DistanceMatrix:
+    """Node-mark index of product node (s, v): the BFS distance dist(s, v),
+    n when v is unreachable from s, so the vocabulary is n + 1."""
+    return shortest_path_distances(g)
 
 
 @dataclass(frozen=True)

@@ -420,7 +420,7 @@ def check_attention_dense_oracle(scale: str):
         params = SABParams.from_rng(6, 8, rng)
         x = _random_state(n * n, 6, rng)
         for adj in (internal_adjacency(g), external_adjacency(g), point_adjacency(n)):
-            sparse, _ = _attention_forward(x, adj, params.internal, params.heads)
+            sparse, _ = _attention_forward(x, adj, params.internal)
             dense = dense_attention_oracle(x, adj.to_dense(), params.internal, params.heads)
             dev = max(dev, float(np.abs(sparse - dense).max()))
     return dev <= 1e-12, dev
@@ -470,7 +470,7 @@ def check_attention_row_stochastic(scale: str):
         params = SABParams.from_rng(4, 8, rng)
         x = _random_state(n * n, 4, rng)
         for adj in (internal_adjacency(g), external_adjacency(g)):
-            _, cache = _attention_forward(x, adj, params.internal, params.heads)
+            _, cache = _attention_forward(x, adj, params.internal)
             alpha = cache.alpha
             if alpha.size == 0:
                 continue
@@ -650,34 +650,57 @@ class CheckResult:
     elapsed: float
 
 
-# declared invariant -> covering check(s); the full report enumerates this
-INVARIANT_COVERAGE = [
-    ("graph-core", "permutation conjugates the dense adjacency", "permutation-conjugation"),
-    ("graph-core", "BFS distances symmetric, zero-diagonal, triangle inequality", "bfs-distance-properties"),
-    ("graph-core", "dense/sparse round trip is the identity", "sparse-roundtrip"),
+# (module, declared invariant, covering checks): one table, in run order;
+# the full report enumerates it
+CHECKS = [
+    ("graph-core", "permutation conjugates the dense adjacency",
+     [("permutation-conjugation", check_permutation_conjugation)]),
+    ("graph-core", "BFS distances symmetric, zero-diagonal, triangle inequality",
+     [("bfs-distance-properties", check_bfs_properties)]),
+    ("graph-core", "dense/sparse round trip is the identity",
+     [("sparse-roundtrip", check_sparse_roundtrip)]),
     ("product-graph", "internal/external/cartesian and K = 3 slots equal their Kronecker forms",
-     "kron-equivalence"),
-    ("product-graph", "recursive and closed-form Cartesian operators agree", "closed-form-equality"),
-    ("product-graph", "slot adjacencies are pairwise disjoint", "slot-disjointness"),
-    ("product-graph", "edge counts are 2n|E|, 2n|E|, n^2", "edge-count-formulas"),
-    ("product-graph", "adjacency construction is permutation-equivariant", "adjacency-equivariance"),
-    ("product-graph", "sampling masks are idempotent", "mask-idempotence"),
-    ("spectral-pe", "pairwise eigenvalue sums match the product spectrum", "spectrum-sum-law"),
-    ("spectral-pe", "eigenspace projectors agree across both routes", "eigenspace-projectors"),
-    ("spectral-pe", "PE path allocates no n^4 block; doubling time ratio <= 6", "pe-cost-structure"),
-    ("spectral-pe", "product columns factor into concatenation halves", "pe-factorization"),
-    ("spectral-pe", "k-tuple PE at K=2 equals product PE bitwise", "tuple-pe-specialization"),
-    ("spectral-pe", "product PE is permutation-covariant", "pe-permutation-covariance"),
+     [("kron-equivalence", check_kron_equivalence)]),
+    ("product-graph", "recursive and closed-form Cartesian operators agree",
+     [("closed-form-equality", check_closed_form)]),
+    ("product-graph", "slot adjacencies are pairwise disjoint",
+     [("slot-disjointness", check_slot_disjointness)]),
+    ("product-graph", "edge counts are 2n|E|, 2n|E|, n^2",
+     [("edge-count-formulas", check_edge_counts)]),
+    ("product-graph", "adjacency construction is permutation-equivariant",
+     [("adjacency-equivariance", check_adjacency_equivariance)]),
+    ("product-graph", "sampling masks are idempotent",
+     [("mask-idempotence", check_mask_idempotence)]),
+    ("spectral-pe", "pairwise eigenvalue sums match the product spectrum",
+     [("spectrum-sum-law", check_spectrum_sum_law)]),
+    ("spectral-pe", "eigenspace projectors agree across both routes",
+     [("eigenspace-projectors", check_eigenspace_projectors)]),
+    ("spectral-pe", "PE path allocates no n^4 block; doubling time ratio <= 6",
+     [("pe-cost-structure", check_pe_cost_structure)]),
+    ("spectral-pe", "product columns factor into concatenation halves",
+     [("pe-factorization", check_pe_factorization)]),
+    ("spectral-pe", "k-tuple PE at K=2 equals product PE bitwise",
+     [("tuple-pe-specialization", check_tuple_pe_specialization)]),
+    ("spectral-pe", "product PE is permutation-covariant",
+     [("pe-permutation-covariance", check_pe_permutation_covariance)]),
     ("sab-model", "sparse ops match dense masked oracles",
-     "attention-dense-oracle, point-dense-oracle, rgcn-dense-oracle"),
-    ("sab-model", "attention rows are convex combinations", "attention-row-stochastic"),
+     [("attention-dense-oracle", check_attention_dense_oracle),
+      ("point-dense-oracle", check_point_dense_oracle),
+      ("rgcn-dense-oracle", check_rgcn_dense_oracle)]),
+    ("sab-model", "attention rows are convex combinations",
+     [("attention-row-stochastic", check_attention_row_stochastic)]),
     ("sab-model", "SAB stacks equivariant, pooled output invariant",
-     "sab-equivariance, pool-invariance"),
-    ("sab-model", "full-bag mask reproduces the unmasked forward", "masked-full-bag"),
+     [("sab-equivariance", check_sab_equivariance), ("pool-invariance", check_pool_invariance)]),
+    ("sab-model", "full-bag mask reproduces the unmasked forward",
+     [("masked-full-bag", check_masked_full_bag)]),
     ("sab-model", "analytic gradients match finite differences, sampled systems with empty rows included",
-     "gradient-correctness"),
-    ("sab-model", "block-weight RGCN concatenates and separates update inputs", "rgcn-simulation"),
+     [("gradient-correctness", check_gradient_correctness)]),
+    ("sab-model", "block-weight RGCN concatenates and separates update inputs",
+     [("rgcn-simulation", check_rgcn_simulation)]),
 ]
+ALL_CHECKS = [check for _, _, checks in CHECKS for check in checks]
+INVARIANT_COVERAGE = [(module, invariant, ", ".join(name for name, _ in checks))
+                      for module, invariant, checks in CHECKS]
 
 
 @dataclass(frozen=True)
@@ -704,34 +727,6 @@ class VerifyReport:
             for module, bullet, checks in INVARIANT_COVERAGE:
                 lines.append(f"  {module}: {bullet} -> {checks}")
         return "\n".join(lines)
-
-
-ALL_CHECKS = [
-    ("permutation-conjugation", check_permutation_conjugation),
-    ("bfs-distance-properties", check_bfs_properties),
-    ("sparse-roundtrip", check_sparse_roundtrip),
-    ("kron-equivalence", check_kron_equivalence),
-    ("closed-form-equality", check_closed_form),
-    ("slot-disjointness", check_slot_disjointness),
-    ("edge-count-formulas", check_edge_counts),
-    ("adjacency-equivariance", check_adjacency_equivariance),
-    ("mask-idempotence", check_mask_idempotence),
-    ("spectrum-sum-law", check_spectrum_sum_law),
-    ("eigenspace-projectors", check_eigenspace_projectors),
-    ("pe-cost-structure", check_pe_cost_structure),
-    ("pe-factorization", check_pe_factorization),
-    ("tuple-pe-specialization", check_tuple_pe_specialization),
-    ("pe-permutation-covariance", check_pe_permutation_covariance),
-    ("attention-dense-oracle", check_attention_dense_oracle),
-    ("point-dense-oracle", check_point_dense_oracle),
-    ("rgcn-dense-oracle", check_rgcn_dense_oracle),
-    ("attention-row-stochastic", check_attention_row_stochastic),
-    ("sab-equivariance", check_sab_equivariance),
-    ("pool-invariance", check_pool_invariance),
-    ("masked-full-bag", check_masked_full_bag),
-    ("gradient-correctness", check_gradient_correctness),
-    ("rgcn-simulation", check_rgcn_simulation),
-]
 
 
 def run_checks(scale: str = "quick") -> VerifyReport:

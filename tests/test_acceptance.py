@@ -196,7 +196,7 @@ def test_criterion_6_sab_correctness():
         x = _random_state(n * n, 6, seed=seed + 30)
         bundle = build_product_bundle(g)
         for adj in (bundle.internal, bundle.external):
-            sparse, cache = _attention_forward(x, adj, params.internal, params.heads)
+            sparse, cache = _attention_forward(x, adj, params.internal)
             dense = dense_attention_oracle(x, adj.to_dense(), params.internal, params.heads)
             oracle_dev = max(oracle_dev, float(np.abs(sparse - dense).max()))
             alpha = cache.alpha

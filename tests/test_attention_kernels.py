@@ -49,7 +49,7 @@ def test_attention_matches_entry_major_reference(heads, head_dim):
         # the upstream gradient is a column block of the fused one, as in a SAB layer
         fused = rng.uniform_array(-1.0, 1.0, x.shape[0] * 3 * d_out).reshape(x.shape[0], 3 * d_out)
         dout = fused[:, d_out:2 * d_out]
-        out, cache = _attention_forward(x, adj, params, heads)
+        out, cache = _attention_forward(x, adj, params)
         want, want_cache = attention_forward(x, adj, params, heads)
         assert np.array_equal(out, want), name
         assert cache.alpha.shape == (adj.nnz, heads)

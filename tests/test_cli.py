@@ -214,13 +214,14 @@ def test_forward_bad_sample_ratio(p2_file, capsys):
     ["forward", "{graph}", "--heads=-4"],
     ["forward", "{graph}", "--d", "0"],
     ["forward", "{graph}", "--layers", "-1"],
+    ["forward", "{graph}", "--k", "-20"],
 ], ids=["forward-ratio-nan", "sample-ratio-nan", "ratio-minus-inf", "heads-0",
-        "heads-minus-4", "d-0", "layers-minus-1"])
+        "heads-minus-4", "d-0", "layers-minus-1", "k-minus-20"])
 def test_out_of_range_model_and_sampling_arguments_are_input_errors(p2_file, capsys, argv):
     code, out, err = run_cli(capsys, *(a.format(graph=p2_file) for a in argv))
     assert code == 2
     assert out == ""
-    assert err.startswith("RangeError: ") and "Traceback" not in err
+    assert err.startswith("RangeError: ") and "Traceback" not in err and err.count("\n") == 1
 
 
 def _container(manifest) -> bytes:
@@ -339,22 +340,42 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
 
-@pytest.mark.parametrize("argv", [
+HUGE_GRAPH_ARGV = [
     ("forward",), ("pe", "--k", "4"), ("mark",), ("sample", "--ratio", "0.5", "--out", "s"),
     ("build-product", "--out", "b"),
-])
-def test_impossible_node_count_is_input_error(tmp_path, argv):
-    # n^2 overflows int64, so no product-node index exists; each subcommand
-    # must refuse the graph on loading, before it allocates anything
+]
+
+
+def _run_on_huge_graph(tmp_path, argv, n):
+    """Run a subcommand on a graph of n nodes and one edge under a 2 GB
+    address-space limit; it must exit 2 with one line and write nothing."""
     graph = tmp_path / "huge.json"
-    graph.write_text('{"n": 1000000000000, "edges": [[0, 1]]}')
+    graph.write_text(f'{{"n": {n}, "edges": [[0, 1]]}}')
     cmd = [sys.executable, "-m", "prodgraph", argv[0], str(graph), *argv[1:]]
     env = {**_child_env(), "OPENBLAS_NUM_THREADS": "1"}  # BLAS thread buffers stay inside the limit
     done = subprocess.run(cmd, capture_output=True, text=True, env=env, cwd=tmp_path,
                           timeout=60, preexec_fn=_limit_address_space)
     assert done.returncode == 2, done.stderr
-    assert done.stderr.startswith("ScaleError:") and done.stderr.count("\n") == 1
+    assert done.stderr.count("\n") == 1, done.stderr
     assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.json"]
+    return done.stderr
+
+
+@pytest.mark.parametrize("argv", HUGE_GRAPH_ARGV)
+def test_impossible_node_count_is_input_error(tmp_path, argv):
+    # n^2 overflows int64, so no product-node index exists; each subcommand
+    # must refuse the graph on loading, before it allocates anything
+    assert _run_on_huge_graph(tmp_path, argv, 10**12).startswith("ScaleError:")
+
+
+@pytest.mark.parametrize("argv", HUGE_GRAPH_ARGV)
+def test_unaddressable_node_count_is_input_error(tmp_path, argv):
+    # n^2 fits int64, but an n x n int64 matrix (8 n^2 bytes) is not
+    # addressable: the dense builders refuse it, the rest run out of memory
+    err = _run_on_huge_graph(tmp_path, argv, 2 * 10**9)
+    assert err.startswith(("ScaleError:", "MemoryError:")), err
+    if argv[0] in ("pe", "mark"):
+        assert err.startswith("ScaleError:"), err
 
 
 @pytest.mark.parametrize("exc", [MemoryError(), MemoryError("Unable to allocate 7.28 TiB")])

@@ -1,7 +1,9 @@
 import hashlib
 import io
 import json
+from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,6 +36,7 @@ from prodgraph import model as model_module
 from prodgraph.graphs import complete_graph, load_graph, path_graph
 from prodgraph.model import (
     ForwardConfig,
+    ForwardModel,
     _uniform_array,
     build_forward_model,
     run_forward,
@@ -149,6 +152,11 @@ def test_attention_shape_mismatch():
     x = random_state(4, 5, seed=1)
     with pytest.raises(ShapeMismatch):
         sparse_attention(ProductState(n=2, x=x), internal_adjacency(P2), params, heads=4)
+    # the head count is the parameters'; a heads argument that disagrees is refused
+    x = random_state(4, 6, seed=1)
+    for heads in (1, 2, 3, 8):
+        with pytest.raises(ShapeMismatch):
+            sparse_attention(ProductState(n=2, x=x), internal_adjacency(P2), params, heads=heads)
 
 
 # --- point update -----------------------------------------------------------
@@ -183,6 +191,32 @@ def test_point_update_matches_dense_oracle():
         out = point_update(ProductState(n=n, x=x), pt, eps, mlp)
         dense = dense_point_oracle(x, pt.to_dense(), eps, mlp)
         assert np.abs(out - dense).max() <= 1e-12
+
+
+def test_point_message_under_sampling():
+    # in a sampled system, row (s, v) reads root row (v, v) when subgraph v
+    # was sampled and gets no point message when it was not; subgraph 2 of
+    # ISOLATED_NODE_GRAPH is left out
+    n = ISOLATED_NODE_GRAPH.n
+    kept = ISOLATED_NODE_MASK.sampled
+    rank = {s: i for i, s in enumerate(kept)}
+    full, x0 = make_pipeline(ISOLATED_NODE_GRAPH, seed=7)
+    pipe, x = full.sampled(x0, ISOLATED_NODE_MASK)
+    roots = {}
+    for r, c in pipe.point.entry_set():
+        assert r not in roots
+        roots[r] = c
+    # the m*n-row state is not a ProductState; point_update reads only `x`
+    out = point_update(SimpleNamespace(x=x), pipe.point, 0.25, identity_mlp(4))
+    for s in kept:
+        for v in range(n):
+            row = rank[s] * n + v
+            if v in rank:
+                assert roots[row] == rank[v] * n + v
+                assert np.array_equal(out[row], 1.25 * x[row] + x[rank[v] * n + v])
+            else:
+                assert row not in roots
+                assert np.array_equal(out[row], 1.25 * x[row])
 
 
 # --- SAB forward ------------------------------------------------------------
@@ -469,7 +503,7 @@ def test_init_state_composes_parts():
             row = state.x[s * 2 + v]
             assert row[0] == 1.0  # constant feature stand-in
             assert row[1] == pytest.approx(0.5)  # constant eigenvector entry
-            assert row[2] == float(marks.marks[s, v])
+            assert row[2] == float(marks.dist[s, v])
 
 
 def test_init_state_feature_rows_indexed_by_node():
@@ -597,7 +631,8 @@ def test_model_arguments_out_of_range_are_range_errors():
         with pytest.raises(RangeError):
             SABParams.from_rng(4, d_out, SplitMix64(0), heads=heads)
     for cfg in (ForwardConfig(heads=0), ForwardConfig(heads=-4), ForwardConfig(d=0),
-                ForwardConfig(layers=-1)):
+                ForwardConfig(layers=-1), ForwardConfig(k=0), ForwardConfig(k=-9),
+                ForwardConfig(k=-20)):
         with pytest.raises(RangeError):
             build_forward_model(P2, cfg)
     assert build_forward_model(P2, ForwardConfig(layers=0)).layers == []
@@ -675,6 +710,28 @@ def test_parameter_layout_is_pinned():
     save_parameters(buf, model.named())
     digest = hashlib.sha256(buf.getvalue()).hexdigest()
     assert digest == "3ea730a7a93ae5307f34eb309a38d69f0fe13fb786d759fd78af0ddb51d1219f"
+
+
+PARAMETER_TYPES = (ForwardModel, SABParams, AttentionParams, MLPParams, EncoderParams, RGCNParams)
+
+
+def test_parameter_dataclasses_hold_only_arrays():
+    # sizes are read from the arrays' shapes; a size stored beside them is a
+    # second copy that can disagree with them
+    seen = set()
+
+    def walk(node):
+        assert type(node) in PARAMETER_TYPES, type(node)
+        seen.add(type(node))
+        for f in fields(node):
+            value = getattr(node, f.name)
+            for item in value if isinstance(value, list) else [value]:
+                if not isinstance(item, np.ndarray):
+                    walk(item)
+
+    walk(build_forward_model(load_graph(G6), ForwardConfig(layers=1)))
+    walk(RGCNParams.from_rng(3, 4, SplitMix64(0)))
+    assert seen == set(PARAMETER_TYPES)
 
 
 @pytest.mark.parametrize("layers", [0, 1, 2])

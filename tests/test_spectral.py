@@ -295,11 +295,11 @@ def test_concatenation_pe_range():
 
 
 def test_node_mark_examples():
-    assert node_mark_indices(P2).marks.tolist() == [[0, 1], [1, 0]]
+    assert node_mark_indices(P2).dist.tolist() == [[0, 1], [1, 0]]
     lonely = node_mark_indices(Graph(n=2, edges=frozenset()))
-    assert lonely.marks.tolist() == [[0, 2], [2, 0]]
+    assert lonely.dist.tolist() == [[0, 2], [2, 0]]
     assert lonely.vocabulary == 3
-    assert node_mark_indices(P4).marks[0, 3] == 3
+    assert node_mark_indices(P4).dist[0, 3] == 3
 
 
 def test_pe_oracle_check_examples():
