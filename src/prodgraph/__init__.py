@@ -48,19 +48,18 @@ from .product import (
     MAX_DENSE_PRODUCT_NODES,
     ProductGraphBundle,
     SamplingMask,
-    TupleIndexing,
     apply_sampling_mask,
     build_product_bundle,
     cartesian_operator,
     cartesian_product_adjacency,
     closed_form_cartesian,
     external_adjacency,
-    global_adjacencies,
     internal_adjacency,
     k_factor_adjacency,
     k_point_adjacency,
     kron,
     point_adjacency,
+    product_permutation,
     restrict_adjacency,
     restrict_rows,
     slot_adjacency,

@@ -79,9 +79,6 @@ class Graph:
             adj[u].append(v)
         return adj
 
-    def degrees(self) -> np.ndarray:
-        return np.array([len(nb) for nb in self.neighbors()], dtype=np.int64)
-
 
 def _finite_number(value) -> bool:
     """A JSON number that float64 holds as a finite value.  Python's json
@@ -157,16 +154,21 @@ def graph_to_json(g: Graph) -> str:
     return json.dumps(doc)
 
 
-def _check_addressable(n: int) -> None:
-    """ScaleError when an n x n int64 matrix exceeds the address space; n^2
-    may still fit int64, as Graph requires, while 8 n^2 bytes do not."""
-    if n * n * 8 > np.iinfo(np.intp).max:
-        raise ScaleError(f"n = {n}: an n x n int64 matrix of {n * n * 8} bytes is not addressable")
+_MAX_ARRAY_BYTES = np.iinfo(np.intp).max
+
+
+def check_addressable(shape: tuple[int, ...]) -> None:
+    """ScaleError when an int64 or float64 array of this shape exceeds the
+    address space.  Its element count may still fit int64, as Graph requires
+    of n^2, while its 8-byte items do not."""
+    nbytes = math.prod(shape) * 8
+    if nbytes > _MAX_ARRAY_BYTES:
+        raise ScaleError(f"an array of shape {shape} and {nbytes} bytes is not addressable")
 
 
 def dense_adjacency(g: Graph) -> np.ndarray:
     """Symmetric 0/1 adjacency matrix with zero diagonal."""
-    _check_addressable(g.n)
+    check_addressable((g.n, g.n))
     a = np.zeros((g.n, g.n), dtype=np.int64)
     a[g.directed_edges] = 1
     return a
@@ -189,10 +191,6 @@ class DistanceMatrix:
         return self.dist.shape[0]
 
     @property
-    def unreachable(self) -> int:
-        return self.n
-
-    @property
     def vocabulary(self) -> int:
         return self.n + 1
 
@@ -202,7 +200,7 @@ def shortest_path_distances(g: Graph) -> DistanceMatrix:
     the (source, node) pairs first reached at the last depth.  Each pair is
     expanded once, so the work is O(n * (n + |E|)) whatever the diameter."""
     n = g.n
-    _check_addressable(n)
+    check_addressable((n, n))
     dist = np.full((n, n), n, dtype=np.int64)
     claim = np.empty((n, n), dtype=np.int64)
     heads, nbrs = g.directed_edges  # sorted by source: nbrs[start[u]:start[u + 1]] are u's

@@ -65,7 +65,7 @@ import numpy as np
 
 from . import product, spectral
 from .errors import NonFiniteGradient, ParseError, RangeError, ShapeMismatch
-from .graphs import DistanceMatrix, Graph, SparseAdjacency, scatter_sum
+from .graphs import DistanceMatrix, Graph, SparseAdjacency, check_addressable, scatter_sum
 from .product import ProductGraphBundle
 from .rng import SplitMix64
 from .spectral import PEMatrix
@@ -74,7 +74,10 @@ LEAKY_SLOPE = 0.2
 
 
 def _uniform_array(rng: SplitMix64, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
-    """Uniform draws in [-1/sqrt(fan_in), +1/sqrt(fan_in)], C-order fill."""
+    """Uniform draws in [-1/sqrt(fan_in), +1/sqrt(fan_in)], C-order fill.
+    Every parameter draw comes here, and a shape whose float64 array is not
+    addressable is refused before any of its values are drawn."""
+    check_addressable(shape)
     bound = 1.0 / math.sqrt(max(1, fan_in))
     return rng.uniform_array(-bound, bound, math.prod(shape)).reshape(shape)
 
@@ -226,19 +229,20 @@ class EncoderParams:
 class ProductState:
     """Features of the n^2 product nodes, row index flatten((s,v)) = s*n + v."""
 
-    n: int
     x: np.ndarray
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[0] != self.n * self.n:
-            raise ShapeMismatch(
-                f"state must have {self.n * self.n} rows, got shape {x.shape}"
-            )
+        if x.ndim != 2 or math.isqrt(x.shape[0]) ** 2 != x.shape[0]:
+            raise ShapeMismatch(f"state must have n^2 rows for some n, got shape {x.shape}")
         if not np.isfinite(x).all():
             raise ShapeMismatch("state contains non-finite entries")
         x.flags.writeable = False
         object.__setattr__(self, "x", x)
+
+    @property
+    def n(self) -> int:
+        return math.isqrt(self.x.shape[0])
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +456,7 @@ def rgcn_layer(state: ProductState, bundle: ProductGraphBundle, params: RGCNPara
         + bundle.external.matmul(x) @ params.w_external
         + bundle.point.matmul(x) @ params.w_point
     )
-    return ProductState(n=state.n, x=y)
+    return ProductState(x=y)
 
 
 def init_state(
@@ -476,7 +480,7 @@ def init_state(
         raise ShapeMismatch(
             f"encoder expects width {encoder.weight.shape[0]}, got {combined.shape[1]}"
         )
-    return ProductState(n=n, x=combined @ encoder.weight + encoder.bias)
+    return ProductState(x=combined @ encoder.weight + encoder.bias)
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +569,6 @@ class GradCheckReport:
     max_rel_error: float
     worst_parameter: str
     worst_index: tuple
-    parameter_count: int
 
 
 def grad_check(pipeline: Pipeline, x0: np.ndarray) -> GradCheckReport:
@@ -583,12 +586,10 @@ def grad_check(pipeline: Pipeline, x0: np.ndarray) -> GradCheckReport:
     max_rel = 0.0
     worst_name = ""
     worst_index: tuple = ()
-    count = 0
     for name, arr in pipeline.named_arrays():
         gflat = grads[name].ravel()
         flat = arr.reshape(-1)
         for idx in range(flat.size):
-            count += 1
             orig = flat[idx]
             flat[idx] = orig + GRAD_CHECK_STEP
             f_plus = pipeline.loss(x0)
@@ -608,7 +609,6 @@ def grad_check(pipeline: Pipeline, x0: np.ndarray) -> GradCheckReport:
         max_rel_error=max_rel,
         worst_parameter=worst_name,
         worst_index=tuple(int(i) for i in worst_index),
-        parameter_count=count,
     )
 
 
@@ -719,13 +719,27 @@ def save_parameters(fileobj: IO[bytes], named: Sequence[tuple[str, np.ndarray]])
         fileobj.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
+_READ_CHUNK = 1 << 24
+
+
+def _read_exact(fileobj: IO[bytes], count: int, what: str) -> bytes:
+    """`count` bytes, or ParseError when the container ends first.  The read
+    goes in bounded chunks, so a declared size beyond what the file holds,
+    or beyond what one read call accepts, costs no more than the file."""
+    chunks = []
+    while count > 0:
+        chunk = fileobj.read(min(count, _READ_CHUNK))
+        if not chunk:
+            raise ParseError(f"parameter container truncated at {what}")
+        chunks.append(chunk)
+        count -= len(chunk)
+    return b"".join(chunks)
+
+
 def load_parameters(fileobj: IO[bytes]) -> dict[str, np.ndarray]:
-    header = fileobj.read(8)
-    if len(header) != 8:
-        raise ParseError("parameter container too short for manifest length")
-    (length,) = struct.unpack("<Q", header)
+    (length,) = struct.unpack("<Q", _read_exact(fileobj, 8, "the manifest length"))
     try:
-        manifest = json.loads(fileobj.read(length).decode("utf-8"))
+        manifest = json.loads(_read_exact(fileobj, length, "the manifest").decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"bad parameter manifest: {exc}") from exc
     arrays = manifest.get("arrays", []) if isinstance(manifest, dict) else None
@@ -739,11 +753,11 @@ def load_parameters(fileobj: IO[bytes]) -> dict[str, np.ndarray]:
                 and all(type(s) is int and s >= 0 for s in shape)):
             raise ParseError(f"bad parameter manifest entry {item!r}: need a name string "
                              "and a shape list of non-negative integers")
-        size = math.prod(shape)
-        buf = fileobj.read(8 * size)
-        if len(buf) != 8 * size:
-            raise ParseError(f"parameter container truncated at {name}")
-        arr = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+        buf = _read_exact(fileobj, 8 * math.prod(shape), name)
+        try:
+            arr = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+        except ValueError as exc:  # an empty shape whose other sides overflow numpy's size
+            raise ParseError(f"parameter {name} has shape {shape}: {exc}") from exc
         if not np.isfinite(arr).all():
             raise ParseError(f"parameter {name} holds non-finite values")
         out[name] = arr

@@ -32,54 +32,17 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptySample, InvalidInput, RangeError, ScaleError, ValidationError
-from .graphs import Graph, SparseAdjacency, check_permutation, complete_graph
+from .graphs import Graph, SparseAdjacency, check_permutation
 
 MAX_DENSE_PRODUCT_NODES = 4096
 
 
-@dataclass(frozen=True)
-class TupleIndexing:
-    """Bijection between [0,n)^k tuples and flat indices [0, n^k).
-
-    flatten((t_1, ..., t_k)) = sum_j t_j * n^(k-j): the first tuple slot is
-    the most significant digit, matching row-major Kronecker flattening.
-    """
-
-    n: int
-    k: int
-
-    def __post_init__(self):
-        if self.n < 1 or self.k < 1:
-            raise RangeError(f"TupleIndexing needs n, k >= 1, got n={self.n}, k={self.k}")
-
-    @property
-    def size(self) -> int:
-        return self.n**self.k
-
-    def flatten(self, t: Sequence[int]) -> int:
-        if len(t) != self.k:
-            raise ValidationError(f"expected a {self.k}-tuple, got {t!r}")
-        idx = 0
-        for x in t:
-            if not 0 <= x < self.n:
-                raise ValidationError(f"tuple component {x} out of [0, {self.n})")
-            idx = idx * self.n + x
-        return idx
-
-    def unflatten(self, idx: int) -> tuple[int, ...]:
-        if not 0 <= idx < self.size:
-            raise ValidationError(f"flat index {idx} out of [0, {self.size})")
-        out = []
-        for _ in range(self.k):
-            out.append(idx % self.n)
-            idx //= self.n
-        return tuple(reversed(out))
-
-    def product_permutation(self, perm: Sequence[int]) -> np.ndarray:
-        """Flat image of applying a base-node permutation to every slot."""
-        perm = np.asarray(check_permutation(perm, self.n), dtype=np.int64)
-        shape = (self.n,) * self.k
-        return np.ravel_multi_index(tuple(perm[np.indices(shape).reshape(self.k, -1)]), shape)
+def product_permutation(perm: Sequence[int]) -> np.ndarray:
+    """Flat image of applying a base-node permutation to both slots of every
+    pair: product node s*n + v moves to perm[s]*n + perm[v], n = len(perm)."""
+    n = len(perm)
+    perm = np.asarray(check_permutation(perm, n), dtype=np.int64)
+    return (perm[:, None] * n + perm).ravel()
 
 
 @dataclass(frozen=True)
@@ -170,7 +133,16 @@ def _check_hollow_symmetric(a: np.ndarray) -> np.ndarray:
 
 
 def check_scale(n: int, k: int) -> int:
-    """n^k, or ScaleError when it exceeds MAX_DENSE_PRODUCT_NODES."""
+    """n^k, or ScaleError when it exceeds MAX_DENSE_PRODUCT_NODES.
+
+    K above log2(MAX_DENSE_PRODUCT_NODES) is refused before the power is
+    taken: for n >= 2 it fails the node guard anyway, and n^K of an
+    outside K could take unbounded time and memory to compute.
+    """
+    max_order = MAX_DENSE_PRODUCT_NODES.bit_length() - 1
+    if k > max_order:
+        raise ScaleError(f"tuple order {k} exceeds {max_order} = log2 of the "
+                         f"{MAX_DENSE_PRODUCT_NODES}-node guard")
     size = n**k
     if size > MAX_DENSE_PRODUCT_NODES:
         raise ScaleError(
@@ -249,19 +221,6 @@ def k_point_adjacency(n: int, tuple_order: int, i: int) -> SparseAdjacency:
         rows, cols = rows.T, cols.T
     size = n**tuple_order
     return SparseAdjacency(rows=size, cols=size, entries=np.array([rows.ravel(), cols.ravel()]).T)
-
-
-def global_adjacencies(n: int) -> tuple[SparseAdjacency, SparseAdjacency]:
-    """Clique-derived connectivities: (I (x) (J - I),  (J - I) (x) I).
-
-    These are the internal and external adjacencies of the complete graph
-    K_n: (s,v)-(s,v') for all v != v', and (s,v)-(s',v) for all s != s'.
-    Each has nnz = n^2 (n-1).
-    """
-    if n < 1:
-        raise RangeError(f"node count must be >= 1, got {n}")
-    clique = complete_graph(n)
-    return internal_adjacency(clique), external_adjacency(clique)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotSymmetric, ParseError, ProdGraphError, RangeError, ScaleError
+from .errors import NotSymmetric, ParseError, ProdGraphError, RangeError, ScaleError, ShapeMismatch
 from .graphs import DistanceMatrix, Graph, dense_adjacency, shortest_path_distances
 from .product import cartesian_product_adjacency, check_scale
 
@@ -157,16 +157,26 @@ def eig_sym(matrix: np.ndarray) -> EigenDecomposition:
 
 @dataclass(frozen=True)
 class PEMatrix:
-    """Positional-encoding block: rows x k values plus per-column labels."""
+    """Positional-encoding block: rows x k values plus one label per column."""
 
-    rows: int
-    k: int
     data: np.ndarray
     eigenvalues: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "data", _frozen(self.data))
-        object.__setattr__(self, "eigenvalues", _frozen(self.eigenvalues))
+        data, labels = _frozen(self.data), _frozen(self.eigenvalues)
+        if data.ndim != 2 or labels.shape != data.shape[1:]:
+            raise ShapeMismatch(f"PE data of shape {data.shape} needs one label per column, "
+                                f"got labels of shape {labels.shape}")
+        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "eigenvalues", labels)
+
+    @property
+    def rows(self) -> int:
+        return self.data.shape[0]
+
+    @property
+    def k(self) -> int:
+        return self.data.shape[1]
 
     def to_text(self) -> str:
         """Header 'rows k', one line of labels, then values row-major."""
@@ -189,7 +199,7 @@ class PEMatrix:
             raise ParseError(f"malformed PE text: {exc}") from exc
         if labels.shape != (k,) or data.shape != (rows, k):
             raise ParseError("PE text dimensions do not match header")
-        return cls(rows=rows, k=k, data=data, eigenvalues=labels)
+        return cls(data=data, eigenvalues=labels)
 
 
 def _tuple_pe(g: Graph, tuple_order: int, k: int) -> PEMatrix:
@@ -209,7 +219,7 @@ def _tuple_pe(g: Graph, tuple_order: int, k: int) -> PEMatrix:
     for t in tuples[1:]:
         factor = base.vectors[:, t[order]]
         data = (data[:, None, :] * factor[None, :, :]).reshape(-1, k)
-    return PEMatrix(rows=g.n**tuple_order, k=k, data=data, eigenvalues=labels[order])
+    return PEMatrix(data=data, eigenvalues=labels[order])
 
 
 def product_pe(g: Graph, k: int) -> PEMatrix:
@@ -251,7 +261,7 @@ def concatenation_pe(g: Graph, k: int) -> PEMatrix:
     block = base.vectors[:, :k]
     data = np.hstack([np.repeat(block, n, axis=0), np.tile(block, (n, 1))])
     labels = np.concatenate([base.values[:k], base.values[:k]])
-    return PEMatrix(rows=n * n, k=2 * k, data=data, eigenvalues=labels)
+    return PEMatrix(data=data, eigenvalues=labels)
 
 
 def node_mark_indices(g: Graph) -> DistanceMatrix:
@@ -264,11 +274,9 @@ def node_mark_indices(g: Graph) -> DistanceMatrix:
 class PEOracleReport:
     """Outcome of checking the factorized spectrum against direct diagonalization."""
 
-    n: int
     passed: bool
     eigenvalue_deviation: float
     projector_deviation: float
-    eigenvalues: np.ndarray
 
 
 def _cluster_bounds(values: np.ndarray, gap: float) -> list[tuple[int, int]]:
@@ -310,9 +318,7 @@ def pe_oracle_check(g: Graph) -> PEOracleReport:
         p_direct = vectors[:, lo:hi] @ vectors[:, lo:hi].T
         proj_dev = max(proj_dev, float(np.abs(p_factored - p_direct).max()))
     return PEOracleReport(
-        n=g.n,
         passed=eig_dev <= PE_EIGENVALUE_TOL and proj_dev <= PE_PROJECTOR_TOL,
         eigenvalue_deviation=eig_dev,
         projector_deviation=proj_dev,
-        eigenvalues=factored.eigenvalues,
     )

@@ -43,7 +43,6 @@ from .model import (
 )
 from .product import (
     SamplingMask,
-    TupleIndexing,
     apply_sampling_mask,
     build_product_bundle,
     cartesian_operator,
@@ -54,6 +53,7 @@ from .product import (
     k_factor_adjacency,
     kron,
     point_adjacency,
+    product_permutation,
     slot_adjacency,
 )
 from .rng import SplitMix64
@@ -75,10 +75,12 @@ from .spectral import (
 # ---------------------------------------------------------------------------
 
 
-def dense_attention_oracle(x: np.ndarray, adj_dense: np.ndarray, params, heads: int) -> np.ndarray:
-    """Masked full-matrix softmax attention; scores -inf off the adjacency."""
+def dense_attention_oracle(x: np.ndarray, adj_dense: np.ndarray, params) -> np.ndarray:
+    """Masked full-matrix softmax attention; scores -inf off the adjacency.
+    The head count is that of `params`."""
     rows = x.shape[0]
     d_out = params.w_query.shape[1]
+    heads = params.attn.shape[0]
     hd = d_out // heads
     q = x @ params.w_query
     k = x @ params.w_key
@@ -234,7 +236,7 @@ def check_adjacency_equivariance(scale: str):
         n = 3 + seed % 4
         g = random_graph(n, 0.5, seed=seed)
         perm = random_permutation(n, seed=seed + 50)
-        pp = TupleIndexing(n, 2).product_permutation(perm)
+        pp = product_permutation(perm)
         for build in (internal_adjacency, external_adjacency):
             orig = build(g).to_dense()
             conjugated = np.zeros_like(orig)
@@ -384,7 +386,7 @@ def check_pe_permutation_covariance(scale: str):
             continue  # needs a simple base spectrum
         checked += 1
         perm = random_permutation(n, seed=seed + 13)
-        pp = TupleIndexing(n, 2).product_permutation(perm)
+        pp = product_permutation(perm)
         pe = product_pe(g, n * n)
         pe_perm = product_pe(permute_graph(g, perm), n * n)
         labels = pe.eigenvalues
@@ -421,7 +423,7 @@ def check_attention_dense_oracle(scale: str):
         x = _random_state(n * n, 6, rng)
         for adj in (internal_adjacency(g), external_adjacency(g), point_adjacency(n)):
             sparse, _ = _attention_forward(x, adj, params.internal)
-            dense = dense_attention_oracle(x, adj.to_dense(), params.internal, params.heads)
+            dense = dense_attention_oracle(x, adj.to_dense(), params.internal)
             dev = max(dev, float(np.abs(sparse - dense).max()))
     return dev <= 1e-12, dev
 
@@ -449,7 +451,7 @@ def check_rgcn_dense_oracle(scale: str):
         params = RGCNParams.from_rng(5, 7, rng)
         x = _random_state(n * n, 5, rng)
         bundle = build_product_bundle(g)
-        sparse = rgcn_layer(ProductState(n=n, x=x), bundle, params).x
+        sparse = rgcn_layer(ProductState(x=x), bundle, params).x
         dense = dense_rgcn_oracle(
             x,
             bundle.internal.to_dense(),
@@ -504,7 +506,7 @@ def _relabelled(pipe: Pipeline, g: Graph, perm: list[int], x0: np.ndarray):
     row pp[i]."""
     bundle = build_product_bundle(permute_graph(g, perm))
     pipe_p = replace(pipe, internal=bundle.internal, external=bundle.external, point=bundle.point)
-    pp = TupleIndexing(g.n, 2).product_permutation(perm)
+    pp = product_permutation(perm)
     x0_p = np.empty_like(x0)
     x0_p[pp] = x0
     return pipe_p, x0_p, pp
@@ -592,7 +594,7 @@ def check_rgcn_simulation(scale: str):
             w_internal=np.hstack([zeros, zeros, eye, zeros]),
             w_external=np.hstack([zeros, zeros, zeros, eye]),
         )
-        out = rgcn_layer(ProductState(n=n, x=x), bundle, params).x
+        out = rgcn_layer(ProductState(x=x), bundle, params).x
         expected = np.hstack(
             [x, bundle.point.matmul(x), bundle.internal.matmul(x), bundle.external.matmul(x)]
         )

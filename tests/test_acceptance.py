@@ -37,7 +37,7 @@ from prodgraph import (
 )
 from prodgraph.graphs import complete_graph, cycle_graph, path_graph
 from prodgraph.model import MLPParams, run_forward, ForwardConfig, _attention_forward
-from prodgraph.product import TupleIndexing
+from prodgraph.product import product_permutation
 from prodgraph.rng import SplitMix64
 from prodgraph.verify import (
     dense_attention_oracle,
@@ -197,7 +197,7 @@ def test_criterion_6_sab_correctness():
         bundle = build_product_bundle(g)
         for adj in (bundle.internal, bundle.external):
             sparse, cache = _attention_forward(x, adj, params.internal)
-            dense = dense_attention_oracle(x, adj.to_dense(), params.internal, params.heads)
+            dense = dense_attention_oracle(x, adj.to_dense(), params.internal)
             oracle_dev = max(oracle_dev, float(np.abs(sparse - dense).max()))
             alpha = cache.alpha
             if alpha.size:
@@ -213,7 +213,7 @@ def test_criterion_6_sab_correctness():
         pt_out, _ = _point_forward(x, bundle.point, params.epsilon, params.point_mlp)
         pt_dense = dense_point_oracle(x, bundle.point.to_dense(), params.epsilon, params.point_mlp)
         oracle_dev = max(oracle_dev, float(np.abs(pt_out - pt_dense).max()))
-        rg_out = rgcn_layer(ProductState(n=n, x=x), bundle, rgcn).x
+        rg_out = rgcn_layer(ProductState(x=x), bundle, rgcn).x
         rg_dense = dense_rgcn_oracle(
             x, bundle.internal.to_dense(), bundle.external.to_dense(),
             bundle.point.to_dense(), rgcn,
@@ -262,7 +262,7 @@ def test_criterion_7_permutation_invariance():
         base = pipe.pooled(x0)
         for rep in range(10):
             perm = random_permutation(n, seed=rep + 31 * gi)
-            pp = TupleIndexing(n, 2).product_permutation(perm)
+            pp = product_permutation(perm)
             gp = permute_graph(g, perm)
             bundle_p = build_product_bundle(gp)
             pipe_p = Pipeline(bundle_p.internal, bundle_p.external, bundle_p.point, n,
@@ -323,7 +323,7 @@ def test_criterion_9_rgcn_simulation():
             w_internal=np.hstack([zeros, zeros, eye, zeros]),
             w_external=np.hstack([zeros, zeros, zeros, eye]),
         )
-        out = rgcn_layer(ProductState(n=n, x=x), bundle, params).x
+        out = rgcn_layer(ProductState(x=x), bundle, params).x
         expected = np.hstack(
             [x, bundle.point.matmul(x), bundle.internal.matmul(x), bundle.external.matmul(x)]
         )

@@ -12,6 +12,7 @@ import types
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from prodgraph import model, product
 from prodgraph.rng import SplitMix64
@@ -60,3 +61,14 @@ def test_sampled_training_workload_runs_the_library_sampled_system():
         for name, grad in grads.items():
             assert grad.tobytes() == ref_grads[name].tobytes(), name
         assert dx.tobytes() == ref_dx.tobytes()
+
+
+@pytest.mark.parametrize("name", ["train_er256_sampled", "infer_small_batch"])
+def test_workload_operation_and_checks_pass(name):
+    # every workload's first operation and its once-per-run checks run on
+    # the library as it is, so a change that breaks what the benchmark calls
+    # fails here rather than in a benchmark run
+    workload = _perfbench_module("workloads").WORKLOADS[name](seed=7)
+    assert workload.check(0, workload.op(0)) is None
+    checks = workload.run_checks()
+    assert checks and all(error is None for _, error in checks), checks

@@ -239,8 +239,10 @@ def _container(manifest) -> bytes:
      {"arrays": [{"name": "mark_table", "shape": [-1, 8]}]}),
     (["forward", "{graph}", "--load-params", "{params}"],
      {"arrays": [{"name": "mark_table", "shape": "ab"}]}),
+    (["forward", "{graph}", "--load-params", "{params}"],
+     {"arrays": [{"name": "mark_table", "shape": [0, 2**62, 4]}]}),
 ], ids=["tuple-x", "tuple-empty", "manifest-list", "entry-without-name", "shape-negative",
-        "shape-string"])
+        "shape-string", "shape-empty-but-oversized"])
 def test_malformed_outside_input_is_input_error(p2_file, tmp_path, capsys, argv, container):
     params = tmp_path / "params.bin"
     if container is not None:
@@ -249,6 +251,27 @@ def test_malformed_outside_input_is_input_error(p2_file, tmp_path, capsys, argv,
     assert code == 2
     assert out == ""
     assert err.startswith(("ParseError: ", "RangeError: ")) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("container", [
+    struct.pack("<Q", 2**64 - 1) + b"{}",
+    _container({"arrays": [{"name": "mark_table", "shape": [2**40, 2**40]}]}),
+    _container({"arrays": [{"name": "mark_table", "shape": [2**62, 4]}]}),
+], ids=["manifest-length", "shape-2^40-by-2^40", "shape-2^62-by-4"])
+def test_oversized_parameter_container_is_truncated(p2_file, tmp_path, capsys, container):
+    params = tmp_path / "params.bin"
+    params.write_bytes(container + bytes(64))
+    code, out, err = run_cli(capsys, "forward", p2_file, "--load-params", str(params))
+    assert (code, out) == (2, "")
+    assert err.startswith("ParseError: parameter container truncated") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["--k", str(10**20)], ["--d", str(10**20), "--heads", "1"]],
+                         ids=["k", "d"])
+def test_unaddressable_parameter_draw_is_input_error(p2_file, capsys, argv):
+    code, out, err = run_cli(capsys, "forward", p2_file, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("ScaleError: ") and err.count("\n") == 1
 
 
 FEATURE_COMMANDS = (["forward", "{graph}"], ["pe", "{graph}", "--k", "2"], ["mark", "{graph}"],
@@ -376,6 +399,28 @@ def test_unaddressable_node_count_is_input_error(tmp_path, argv):
     assert err.startswith(("ScaleError:", "MemoryError:")), err
     if argv[0] in ("pe", "mark"):
         assert err.startswith("ScaleError:"), err
+
+
+ONE_NODE_JSON = '{"n":1,"edges":[]}'
+
+
+@pytest.mark.parametrize("graph, argv", [
+    (P2_JSON, ("pe", "--k", "5", "--variant", f"tuple:{10**20}")),
+    (P2_JSON, ("build-product", "--tuple-order", str(10**20), "--out", "b")),
+    (ONE_NODE_JSON, ("pe", "--k", "1", "--variant", "tuple:65")),
+    (ONE_NODE_JSON, ("build-product", "--tuple-order", "13", "--out", "b")),
+], ids=["pe-10^20", "build-product-10^20", "pe-one-node-65", "build-product-one-node-13"])
+def test_tuple_order_is_bounded_before_the_power(tmp_path, graph, argv):
+    # K > log2(MAX_DENSE_PRODUCT_NODES) is refused before n^K is computed,
+    # which for K = 10^20 would run without bound
+    path = tmp_path / "g.json"
+    path.write_text(graph)
+    cmd = [sys.executable, "-m", "prodgraph", argv[0], str(path), *argv[1:]]
+    done = subprocess.run(cmd, capture_output=True, text=True, env=_child_env(), cwd=tmp_path,
+                          timeout=60, preexec_fn=_limit_address_space)
+    assert (done.returncode, done.stdout) == (2, ""), done.stderr
+    assert done.stderr.startswith("ScaleError: tuple order") and done.stderr.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.json"]
 
 
 @pytest.mark.parametrize("exc", [MemoryError(), MemoryError("Unable to allocate 7.28 TiB")])

@@ -41,7 +41,7 @@ from prodgraph.model import (
     build_forward_model,
     run_forward,
 )
-from prodgraph.product import SamplingMask, TupleIndexing
+from prodgraph.product import SamplingMask, product_permutation
 from prodgraph.rng import SplitMix64
 from prodgraph.verify import (
     ISOLATED_NODE_GRAPH,
@@ -97,7 +97,7 @@ def test_attention_singleton_neighborhood_is_value_projection():
     params = AttentionParams.from_rng(5, 8, 4, rng)
     x = random_state(n * n, 5, seed=2)
     pt = point_adjacency(n)
-    out = sparse_attention(ProductState(n=n, x=x), pt, params, heads=4)
+    out = sparse_attention(ProductState(x=x), pt, params, heads=4)
     values = x @ params.w_value
     for (r, c) in pt.entry_set():
         assert np.abs(out[r] - values[c]).max() <= 1e-14
@@ -109,7 +109,7 @@ def test_attention_identical_features_give_uniform_weights():
     x = np.tile(random_state(1, 6, seed=3), (16, 1))
     rng = SplitMix64(4)
     params = AttentionParams.from_rng(6, 8, 4, rng)
-    out = sparse_attention(ProductState(n=4, x=x), adj, params, heads=4)
+    out = sparse_attention(ProductState(x=x), adj, params, heads=4)
     values = x @ params.w_value
     # uniform alpha over identical values reproduces any neighbor's value row
     assert np.abs(out[0] - values[0]).max() <= 1e-12
@@ -121,7 +121,7 @@ def test_attention_empty_rows_emit_zeros():
     x = random_state(9, 4, seed=5)
     rng = SplitMix64(6)
     params = AttentionParams.from_rng(4, 4, 2, rng)
-    out = sparse_attention(ProductState(n=3, x=x), adj, params, heads=2)
+    out = sparse_attention(ProductState(x=x), adj, params, heads=2)
     rows_with_edges = set(adj.entries[:, 0].tolist())
     for r in range(9):
         if r not in rows_with_edges:
@@ -131,7 +131,7 @@ def test_attention_empty_rows_emit_zeros():
 
     x2 = random_state(4, 4, seed=7)
     none = SparseAdjacency(rows=4, cols=4)
-    assert not sparse_attention(ProductState(n=2, x=x2), none, params, heads=2).any()
+    assert not sparse_attention(ProductState(x=x2), none, params, heads=2).any()
 
 
 def test_attention_matches_dense_oracle():
@@ -142,8 +142,8 @@ def test_attention_matches_dense_oracle():
         params = AttentionParams.from_rng(6, 8, 4, rng)
         x = random_state(n * n, 6, seed=seed + 30)
         for adj in (internal_adjacency(g), external_adjacency(g)):
-            sparse = sparse_attention(ProductState(n=n, x=x), adj, params, heads=4)
-            dense = dense_attention_oracle(x, adj.to_dense(), params, heads=4)
+            sparse = sparse_attention(ProductState(x=x), adj, params, heads=4)
+            dense = dense_attention_oracle(x, adj.to_dense(), params)
             assert np.abs(sparse - dense).max() <= 1e-12
 
 
@@ -151,12 +151,12 @@ def test_attention_shape_mismatch():
     params = AttentionParams.from_rng(6, 8, 4, SplitMix64(0))
     x = random_state(4, 5, seed=1)
     with pytest.raises(ShapeMismatch):
-        sparse_attention(ProductState(n=2, x=x), internal_adjacency(P2), params, heads=4)
+        sparse_attention(ProductState(x=x), internal_adjacency(P2), params, heads=4)
     # the head count is the parameters'; a heads argument that disagrees is refused
     x = random_state(4, 6, seed=1)
     for heads in (1, 2, 3, 8):
         with pytest.raises(ShapeMismatch):
-            sparse_attention(ProductState(n=2, x=x), internal_adjacency(P2), params, heads=heads)
+            sparse_attention(ProductState(x=x), internal_adjacency(P2), params, heads=heads)
 
 
 # --- point update -----------------------------------------------------------
@@ -166,7 +166,7 @@ def test_point_update_formula_is_uniform_at_roots():
     # with eps = -1 the self term cancels and the root row passes through
     n = 3
     x = random_state(n * n, 4, seed=11)
-    out = point_update(ProductState(n=n, x=x), point_adjacency(n), -1.0, identity_mlp(4))
+    out = point_update(ProductState(x=x), point_adjacency(n), -1.0, identity_mlp(4))
     for v in range(n):
         root = v * n + v
         assert np.abs(out[root] - x[root]).max() <= 1e-14  # (1-1)X + X at roots
@@ -176,7 +176,7 @@ def test_point_update_identity_mlp_eps_zero():
     n = 3
     x = random_state(n * n, 4, seed=12)
     pt = point_adjacency(n)
-    out = point_update(ProductState(n=n, x=x), pt, 0.0, identity_mlp(4))
+    out = point_update(ProductState(x=x), pt, 0.0, identity_mlp(4))
     assert np.abs(out - (x + pt.to_dense() @ x)).max() <= 1e-14
 
 
@@ -188,7 +188,7 @@ def test_point_update_matches_dense_oracle():
         eps = rng.uniform(-0.5, 0.5)
         x = random_state(n * n, 4, seed=seed + 50)
         pt = point_adjacency(n)
-        out = point_update(ProductState(n=n, x=x), pt, eps, mlp)
+        out = point_update(ProductState(x=x), pt, eps, mlp)
         dense = dense_point_oracle(x, pt.to_dense(), eps, mlp)
         assert np.abs(out - dense).max() <= 1e-12
 
@@ -258,7 +258,7 @@ def test_sab_permutation_equivariance():
     from prodgraph import permute_graph, random_permutation
 
     perm = random_permutation(n, seed=24)
-    pp = TupleIndexing(n, 2).product_permutation(perm)
+    pp = product_permutation(perm)
     x_p = np.empty_like(x)
     x_p[pp] = x
     out_p = pipeline_on(permute_graph(g, perm), [params], identity_mlp(4)).stack(x_p)
@@ -303,7 +303,7 @@ def test_rgcn_identity():
         w_self=np.eye(4), w_internal=np.zeros((4, 4)),
         w_external=np.zeros((4, 4)), w_point=np.zeros((4, 4)),
     )
-    out = rgcn_layer(ProductState(n=3, x=x), bundle, params).x
+    out = rgcn_layer(ProductState(x=x), bundle, params).x
     assert np.array_equal(out, x)
 
 
@@ -321,7 +321,7 @@ def test_rgcn_block_weights_concatenate():
         w_internal=np.hstack([zeros, zeros, eye, zeros]),
         w_external=np.hstack([zeros, zeros, zeros, eye]),
     )
-    out = rgcn_layer(ProductState(n=n, x=x), bundle, params).x
+    out = rgcn_layer(ProductState(x=x), bundle, params).x
     expected = np.hstack(
         [x, bundle.point.matmul(x), bundle.internal.matmul(x), bundle.external.matmul(x)]
     )
@@ -335,7 +335,7 @@ def test_rgcn_matches_dense_oracle():
         bundle = build_product_bundle(g)
         params = RGCNParams.from_rng(5, 7, SplitMix64(seed))
         x = random_state(n * n, 5, seed=seed + 70)
-        out = rgcn_layer(ProductState(n=n, x=x), bundle, params).x
+        out = rgcn_layer(ProductState(x=x), bundle, params).x
         dense = dense_rgcn_oracle(
             x,
             bundle.internal.to_dense(),
@@ -531,13 +531,13 @@ def test_init_state_equivariance_given_permuted_inputs():
     encoder = EncoderParams.from_rng(2 + 3 + 3, 5, rng)
     state = init_state(g, pe, marks, mark_table, encoder)
     perm = random_permutation(n, seed=74)
-    pp = TupleIndexing(n, 2).product_permutation(perm)
+    pp = product_permutation(perm)
     gp = permute_graph(g, perm)
     pe_rows = np.empty_like(pe.data)
     pe_rows[pp] = pe.data
     from prodgraph.spectral import PEMatrix
 
-    pe_p = PEMatrix(rows=pe.rows, k=pe.k, data=pe_rows, eigenvalues=pe.eigenvalues)
+    pe_p = PEMatrix(data=pe_rows, eigenvalues=pe.eigenvalues)
     state_p = init_state(gp, pe_p, node_mark_indices(gp), mark_table, encoder)
     expected = np.empty_like(state.x)
     expected[pp] = state.x
@@ -556,10 +556,13 @@ def test_init_state_shape_mismatch():
 
 
 def test_product_state_validation():
+    assert ProductState(x=np.zeros((9, 2))).n == 3
     with pytest.raises(ShapeMismatch):
-        ProductState(n=2, x=np.zeros((3, 4)))
+        ProductState(x=np.zeros((3, 4)))
     with pytest.raises(ShapeMismatch):
-        ProductState(n=2, x=np.full((4, 2), np.nan))
+        ProductState(x=np.zeros(4))
+    with pytest.raises(ShapeMismatch):
+        ProductState(x=np.full((4, 2), np.nan))
 
 
 # --- parameter container ----------------------------------------------------
@@ -617,6 +620,23 @@ def test_run_forward_sampling_is_seeded():
     c = run_forward(g, ForwardConfig(k=3, seed=1, sample_ratio=0.5, sample_seed=6))
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.xfail(strict=True, reason="the eigenvector sign rule depends on node order")
+def test_run_forward_is_invariant_to_relabelling():
+    # fails while the PE sign comes from each eigenvector's first large
+    # entry in node order; passes, and so XPASSes, once the rule is fixed
+    from prodgraph import permute_graph, random_permutation
+
+    cfg = ForwardConfig()
+    worst = 0.0
+    for seed in range(40):
+        g = random_graph(7, 0.5, seed=seed)
+        model = build_forward_model(g, cfg)
+        relabelled = permute_graph(g, random_permutation(7, seed=seed))
+        worst = max(worst, float(np.abs(run_forward(relabelled, cfg, model)
+                                        - run_forward(g, cfg, model)).max()))
+    assert worst <= 1e-10
 
 
 def test_build_forward_model_rejects_bad_heads():

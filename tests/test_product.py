@@ -9,20 +9,19 @@ from prodgraph import (
     RangeError,
     SamplingMask,
     ScaleError,
-    TupleIndexing,
     apply_sampling_mask,
     cartesian_operator,
     cartesian_product_adjacency,
     closed_form_cartesian,
     dense_adjacency,
     external_adjacency,
-    global_adjacencies,
     internal_adjacency,
     k_factor_adjacency,
     k_point_adjacency,
     kron,
     permute_graph,
     point_adjacency,
+    product_permutation,
     random_graph,
     random_permutation,
     restrict_adjacency,
@@ -32,7 +31,7 @@ from prodgraph import (
 from prodgraph.product import build_product_bundle
 from prodgraph.graphs import SparseAdjacency, complete_graph, path_graph
 from prodgraph.rng import SplitMix64
-from tuple_reference import point_pairs, reference_adjacency, slot_pairs
+from tuple_reference import flatten, point_pairs, reference_adjacency, slot_pairs, unflatten
 
 P2 = path_graph(2)
 K3 = complete_graph(3)
@@ -52,13 +51,12 @@ def brute_force_kron(a, b):
 
 
 def test_tuple_indexing_bijection():
-    ti = TupleIndexing(n=3, k=2)
-    assert ti.flatten((2, 1)) == 7
-    seen = {ti.flatten(ti.unflatten(i)) for i in range(ti.size)}
+    # the reference digit code of tests/tuple_reference.py
+    assert flatten((2, 1), 3) == 7
+    seen = {flatten(unflatten(i, 3, 2), 3) for i in range(9)}
     assert seen == set(range(9))
-    ti3 = TupleIndexing(n=2, k=3)
-    assert ti3.flatten((1, 0, 1)) == 5
-    assert ti3.unflatten(5) == (1, 0, 1)
+    assert flatten((1, 0, 1), 2) == 5
+    assert unflatten(5, 2, 3) == (1, 0, 1)
 
 
 def test_internal_adjacency_p2():
@@ -81,8 +79,7 @@ def test_external_is_tuple_transposed_internal():
     for seed in range(8):
         n = 2 + seed % 5
         g = random_graph(n, 0.5, seed=seed)
-        ti = TupleIndexing(n=n, k=2)
-        swap = np.array([ti.flatten(ti.unflatten(i)[::-1]) for i in range(n * n)])
+        swap = np.array([flatten(unflatten(i, n, 2)[::-1], n) for i in range(n * n)])
         internal = internal_adjacency(g).to_dense()
         conjugated = internal[np.ix_(swap, swap)]
         assert np.array_equal(external_adjacency(g).to_dense(), conjugated)
@@ -297,7 +294,6 @@ def test_tuple_builders_emit_row_major_entries_without_from_pairs(monkeypatch):
             for i in range(1, order + 1):
                 k_point_adjacency(g.n, order, i)
         build_product_bundle(g)
-        global_adjacencies(g.n)
 
 
 def test_sparse_tuple_builders_pass_the_dense_guard():
@@ -315,21 +311,24 @@ def test_sparse_tuple_builders_pass_the_dense_guard():
 
 
 def test_product_permutation_matches_tuple_loop():
-    for n in range(1, 6):
-        for k in range(1, 4):
-            ti = TupleIndexing(n, k)
-            perm = random_permutation(n, seed=10 * n + k)
-            ref = [ti.flatten([perm[x] for x in ti.unflatten(i)]) for i in range(ti.size)]
-            pp = ti.product_permutation(perm)
-            assert pp.dtype == np.int64 and pp.tolist() == ref
+    for n in range(1, 7):
+        perm = random_permutation(n, seed=10 * n)
+        ref = [flatten([perm[x] for x in unflatten(i, n, 2)], n) for i in range(n * n)]
+        pp = product_permutation(perm)
+        assert pp.dtype == np.int64 and pp.tolist() == ref
     with pytest.raises(InvalidPermutation):
-        TupleIndexing(3, 2).product_permutation([0, 0, 1])
-    with pytest.raises(RangeError):
-        TupleIndexing(3, 0)
+        product_permutation([0, 0, 1])
+
+
+def _clique_adjacencies(n):
+    """The global connectivities (I (x) (J - I), (J - I) (x) I): the internal
+    and external adjacencies of the complete graph K_n."""
+    clique = complete_graph(n)
+    return internal_adjacency(clique), external_adjacency(clique)
 
 
 def test_global_adjacencies():
-    gi, ge = global_adjacencies(3)
+    gi, ge = _clique_adjacencies(3)
     assert gi.nnz == 18 and ge.nnz == 18
     n = 3
     for (r, c) in gi.entry_set():
@@ -339,9 +338,9 @@ def test_global_adjacencies():
 
 
 def test_global_adjacencies_edge_cases():
-    gi, ge = global_adjacencies(1)
+    gi, ge = _clique_adjacencies(1)
     assert gi.nnz == 0 and ge.nnz == 0
-    gi2, _ = global_adjacencies(2)
+    gi2, _ = _clique_adjacencies(2)
     assert gi2.entry_set() == internal_adjacency(P2).entry_set()
 
 
@@ -349,7 +348,7 @@ def test_global_matches_clique_kron():
     n = 4
     jii = np.ones((n, n), dtype=np.int64) - np.eye(n, dtype=np.int64)
     eye = np.eye(n, dtype=np.int64)
-    gi, ge = global_adjacencies(n)
+    gi, ge = _clique_adjacencies(n)
     assert np.array_equal(gi.to_dense(), kron(eye, jii))
     assert np.array_equal(ge.to_dense(), kron(jii, eye))
 
@@ -375,7 +374,7 @@ def test_adjacency_permutation_equivariance():
         n = 3 + seed % 4
         g = random_graph(n, 0.5, seed=seed)
         perm = random_permutation(n, seed=seed + 9)
-        pp = TupleIndexing(n, 2).product_permutation(perm)
+        pp = product_permutation(perm)
         for build in (internal_adjacency, external_adjacency, cartesian_product_adjacency):
             orig = build(g).to_dense()
             conj = np.zeros_like(orig)
