@@ -46,6 +46,8 @@ from .model import (
 )
 from .product import (
     MAX_DENSE_PRODUCT_NODES,
+    KronAdjacency,
+    PointAdjacency,
     ProductGraphBundle,
     SamplingMask,
     apply_sampling_mask,

@@ -285,24 +285,6 @@ def random_permutation(n: int, seed: int) -> list[int]:
     return perm
 
 
-def scatter_sum(index: np.ndarray, vals: np.ndarray, size: int) -> np.ndarray:
-    """out[i, ...] = sum of vals[..., e] over the entries e with index[e] == i.
-
-    `vals` is channel-major: its last axis runs over the entries, so each
-    channel is one contiguous row.  The result is row-major, of shape
-    (size,) + vals.shape[:-1]; every index must lie in [0, size).  One
-    np.bincount per channel adds the values in entry order, so the float64
-    result is bit for bit that of the unbuffered `ufunc.at` scatter of
-    np.add.  It needs no sort of the index.
-    """
-    vals = np.asarray(vals, dtype=np.float64)
-    channels = vals.reshape(math.prod(vals.shape[:-1]), vals.shape[-1])
-    out = np.empty((channels.shape[0], size))
-    for j, weights in enumerate(channels):
-        out[j] = np.bincount(index, weights=weights, minlength=size)
-    return np.ascontiguousarray(out.T).reshape((size,) + vals.shape[:-1])
-
-
 @dataclass(frozen=True)
 class SparseAdjacency:
     """Binary sparse matrix as a sorted, deduplicated set of (row, col) pairs.
@@ -310,7 +292,7 @@ class SparseAdjacency:
     The entry set IS the matrix: every stored position holds 1.  Entries are
     kept in row-major order in a read-only (nnz, 2) int64 array stored
     column-major, so `entries[:, 0]` (rows) and `entries[:, 1]` (columns)
-    are contiguous views that gathers and scatters read without a copy.
+    are contiguous views.
     """
 
     rows: int
@@ -356,15 +338,6 @@ class SparseAdjacency:
     def nnz(self) -> int:
         return self.entries.shape[0]
 
-    @cached_property
-    def row_segments(self) -> tuple[np.ndarray, np.ndarray]:
-        """(starts, counts): the offset and length of each run of equal rows
-        in `entries`, one run per non-empty row, built once per adjacency."""
-        rows = self.entries[:, 0]
-        starts = np.flatnonzero(np.diff(rows, prepend=-1))
-        counts = np.diff(np.r_[starts, rows.size])
-        return _readonly(starts), _readonly(counts)
-
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.rows, self.cols), dtype=np.int64)
         if self.nnz:
@@ -373,13 +346,6 @@ class SparseAdjacency:
 
     def entry_set(self) -> set[tuple[int, int]]:
         return {(int(r), int(c)) for r, c in self.entries}
-
-    def matmul(self, x: np.ndarray) -> np.ndarray:
-        """A @ x for a dense matrix x with self.cols rows."""
-        if x.shape[0] != self.cols:
-            raise ValidationError(f"operand has {x.shape[0]} rows, expected {self.cols}")
-        r, c = self.entries[:, 0], self.entries[:, 1]
-        return scatter_sum(r, np.take(np.moveaxis(x, 0, -1), c, axis=-1), self.rows)
 
     def union(self, other: "SparseAdjacency") -> "SparseAdjacency":
         if (self.rows, self.cols) != (other.rows, other.cols):

@@ -33,22 +33,16 @@ The backward pass runs the same way in reverse: dz is summed per receiver
 and per sender, dM_q = x.T @ (per-receiver sums), and dW_Q and d(a_q)
 follow from dM_q through the fold (likewise for K).
 
-Per-edge arrays are channel-major, so that every channel is one contiguous
-row: scores and weights are (heads, E), messages (heads, head_dim, E), and
-the receiver and sender indices are the contiguous columns of the
-adjacency's column-major entries.  The softmax runs in place.  Each row's
-maximum comes from np.maximum.at (a maximum is exact in any order); the
-sums come from np.add.reduceat over the adjacency's `row_segments`, built
-once per adjacency and shared by every layer's forward and backward pass.
-Gathered values and upstream gradients are (heads, E, head_dim), so the
-backward einsum sums head_dim as its inner axis.  Both choices keep the
-summation order of the entry-major (E, heads) kernel in
-tests/attention_reference.py, so outputs and gradients match it bit for
-bit.  Every scatter (messages, dV, dz sums, the point update and
-its backward) goes through graphs.scatter_sum: one np.bincount per
-contiguous channel, adding in entry order.  Per edge, a cache keeps only
-the weights and a bool mask of the LeakyReLU's negative side.  `Pipeline`
-holds the only loop over the blocks.
+The state's m*n rows are the (m, n, d) grid of m subgraphs by n nodes, and
+internal and external attention are one kernel along one grid axis of it
+(product.KronAdjacency).  The kernel views its arrays node-major and walks
+the base factor's degree buckets: the r receivers of degree k gather their
+senders' rows as one (r, k, ...) block, and the softmax reduces the k axis.
+The cache keeps each bucket's weights and a bool mask of the LeakyReLU's
+negative side.  The adjacency is symmetric, so the backward pass gathers
+instead of scattering: what a node sends on are the reverses of its own
+edges, read through the bucket's reverse index.  `Pipeline` holds the only
+loop over the blocks.
 
 All math is float64.  ReLU takes subgradient 0 at 0.
 """
@@ -57,6 +51,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, fields, replace
 from typing import IO, NamedTuple, Sequence
@@ -64,9 +59,9 @@ from typing import IO, NamedTuple, Sequence
 import numpy as np
 
 from . import product, spectral
-from .errors import NonFiniteGradient, ParseError, RangeError, ShapeMismatch
-from .graphs import DistanceMatrix, Graph, SparseAdjacency, check_addressable, scatter_sum
-from .product import ProductGraphBundle
+from .errors import NonFiniteGradient, ParseError, RangeError, ScaleError, ShapeMismatch
+from .graphs import DistanceMatrix, Graph, check_addressable
+from .product import KronAdjacency, PointAdjacency, ProductGraphBundle
 from .rng import SplitMix64
 from .spectral import PEMatrix
 
@@ -284,68 +279,74 @@ def _score_maps(p: AttentionParams):
 
 class _AttentionCache(NamedTuple):
     x: np.ndarray
-    adj: SparseAdjacency
-    v: np.ndarray  # (heads, rows, hd) values, head-major
-    negative: np.ndarray  # (heads, E) bool: score <= 0, where the LeakyReLU has LEAKY_SLOPE
-    alpha: np.ndarray  # (E, heads) view of the (heads, E) weights; each receiver's row sums to 1
+    adj: KronAdjacency
+    v: np.ndarray  # (Q, P, heads, hd) values, node-major
+    alpha: list[np.ndarray]  # per bucket (r, k, P, heads); each receiver's k weights sum to 1
+    negative: list[np.ndarray]  # per bucket (r, k, P, heads) bool: score <= 0, where the LeakyReLU has LEAKY_SLOPE
 
 
-def _attention_forward(x: np.ndarray, adj: SparseAdjacency, p: AttentionParams):
+def _attention_forward(x: np.ndarray, adj: KronAdjacency, p: AttentionParams):
     rows_n, d_in = x.shape
-    if adj.rows != rows_n or adj.cols != rows_n:
-        raise ShapeMismatch(f"adjacency is {adj.rows}x{adj.cols}, state has {rows_n} rows")
+    if math.prod(adj.grid) != rows_n:
+        raise ShapeMismatch(f"adjacency grid {adj.grid} does not match {rows_n} state rows")
     if p.w_query.shape[0] != d_in:
         raise ShapeMismatch(f"attention expects width {p.w_query.shape[0]}, got {d_in}")
-    d_out = p.w_query.shape[1]
     heads = p.attn.shape[0]
-    hd = d_out // heads
-    v = np.ascontiguousarray((x @ p.w_value).reshape(rows_n, heads, hd).transpose(1, 0, 2))
-    r = adj.entries[:, 0]
-    c = adj.entries[:, 1]
     m_q, m_k = _score_maps(p)
-    z = np.take((x @ m_q).T, r, axis=1)  # (H, E)
-    z += np.take((x @ m_k).T, c, axis=1)
-    alpha = LEAKY_SLOPE * z
-    np.maximum(z, alpha, out=alpha)  # the LeakyReLU; the softmax runs in place below
-    # Each row's maximum is exact in any order, so a per-head ufunc.at is
-    # used; the sums go through reduceat to keep their summation order.
-    row_max = np.full((heads, rows_n), -np.inf)
-    for h in range(heads):
-        np.maximum.at(row_max[h], r, alpha[h])
-    alpha -= np.take(row_max, r, axis=1)
-    np.exp(alpha, out=alpha)
-    starts, counts = adj.row_segments
-    alpha /= np.repeat(np.add.reduceat(alpha, starts, axis=1), counts, axis=1)
-    # messages (H, hd, E): one contiguous row per output channel for the scatter
-    out = scatter_sum(r, np.multiply(alpha[:, None, :], np.take(v, c, axis=1).transpose(0, 2, 1),
-                                     order="C"), rows_n)
-    return out.reshape(rows_n, d_out), _AttentionCache(x, adj, v, z <= 0.0, alpha.T)
+    s_q = adj.node_major(x @ m_q)  # (Q, P, H)
+    s_k = adj.node_major(x @ m_k)
+    v = adj.node_major((x @ p.w_value).reshape(rows_n, heads, -1))  # (Q, P, H, hd)
+    out = np.zeros_like(v)
+    alphas, negatives = [], []
+    for b in adj.buckets:
+        z = np.take(s_k, b.senders, axis=0)  # (r, k, P, H)
+        z += s_q[b.nodes, None]
+        alpha = LEAKY_SLOPE * z
+        np.maximum(z, alpha, out=alpha)  # the LeakyReLU; the softmax runs in place below
+        alpha -= alpha.max(axis=1, keepdims=True)
+        np.exp(alpha, out=alpha)
+        alpha /= alpha.sum(axis=1, keepdims=True)
+        out[b.nodes] = np.einsum("rkph,rkphd->rphd", alpha, np.take(v, b.senders, axis=0))
+        alphas.append(alpha)
+        negatives.append(z <= 0.0)
+    return adj.grid_rows(out).reshape(rows_n, -1), _AttentionCache(x, adj, v, alphas, negatives)
 
 
 def _attention_backward(dout: np.ndarray, cache: _AttentionCache, p: AttentionParams):
-    x, adj, v, negative, alpha = cache
-    heads, rows_n, hd = v.shape
+    x, adj, v, alphas, negatives = cache
+    q, batch, heads, hd = v.shape
     d_in, d_out = p.w_query.shape
-    alpha = alpha.T  # (H, E), contiguous
-    r = adj.entries[:, 0]
-    c = adj.entries[:, 1]
-    dout_r = np.take(dout.reshape(rows_n, heads, hd).transpose(1, 0, 2), r, axis=1)  # (H, E, hd)
-    # hd is this dot product's inner axis, as in the (E, heads) reference
-    # kernel, so einsum sums it in the same order for every head_dim
-    dalpha = np.einsum("hed,hed->he", dout_r, np.take(v, c, axis=1))
-    dv = scatter_sum(c, np.multiply(alpha[:, None, :], dout_r.transpose(0, 2, 1), order="C"),
-                     rows_n).reshape(rows_n, d_out)
-    del dout_r  # the last per-edge (H, E, hd) array; freeing it here lowers the peak
-    starts, counts = adj.row_segments
-    dz = alpha * dalpha
-    dalpha -= np.repeat(np.add.reduceat(dz, starts, axis=1), counts, axis=1)
-    np.multiply(alpha, dalpha, out=dz)
-    dz *= negative * LEAKY_SLOPE + ~negative  # exactly LEAKY_SLOPE or 1; branch-free, unlike np.where
-    # z = (x @ M_q)[r] + (x @ M_k)[c], so the score gradient reaches each
-    # node through its per-row and per-column sums of dz, and the maps
-    # through x.T times those sums.
-    dz_r = scatter_sum(r, dz, rows_n)  # (rows, H)
-    dz_c = scatter_sum(c, dz, rows_n)
+    dout = adj.node_major(dout.reshape(-1, heads, hd))
+    # weights and dz in edge order, (E, P, H): the concatenated buckets
+    alpha_e = np.concatenate([a.reshape(-1, batch, heads) for a in alphas]
+                             + [np.empty((0, batch, heads))])
+    dz_e = np.empty_like(alpha_e)
+    dv = np.zeros_like(v)
+    dz_r = np.zeros((q, batch, heads))
+    start = 0
+    for b, alpha, negative in zip(adj.buckets, alphas, negatives):
+        # dalpha = dout[receiver] . v[sender] over head_dim, one channel at
+        # a time: head_dim is short, and einsum's inner loop over it is slow
+        dout_r, v_s = dout[b.nodes, None], np.take(v, b.senders, axis=0)
+        dalpha = dout_r[..., 0] * v_s[..., 0]
+        for c in range(1, hd):
+            dalpha += dout_r[..., c] * v_s[..., c]
+        dalpha -= (alpha * dalpha).sum(axis=1, keepdims=True)
+        dz = dz_e[start:start + b.senders.size].reshape(alpha.shape)
+        start += b.senders.size
+        np.multiply(alpha, dalpha, out=dz)
+        dz *= negative * LEAKY_SLOPE + ~negative  # exactly LEAKY_SLOPE or 1; branch-free, unlike np.where
+        dz_r[b.nodes] = dz.sum(axis=1)
+        dv[b.nodes] = np.einsum("rkph,rkphd->rphd", np.take(alpha_e, b.reverse, axis=0),
+                                np.take(dout, b.senders, axis=0))
+    # z = (x @ M_q)[receiver] + (x @ M_k)[sender], so the score gradient
+    # reaches each node through its receiver and sender sums of dz, and the
+    # maps through x.T times those sums
+    dz_c = np.zeros_like(dz_r)
+    for b in adj.buckets:
+        dz_c[b.nodes] = np.take(dz_e, b.reverse, axis=0).sum(axis=1)
+    dz_r, dz_c = adj.grid_rows(dz_r), adj.grid_rows(dz_c)
+    dv = adj.grid_rows(dv).reshape(-1, d_out)
     dm_q = x.T @ dz_r  # (d_in, H)
     dm_k = x.T @ dz_c
     w_q = p.w_query.reshape(d_in, heads, hd)
@@ -362,11 +363,10 @@ def _attention_backward(dout: np.ndarray, cache: _AttentionCache, p: AttentionPa
     return dx, grads
 
 
-def _point_forward(x: np.ndarray, point: SparseAdjacency, epsilon: np.ndarray, mlp: MLPParams):
-    if point.cols != x.shape[0]:
-        raise ShapeMismatch(f"point adjacency is {point.rows}x{point.cols}, state has {x.shape[0]} rows")
-    agg = point.matmul(x)
-    pre = (1.0 + float(epsilon)) * x + agg
+def _point_forward(x: np.ndarray, point: PointAdjacency, epsilon: np.ndarray, mlp: MLPParams):
+    if math.prod(point.grid) != x.shape[0]:
+        raise ShapeMismatch(f"point adjacency grid {point.grid} does not match {x.shape[0]} state rows")
+    pre = (1.0 + float(epsilon)) * x + point.gather(x)
     y, mlp_cache = _mlp_forward(pre, mlp)
     return y, (x, point, mlp_cache)
 
@@ -375,9 +375,11 @@ def _point_backward(dy: np.ndarray, cache, epsilon: np.ndarray, mlp: MLPParams):
     x, point, mlp_cache = cache
     dpre, mlp_grads = _mlp_backward(dy, mlp_cache, mlp)
     deps = float((dpre * x).sum())
-    dx = (1.0 + float(epsilon)) * dpre + scatter_sum(
-        point.entries[:, 1], np.take(dpre.T, point.entries[:, 0], axis=1), point.cols
-    )
+    dx = (1.0 + float(epsilon)) * dpre
+    # root row (rank v, v) receives the gradient of every row (s, v) reading it
+    m, n = point.grid
+    roots = dpre.reshape(m, n, -1)[:, point.sampled].sum(axis=0)
+    dx.reshape(m, n, -1)[np.arange(m), point.sampled] += roots
     return dx, deps, mlp_grads
 
 
@@ -430,16 +432,16 @@ def _pool_backward(dy: np.ndarray, cache, mlp: MLPParams):
 # ---------------------------------------------------------------------------
 
 
-def sparse_attention(state: ProductState, adj: SparseAdjacency, params: AttentionParams, heads: int) -> np.ndarray:
-    """Attention of every row over its stored in-neighbours.  The head count
-    is that of `params`; `heads` must agree with it."""
+def sparse_attention(state: ProductState, adj: KronAdjacency, params: AttentionParams, heads: int) -> np.ndarray:
+    """Attention of every row of `state.x`, m*n rows on adj's grid, over its
+    in-neighbours.  The head count is that of `params`; `heads` must agree."""
     if heads != params.attn.shape[0]:
         raise ShapeMismatch(f"heads={heads}, but the parameters have {params.attn.shape[0]} heads")
     out, _ = _attention_forward(state.x, adj, params)
     return out
 
 
-def point_update(state: ProductState, point: SparseAdjacency, epsilon: float, mlp: MLPParams) -> np.ndarray:
+def point_update(state: ProductState, point: PointAdjacency, epsilon: float, mlp: MLPParams) -> np.ndarray:
     out, _ = _point_forward(state.x, point, np.asarray(epsilon), mlp)
     return out
 
@@ -452,9 +454,9 @@ def rgcn_layer(state: ProductState, bundle: ProductGraphBundle, params: RGCNPara
         )
     y = (
         x @ params.w_self
-        + bundle.internal.matmul(x) @ params.w_internal
-        + bundle.external.matmul(x) @ params.w_external
-        + bundle.point.matmul(x) @ params.w_point
+        + bundle.internal.neighbor_sum(x) @ params.w_internal
+        + bundle.external.neighbor_sum(x) @ params.w_external
+        + bundle.point.gather(x) @ params.w_point
     )
     return ProductState(x=y)
 
@@ -499,9 +501,9 @@ class Pipeline:
     loss/grad checking is the sum of the pooled vector.
     """
 
-    internal: SparseAdjacency
-    external: SparseAdjacency
-    point: SparseAdjacency
+    internal: KronAdjacency
+    external: KronAdjacency
+    point: PointAdjacency
     n: int
     layers: list[SABParams]
     pool_mlp: MLPParams
@@ -511,7 +513,7 @@ class Pipeline:
         return _named(self.layers, ("layers",)) + _named(self.pool_mlp, ("pool_mlp",))
 
     def sampled(self, x0: np.ndarray, mask: product.SamplingMask) -> tuple["Pipeline", np.ndarray]:
-        """The sampled system of `mask`: this stack on the three adjacencies
+        """The sampled system of `mask`: this stack on the three edge types
         restricted to the m*n rows of the sampled subgraphs, and those rows
         of x0.  A full mask reproduces the unsampled system bit for bit."""
         restricted = replace(
@@ -660,12 +662,16 @@ def build_forward_model(g: Graph, cfg: ForwardConfig) -> ForwardModel:
                          f"heads={cfg.heads}, layers={cfg.layers}")
     if cfg.d % cfg.heads:
         raise ShapeMismatch(f"d={cfg.d} not divisible by heads={cfg.heads}")
+    d, d_feat = cfg.d, g.features.shape[1] if g.features is not None else 1
+    # mark table, encoder, layers and pool MLP, counted before any is drawn
+    count = (g.n + d_feat + cfg.k + 3 * d + 4) * d + cfg.layers * (12 * d * d + 8 * d + 1)
+    if 8 * count > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+        raise ScaleError(f"the model's {count} float64 parameters exceed the machine's memory")
     rng = _BlockDraws(SplitMix64(cfg.seed))
-    d_feat = g.features.shape[1] if g.features is not None else 1
-    mark_table = _uniform_array(rng, (g.n + 1, cfg.d), g.n + 1)
-    encoder = EncoderParams.from_rng(d_feat + cfg.k + cfg.d, cfg.d, rng)
-    layers = [SABParams.from_rng(cfg.d, cfg.d, rng, cfg.heads) for _ in range(cfg.layers)]
-    pool_mlp = MLPParams.from_rng(cfg.d, cfg.d, cfg.d, rng)
+    mark_table = _uniform_array(rng, (g.n + 1, d), g.n + 1)
+    encoder = EncoderParams.from_rng(d_feat + cfg.k + d, d, rng)
+    layers = [SABParams.from_rng(d, d, rng, cfg.heads) for _ in range(cfg.layers)]
+    pool_mlp = MLPParams.from_rng(d, d, d, rng)
     return ForwardModel(mark_table=mark_table, encoder=encoder, layers=layers, pool_mlp=pool_mlp)
 
 

@@ -10,24 +10,24 @@ node set:
   external  (s,v)-(s',v)  for s ~ s'   == A (x) I   (across subgraphs)
   point     (s,v) <- (v,v)             (each tuple reads its root's row)
 
-The K-tuple generalization replaces pairs with K-tuples: slot j carries
-I (x) ... (x) A (x) ... (x) I with A in position j, so internal and external
-are the K = 2 slots 1 and 0, and each free slot has its own point adjacency.
-All of these are built sparsely from the base edge list, each entry placed
-at its row-major position by index arithmetic, so no builder sorts or
-dedups: SparseAdjacency's strict-order check is their guard, and
-SparseAdjacency.from_pairs, which sorts and dedups, serves arbitrary input
-only (union, from_dense, from_coo_text).  Dense matrices
-appear only in the oracle builders (kron, cartesian_operator,
-k_factor_adjacency, closed_form_cartesian), guarded to n^K <= 4096 product
-nodes.
+The model holds them factored on the (m, n) grid of m kept subgraphs by n
+nodes: internal and external are one KronAdjacency type, the base factor
+acting along the node or the subgraph axis, and sampling keeps m subgraphs
+without touching an array of n^2 entries.  The K-tuple COO builders below
+(slot j carries I (x) ... (x) A (x) ... (x) I with A in position j) serve
+`build-product`, `sample` and the oracles.  Each places every entry at its
+row-major position by index arithmetic, so no builder sorts or dedups:
+SparseAdjacency's strict-order check is their guard.  Dense matrices appear
+only in the oracle builders (kron, cartesian_operator, k_factor_adjacency,
+closed_form_cartesian), guarded to n^K <= 4096 product nodes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, replace
+from functools import cached_property
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -45,13 +45,104 @@ def product_permutation(perm: Sequence[int]) -> np.ndarray:
     return (perm[:, None] * n + perm).ravel()
 
 
+class DegreeBucket(NamedTuple):
+    """The receivers of one in-degree k of a base factor."""
+
+    nodes: np.ndarray  # (r,) receivers, ascending
+    senders: np.ndarray  # (r, k) each receiver's senders, ascending
+    reverse: np.ndarray  # (r, k) edge-order position of each edge's reverse
+
+
+@dataclass(frozen=True)
+class KronAdjacency:
+    """I_m (x) A (`axis` 1) or A_S (x) I_n (`axis` 0) on the (m, n) `grid`.
+
+    The base factor is a symmetric adjacency on grid[axis] nodes, held as
+    its directed edges (src receives from dst) sorted by (src, dst).  Row
+    (s, v) of an (m*n, d) state receives from the rows that differ from it
+    only along `axis`, by one base edge; the other axis is a batch axis.
+    """
+
+    src: np.ndarray
+    dst: np.ndarray
+    axis: int
+    grid: tuple[int, int]
+
+    @property
+    def nnz(self) -> int:
+        """Entries of the m*n x m*n matrix: one per base edge and batch index."""
+        return self.src.size * self.grid[1 - self.axis]
+
+    @cached_property
+    def buckets(self) -> tuple[DegreeBucket, ...]:
+        """Receivers grouped by degree, ascending, built once in O(|E| log |E|).
+
+        Edge order is bucket order: buckets by degree, receivers, senders.
+        The reverse of edge (u <- w) is (w <- u), found by key search, which
+        exists because the base factor is symmetric.
+        """
+        size = self.grid[self.axis]
+        deg = np.bincount(self.src, minlength=size)[self.src]
+        order = np.argsort(deg, kind="stable")  # edges already sorted by (src, dst)
+        position = np.empty_like(order)
+        position[order] = np.arange(order.size)
+        reverse = position[np.searchsorted(self.src * size + self.dst, self.dst * size + self.src)]
+        src, dst, reverse, deg = self.src[order], self.dst[order], reverse[order], deg[order]
+        starts = np.flatnonzero(np.diff(deg, prepend=-1))
+        return tuple(DegreeBucket(src[a:b:deg[a]], dst[a:b].reshape(-1, deg[a]),
+                                  reverse[a:b].reshape(-1, deg[a]))
+                     for a, b in zip(starts, np.r_[starts[1:], deg.size]))
+
+    def node_major(self, a: np.ndarray) -> np.ndarray:
+        """(m*n, ...) rows as a contiguous (grid[axis], grid[1 - axis], ...) array."""
+        a = a.reshape(self.grid + a.shape[1:])
+        return np.ascontiguousarray(a.swapaxes(0, 1)) if self.axis else a
+
+    def grid_rows(self, a: np.ndarray) -> np.ndarray:
+        """The inverse of node_major: back to (m*n, ...) rows."""
+        return (a.swapaxes(0, 1) if self.axis else a).reshape((-1,) + a.shape[2:])
+
+    def neighbor_sum(self, x: np.ndarray) -> np.ndarray:
+        """The matrix times x: each row's sum over its in-neighbours' rows."""
+        xq = self.node_major(x)
+        out = np.zeros_like(xq)
+        for b in self.buckets:
+            out[b.nodes] = np.take(xq, b.senders, axis=0).sum(axis=1)
+        return self.grid_rows(out)
+
+
+@dataclass(frozen=True)
+class PointAdjacency:
+    """Row (s, v) reads root row (rank v, v) when v is in the sampled set S,
+    the ascending `sampled` of n nodes, and nothing otherwise; m = |S|."""
+
+    sampled: np.ndarray
+    n: int
+
+    @property
+    def grid(self) -> tuple[int, int]:
+        return self.sampled.size, self.n
+
+    @property
+    def nnz(self) -> int:
+        return self.sampled.size ** 2
+
+    def gather(self, x: np.ndarray) -> np.ndarray:
+        """The matrix times x: each row's root row, or zeros."""
+        m = self.sampled.size
+        x3 = x.reshape(m, self.n, -1)
+        out = np.zeros_like(x3)
+        out[:, self.sampled] = x3[np.arange(m), self.sampled]
+        return out.reshape(x.shape)
+
+
 @dataclass(frozen=True)
 class ProductGraphBundle:
-    """The three 2-tuple adjacencies of one base graph."""
+    """The three 2-tuple edge types of one base graph, factored."""
 
-    internal: SparseAdjacency
-    external: SparseAdjacency
-    point: SparseAdjacency
+    internal: KronAdjacency
+    external: KronAdjacency
+    point: PointAdjacency
 
 
 def slot_adjacency(g: Graph, tuple_order: int, slot: int) -> SparseAdjacency:
@@ -105,11 +196,12 @@ def cartesian_product_adjacency(g: Graph) -> SparseAdjacency:
 
 
 def build_product_bundle(g: Graph) -> ProductGraphBundle:
-    return ProductGraphBundle(
-        internal=internal_adjacency(g),
-        external=external_adjacency(g),
-        point=point_adjacency(g.n),
-    )
+    """Internal, external and point on g's n x n grid: all n subgraphs kept."""
+    src, dst = g.directed_edges
+    grid = (g.n, g.n)
+    return ProductGraphBundle(internal=KronAdjacency(src, dst, 1, grid),
+                              external=KronAdjacency(src, dst, 0, grid),
+                              point=PointAdjacency(np.arange(g.n), g.n))
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -278,21 +370,24 @@ def apply_sampling_mask(adj: SparseAdjacency, mask: SamplingMask) -> SparseAdjac
     return SparseAdjacency(rows=adj.rows, cols=adj.cols, entries=entries)
 
 
-def restrict_adjacency(adj: SparseAdjacency, mask: SamplingMask) -> SparseAdjacency:
-    """Masked adjacency reindexed onto the m*n sampled product nodes.
-
-    Subgraph s maps to its rank within mask.sampled; node indices are kept.
-    With a full mask this is the identity reindexing.  The rank map is
-    strictly increasing, so the reindexed entries stay row-major sorted.
-    """
+def restrict_adjacency(adj: KronAdjacency | PointAdjacency, mask: SamplingMask):
+    """An edge type of the n x n grid restricted to the mask's m subgraphs,
+    renumbered by rank: I_m (x) A, A_S (x) I_n with A induced on S, or point
+    on S.  The rank map ascends, so induced edges stay sorted, and a full
+    mask gives arrays equal to the unrestricted ones."""
     n = mask.n
-    entries = _sampled_entries(adj, mask)
+    if adj.grid != (n, n):
+        raise ValidationError(f"mask is for a {n} x {n} grid, adjacency is on {adj.grid}")
     kept = np.asarray(mask.sampled, dtype=np.int64)
-    m = kept.size
-    rank = np.zeros(n, dtype=np.int64)
-    rank[kept] = np.arange(m, dtype=np.int64)
-    reindexed = rank[entries // n] * n + entries % n
-    return SparseAdjacency(rows=m * n, cols=m * n, entries=reindexed)
+    if isinstance(adj, PointAdjacency):
+        return PointAdjacency(kept, n)
+    if adj.axis == 1:
+        return replace(adj, grid=(kept.size, n))
+    rank = np.full(n, -1, dtype=np.int64)
+    rank[kept] = np.arange(kept.size, dtype=np.int64)
+    src, dst = rank[adj.src], rank[adj.dst]
+    keep = (src >= 0) & (dst >= 0)
+    return KronAdjacency(src[keep], dst[keep], 0, (kept.size, n))
 
 
 def restrict_rows(x: np.ndarray, mask: SamplingMask) -> np.ndarray:

@@ -206,11 +206,14 @@ def _tuple_pe(g: Graph, tuple_order: int, k: int) -> PEMatrix:
     """First k columns u_t1 (x) ... (x) u_tK over all n^K base index tuples.
 
     Label of tuple t is lam_t1 + ... + lam_tK, summed left to right.  Tuples
-    sort by (label, t1, ..., tK); ties inherit the base order.
+    sort by (label, t1, ..., tK); ties inherit the base order.  Only tuples
+    with every index below k are candidates: eigenvalues ascend, so lowering
+    an index never raises the label, and a tuple with an index j >= k comes
+    after the k tuples that replace that index by 0, ..., k - 1.
     """
     base = eig_sym(laplacian(g))
     lam = base.values
-    tuples = [t.ravel() for t in np.indices((g.n,) * tuple_order)]
+    tuples = [t.ravel() for t in np.indices((min(g.n, k),) * tuple_order)]
     labels = lam[tuples[0]]
     for t in tuples[1:]:
         labels = labels + lam[t]

@@ -42,6 +42,7 @@ from .model import (
     _point_forward,
 )
 from .product import (
+    PointAdjacency,
     SamplingMask,
     apply_sampling_mask,
     build_product_bundle,
@@ -54,6 +55,7 @@ from .product import (
     kron,
     point_adjacency,
     product_permutation,
+    restrict_adjacency,
     slot_adjacency,
 )
 from .rng import SplitMix64
@@ -414,31 +416,43 @@ def check_pe_permutation_covariance(scale: str):
 
 
 def check_attention_dense_oracle(scale: str):
+    """Internal and external attention, unsampled and on a sampled system,
+    against kron(I_m, A) and kron(A_S, I_n) built from the dense base graph."""
     dev = 0.0
     for seed in range(20 if scale == "full" else 5):
         n = 2 + seed % 4
         g = random_graph(n, 0.5, seed=seed + 500)
         rng = SplitMix64(seed)
         params = SABParams.from_rng(6, 8, rng)
-        x = _random_state(n * n, 6, rng)
-        for adj in (internal_adjacency(g), external_adjacency(g), point_adjacency(n)):
-            sparse, _ = _attention_forward(x, adj, params.internal)
-            dense = dense_attention_oracle(x, adj.to_dense(), params.internal)
-            dev = max(dev, float(np.abs(sparse - dense).max()))
+        a = dense_adjacency(g)
+        bundle = build_product_bundle(g)
+        for mask in (SamplingMask.full(n), SamplingMask.from_ratio(n, 0.6, rng)):
+            internal, external = (restrict_adjacency(e, mask) for e in (bundle.internal, bundle.external))
+            kept = list(mask.sampled)
+            x = _random_state(len(kept) * n, 6, rng)
+            for adj, dense in ((internal, kron(np.eye(len(kept)), a)),
+                               (external, kron(a[np.ix_(kept, kept)], np.eye(n)))):
+                sparse, _ = _attention_forward(x, adj, params.internal)
+                dev = max(dev, float(np.abs(sparse - dense_attention_oracle(x, dense, params.internal)).max()))
     return dev <= 1e-12, dev
 
 
 def check_point_dense_oracle(scale: str):
+    """The point update, unsampled and sampled, against the rows and columns
+    of the sampled subgraphs in the dense n^2-node point adjacency."""
     dev = 0.0
     for seed in range(20 if scale == "full" else 5):
         n = 2 + seed % 4
         rng = SplitMix64(seed)
         params = SABParams.from_rng(6, 8, rng)
-        x = _random_state(n * n, 6, rng)
-        pt = point_adjacency(n)
-        sparse, _ = _point_forward(x, pt, params.epsilon, params.point_mlp)
-        dense = dense_point_oracle(x, pt.to_dense(), params.epsilon, params.point_mlp)
-        dev = max(dev, float(np.abs(sparse - dense).max()))
+        point = point_adjacency(n).to_dense()
+        for mask in (SamplingMask.full(n), SamplingMask.from_ratio(n, 0.6, rng)):
+            rows = (np.asarray(mask.sampled)[:, None] * n + np.arange(n)).ravel()
+            x = _random_state(rows.size, 6, rng)
+            pt = restrict_adjacency(PointAdjacency(np.arange(n), n), mask)
+            sparse, _ = _point_forward(x, pt, params.epsilon, params.point_mlp)
+            dense = dense_point_oracle(x, point[np.ix_(rows, rows)], params.epsilon, params.point_mlp)
+            dev = max(dev, float(np.abs(sparse - dense).max()))
     return dev <= 1e-12, dev
 
 
@@ -454,9 +468,9 @@ def check_rgcn_dense_oracle(scale: str):
         sparse = rgcn_layer(ProductState(x=x), bundle, params).x
         dense = dense_rgcn_oracle(
             x,
-            bundle.internal.to_dense(),
-            bundle.external.to_dense(),
-            bundle.point.to_dense(),
+            internal_adjacency(g).to_dense(),
+            external_adjacency(g).to_dense(),
+            point_adjacency(n).to_dense(),
             params,
         )
         dev = max(dev, float(np.abs(sparse - dense).max()))
@@ -470,21 +484,19 @@ def check_attention_row_stochastic(scale: str):
         g = random_graph(n, 0.5, seed=seed + 700)
         rng = SplitMix64(seed)
         params = SABParams.from_rng(4, 8, rng)
-        x = _random_state(n * n, 4, rng)
-        for adj in (internal_adjacency(g), external_adjacency(g)):
-            _, cache = _attention_forward(x, adj, params.internal)
-            alpha = cache.alpha
-            if alpha.size == 0:
-                continue
-            if alpha.min() < 0:
-                dev = max(dev, float(-alpha.min()))
-            rows = adj.entries[:, 0]
-            sums = np.zeros((adj.rows, alpha.shape[1]))
-            # deliberately np.add.at, a route independent of the model's scatter_sum
-            np.add.at(sums, rows, alpha)
-            nonempty = np.zeros(adj.rows, dtype=bool)
-            nonempty[rows] = True
-            dev = max(dev, float(np.abs(sums[nonempty] - 1.0).max()))
+        bundle = build_product_bundle(g)
+        for mask in (SamplingMask.full(n), SamplingMask.from_ratio(n, 0.6, rng)):
+            internal, external = (restrict_adjacency(e, mask) for e in (bundle.internal, bundle.external))
+            x = _random_state(len(mask.sampled) * n, 4, rng)
+            for adj in (internal, external):
+                _, cache = _attention_forward(x, adj, params.internal)
+                for b, alpha in zip(adj.buckets, cache.alpha):
+                    dev = max(dev, float(-alpha.min()))
+                    sums = np.zeros((b.nodes.size,) + alpha.shape[2:])
+                    # deliberately np.add.at, a route independent of the kernel's sum
+                    np.add.at(sums, np.repeat(np.arange(b.nodes.size), b.senders.shape[1]),
+                              alpha.reshape((-1,) + alpha.shape[2:]))
+                    dev = max(dev, float(np.abs(sums - 1.0).max()))
     return dev <= 1e-12, dev
 
 
@@ -595,9 +607,8 @@ def check_rgcn_simulation(scale: str):
             w_external=np.hstack([zeros, zeros, zeros, eye]),
         )
         out = rgcn_layer(ProductState(x=x), bundle, params).x
-        expected = np.hstack(
-            [x, bundle.point.matmul(x), bundle.internal.matmul(x), bundle.external.matmul(x)]
-        )
+        expected = np.hstack([x, point_adjacency(n).to_dense() @ x,
+                              internal_adjacency(g).to_dense() @ x, external_adjacency(g).to_dense() @ x])
         dev = max(dev, float(np.abs(out - expected).max()))
         ok &= _rows_separate_update_inputs(g, x, out)
     return ok and dev == 0.0, dev

@@ -195,28 +195,27 @@ def test_criterion_6_sab_correctness():
         rgcn = RGCNParams.from_rng(6, 8, rng)
         x = _random_state(n * n, 6, seed=seed + 30)
         bundle = build_product_bundle(g)
-        for adj in (bundle.internal, bundle.external):
+        for adj, coo in ((bundle.internal, internal_adjacency(g)),
+                         (bundle.external, external_adjacency(g))):
             sparse, cache = _attention_forward(x, adj, params.internal)
-            dense = dense_attention_oracle(x, adj.to_dense(), params.internal)
+            dense = dense_attention_oracle(x, coo.to_dense(), params.internal)
             oracle_dev = max(oracle_dev, float(np.abs(sparse - dense).max()))
-            alpha = cache.alpha
-            if alpha.size:
+            for b, alpha in zip(adj.buckets, cache.alpha):  # (r, k, batch, heads) per degree k
                 stochastic_dev = max(stochastic_dev, float(max(0.0, -alpha.min())))
-                sums = np.zeros((adj.rows, alpha.shape[1]))
-                # deliberately np.add.at, a route independent of the model's scatter_sum
-                np.add.at(sums, adj.entries[:, 0], alpha)
-                nonempty = np.zeros(adj.rows, dtype=bool)
-                nonempty[adj.entries[:, 0]] = True
-                stochastic_dev = max(stochastic_dev, float(np.abs(sums[nonempty] - 1.0).max()))
+                sums = np.zeros((b.nodes.size,) + alpha.shape[2:])
+                # deliberately np.add.at, a route independent of the kernel's sum
+                np.add.at(sums, np.repeat(np.arange(b.nodes.size), b.senders.shape[1]),
+                          alpha.reshape((-1,) + alpha.shape[2:]))
+                stochastic_dev = max(stochastic_dev, float(np.abs(sums - 1.0).max()))
         from prodgraph.model import _point_forward
 
         pt_out, _ = _point_forward(x, bundle.point, params.epsilon, params.point_mlp)
-        pt_dense = dense_point_oracle(x, bundle.point.to_dense(), params.epsilon, params.point_mlp)
+        pt_dense = dense_point_oracle(x, point_adjacency(n).to_dense(), params.epsilon, params.point_mlp)
         oracle_dev = max(oracle_dev, float(np.abs(pt_out - pt_dense).max()))
         rg_out = rgcn_layer(ProductState(x=x), bundle, rgcn).x
         rg_dense = dense_rgcn_oracle(
-            x, bundle.internal.to_dense(), bundle.external.to_dense(),
-            bundle.point.to_dense(), rgcn,
+            x, internal_adjacency(g).to_dense(), external_adjacency(g).to_dense(),
+            point_adjacency(n).to_dense(), rgcn,
         )
         oracle_dev = max(oracle_dev, float(np.abs(rg_out - rg_dense).max()))
     grad_worst = 0.0
@@ -324,9 +323,8 @@ def test_criterion_9_rgcn_simulation():
             w_external=np.hstack([zeros, zeros, zeros, eye]),
         )
         out = rgcn_layer(ProductState(x=x), bundle, params).x
-        expected = np.hstack(
-            [x, bundle.point.matmul(x), bundle.internal.matmul(x), bundle.external.matmul(x)]
-        )
+        expected = np.hstack([x, point_adjacency(n).to_dense() @ x,
+                              internal_adjacency(g).to_dense() @ x, external_adjacency(g).to_dense() @ x])
         concat_dev = max(concat_dev, float(np.abs(out - expected).max()))
         injective &= _rows_separate_update_inputs(g, x, out)
     elapsed = time.perf_counter() - start

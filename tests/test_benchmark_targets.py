@@ -2,13 +2,16 @@
 
 perfbench/tracing.py reports a target the library no longer defines as
 absent instead of failing, so a refactor that renames or removes one would
-silently blank a benchmark span.  perfbench/workloads.py builds the sampled
-training system itself, so a library change could make it measure a system
-that `Pipeline.sampled` no longer builds.  The benchmark's sources are read
+silently blank a benchmark span; its replay of the attention and point
+stages runs on whatever edge types the library's Pipeline holds.
+perfbench/workloads.py builds the sampled training system itself, so a
+library change could make it measure a system that `Pipeline.sampled` no
+longer builds.  The benchmark's sources are read
 and run here without writing anything next to them.
 """
 
 import types
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -50,8 +53,9 @@ def test_sampled_training_workload_runs_the_library_sampled_system():
         ref_pipe, ref_x = full.sampled(workload.state.x, mask)
         for kind in ("internal", "external", "point"):
             got, want = getattr(pipe, kind), getattr(ref_pipe, kind)
-            assert (got.rows, got.cols) == (want.rows, want.cols), kind
-            assert np.array_equal(got.entries, want.entries), kind
+            assert type(got) is type(want), kind
+            for field in fields(want):
+                assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), kind
         assert x.tobytes() == ref_x.tobytes()
         assert (pipe.n, pipe.variant) == (ref_pipe.n, ref_pipe.variant)
         loss, grads, dx = pipe.loss_and_grads(x)
@@ -72,3 +76,18 @@ def test_workload_operation_and_checks_pass(name):
     assert workload.check(0, workload.op(0)) is None
     checks = workload.run_checks()
     assert checks and all(error is None for _, error in checks), checks
+
+
+@pytest.mark.parametrize("name", ["train_er256_sampled", "infer_small_batch"])
+def test_traced_replay_measures_every_stage(name):
+    # the tracer replays each captured Pipeline call through sparse_attention
+    # and point_update on the pipeline's own edge types, so a change to those
+    # types that the replay cannot run would blank the per-stage spans
+    tracing = _perfbench_module("tracing")
+    workload = _perfbench_module("workloads").WORKLOADS[name](seed=7)
+    with tracing.Tracer() as tracer:
+        tracer.run_op(workload.op, 0)
+    metrics = tracer.metrics(untraced_op_s=0.0)
+    assert not [metric for metric, (_, _, absent) in metrics.items() if absent]
+    for stage in ("model.attn_internal.s", "model.attn_external.s", "model.point.s"):
+        assert metrics[stage][0] > 0, stage

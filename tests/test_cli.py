@@ -423,6 +423,16 @@ def test_tuple_order_is_bounded_before_the_power(tmp_path, graph, argv):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["g.json"]
 
 
+def test_model_larger_than_memory_is_refused_before_drawing(p2_file, tmp_path):
+    # 10^8 layers of about 6.7 KB each: the total is refused before the
+    # first block is drawn, so the child neither grows nor takes long
+    cmd = [sys.executable, "-m", "prodgraph", "forward", p2_file, "--layers", str(10**8)]
+    done = subprocess.run(cmd, capture_output=True, text=True, env=_child_env(), cwd=tmp_path,
+                          timeout=60, preexec_fn=_limit_address_space)
+    assert (done.returncode, done.stdout) == (2, ""), done.stderr
+    assert done.stderr.startswith("ScaleError: the model's") and done.stderr.count("\n") == 1
+
+
 @pytest.mark.parametrize("exc", [MemoryError(), MemoryError("Unable to allocate 7.28 TiB")])
 def test_memory_error_is_input_error(p2_file, capsys, monkeypatch, exc):
     def fail(g):

@@ -22,10 +22,9 @@ from prodgraph import (
     permute_graph,
     random_graph,
     random_permutation,
-    restrict_adjacency,
     shortest_path_distances,
 )
-from prodgraph.graphs import complete_graph, cycle_graph, path_graph, scatter_sum
+from prodgraph.graphs import complete_graph, cycle_graph, path_graph
 from prodgraph.rng import SplitMix64
 
 
@@ -222,7 +221,6 @@ def _adjacency_routes():
         "from_dense": SparseAdjacency.from_dense(dense_adjacency(g)),
         "union": internal.union(external_adjacency(g)),
         "from_coo_text": SparseAdjacency.from_coo_text(internal.to_coo_text()),
-        "restrict_adjacency": restrict_adjacency(internal, mask),
         "apply_sampling_mask": apply_sampling_mask(internal, mask),
     }
 
@@ -233,18 +231,6 @@ def test_entry_columns_are_contiguous(route):
     assert adj.nnz > 1
     assert adj.entries[:, 0].flags.c_contiguous and adj.entries[:, 1].flags.c_contiguous
     assert not adj.entries.flags.writeable
-
-
-def test_row_segments_are_the_row_runs_and_built_once():
-    for adj in _adjacency_routes().values():
-        starts, counts = adj.row_segments
-        rows = adj.entries[:, 0]
-        want = [i for i in range(adj.nnz) if i == 0 or rows[i] != rows[i - 1]]
-        assert starts.tolist() == want
-        assert counts.tolist() == np.diff(want + [adj.nnz]).tolist()
-        assert adj.row_segments is adj.row_segments
-    starts, counts = SparseAdjacency(3, 3).row_segments
-    assert starts.size == counts.size == 0
 
 
 def test_sparse_rejects_out_of_bounds():
@@ -264,43 +250,6 @@ def test_coo_text_roundtrip():
 def test_coo_text_rejects_bad_header():
     with pytest.raises(ParseError):
         SparseAdjacency.from_coo_text("4 4 7\n0 1\n")
-
-
-def test_sparse_matmul_matches_dense():
-    rng = np.random.default_rng(5)
-    adj = SparseAdjacency.from_pairs(4, 4, [(0, 1), (1, 3), (2, 0), (2, 2)])
-    x = rng.standard_normal((4, 3))
-    assert np.allclose(adj.matmul(x), adj.to_dense() @ x)
-
-
-def test_sparse_matmul_of_empty_adjacency_is_zero():
-    out = SparseAdjacency(rows=3, cols=5).matmul(np.ones((5, 2)))
-    assert out.shape == (3, 2) and out.dtype == np.float64
-    assert not out.any()
-
-
-def _scatter_cases():
-    rng = np.random.default_rng(11)
-    index = rng.integers(0, 7, 300)  # repeated and unsorted; size 10 leaves rows 7-9 empty
-    # magnitudes over 16 decades make every summation order round differently
-    scale = 10.0 ** rng.uniform(-8.0, 8.0, 300)
-    empty = np.empty(0, dtype=np.int64)
-    return [
-        (index, rng.standard_normal(300) * scale, 10),
-        (index, rng.standard_normal((300, 4, 2)) * scale[:, None, None], 10),
-        (empty, np.empty(0), 5),
-        (empty, np.empty((0, 4, 2)), 5),
-    ]
-
-
-@pytest.mark.parametrize("index, vals, size", _scatter_cases(),
-                         ids=["1d", "e-4-2", "empty-1d", "empty-e-4-2"])
-def test_scatter_sum_equals_add_at_bitwise(index, vals, size):
-    expected = np.zeros((size,) + vals.shape[1:])
-    np.add.at(expected, index, vals)
-    got = scatter_sum(index, np.moveaxis(vals, 0, -1), size)  # channel-major values
-    assert got.shape == expected.shape and got.dtype == np.float64
-    assert got.tobytes() == expected.tobytes()
 
 
 def test_random_graph_is_seed_deterministic():

@@ -11,11 +11,13 @@ import pytest
 from prodgraph import (
     AttentionParams,
     EncoderParams,
+    Graph,
     MLPParams,
     Pipeline,
     ProductState,
     RGCNParams,
     SABParams,
+    ScaleError,
     ShapeMismatch,
     build_product_bundle,
     external_adjacency,
@@ -91,21 +93,22 @@ def pipeline_on(g, layers, pool_mlp, variant="sum_sum"):
 
 
 def test_attention_singleton_neighborhood_is_value_projection():
-    # point adjacency: every row has exactly one in-neighbor, so softmax = 1
-    n = 3
-    rng = SplitMix64(1)
-    params = AttentionParams.from_rng(5, 8, 4, rng)
-    x = random_state(n * n, 5, seed=2)
-    pt = point_adjacency(n)
-    out = sparse_attention(ProductState(x=x), pt, params, heads=4)
+    # a perfect matching: every row has exactly one in-neighbour along either
+    # axis, so its softmax weight is 1 and it emits that neighbour's value
+    g = Graph(n=4, edges=frozenset({(0, 2), (1, 3)}))
+    bundle = build_product_bundle(g)
+    params = AttentionParams.from_rng(5, 8, 4, SplitMix64(1))
+    x = random_state(16, 5, seed=2)
     values = x @ params.w_value
-    for (r, c) in pt.entry_set():
-        assert np.abs(out[r] - values[c]).max() <= 1e-14
+    for adj, coo in ((bundle.internal, internal_adjacency(g)), (bundle.external, external_adjacency(g))):
+        out = sparse_attention(ProductState(x=x), adj, params, heads=4)
+        for (r, c) in coo.entry_set():
+            assert np.abs(out[r] - values[c]).max() <= 1e-14
 
 
 def test_attention_identical_features_give_uniform_weights():
     g = complete_graph(4)
-    adj = internal_adjacency(g)
+    adj = build_product_bundle(g).internal
     x = np.tile(random_state(1, 6, seed=3), (16, 1))
     rng = SplitMix64(4)
     params = AttentionParams.from_rng(6, 8, 4, rng)
@@ -117,21 +120,20 @@ def test_attention_identical_features_give_uniform_weights():
 
 def test_attention_empty_rows_emit_zeros():
     g = path_graph(3)  # nodes 0-1-2; node pairs without edges stay empty
-    adj = internal_adjacency(g)
+    adj = build_product_bundle(g).internal
     x = random_state(9, 4, seed=5)
     rng = SplitMix64(6)
     params = AttentionParams.from_rng(4, 4, 2, rng)
     out = sparse_attention(ProductState(x=x), adj, params, heads=2)
-    rows_with_edges = set(adj.entries[:, 0].tolist())
+    rows_with_edges = set(internal_adjacency(g).entries[:, 0].tolist())
     for r in range(9):
         if r not in rows_with_edges:
             assert not out[r].any()
-    # fully empty adjacency (disconnected base graph) must not poison anything
-    from prodgraph import SparseAdjacency
-
+    # an edgeless base graph leaves every row empty and must not poison anything
     x2 = random_state(4, 4, seed=7)
-    none = SparseAdjacency(rows=4, cols=4)
-    assert not sparse_attention(ProductState(x=x2), none, params, heads=2).any()
+    none = build_product_bundle(Graph(n=2, edges=frozenset()))
+    for adj in (none.internal, none.external):
+        assert not sparse_attention(ProductState(x=x2), adj, params, heads=2).any()
 
 
 def test_attention_matches_dense_oracle():
@@ -141,32 +143,42 @@ def test_attention_matches_dense_oracle():
         rng = SplitMix64(seed + 10)
         params = AttentionParams.from_rng(6, 8, 4, rng)
         x = random_state(n * n, 6, seed=seed + 30)
-        for adj in (internal_adjacency(g), external_adjacency(g)):
+        bundle = build_product_bundle(g)
+        for adj, coo in ((bundle.internal, internal_adjacency(g)),
+                         (bundle.external, external_adjacency(g))):
             sparse = sparse_attention(ProductState(x=x), adj, params, heads=4)
-            dense = dense_attention_oracle(x, adj.to_dense(), params)
+            dense = dense_attention_oracle(x, coo.to_dense(), params)
             assert np.abs(sparse - dense).max() <= 1e-12
 
 
 def test_attention_shape_mismatch():
     params = AttentionParams.from_rng(6, 8, 4, SplitMix64(0))
+    internal = build_product_bundle(P2).internal
     x = random_state(4, 5, seed=1)
     with pytest.raises(ShapeMismatch):
-        sparse_attention(ProductState(x=x), internal_adjacency(P2), params, heads=4)
+        sparse_attention(ProductState(x=x), internal, params, heads=4)
+    # a state with rows for another grid is refused
+    with pytest.raises(ShapeMismatch):
+        sparse_attention(ProductState(x=random_state(9, 6, seed=1)), internal, params, heads=4)
     # the head count is the parameters'; a heads argument that disagrees is refused
     x = random_state(4, 6, seed=1)
     for heads in (1, 2, 3, 8):
         with pytest.raises(ShapeMismatch):
-            sparse_attention(ProductState(x=x), internal_adjacency(P2), params, heads=heads)
+            sparse_attention(ProductState(x=x), internal, params, heads=heads)
 
 
 # --- point update -----------------------------------------------------------
+
+
+def point_of(n):
+    return build_product_bundle(path_graph(n)).point
 
 
 def test_point_update_formula_is_uniform_at_roots():
     # with eps = -1 the self term cancels and the root row passes through
     n = 3
     x = random_state(n * n, 4, seed=11)
-    out = point_update(ProductState(x=x), point_adjacency(n), -1.0, identity_mlp(4))
+    out = point_update(ProductState(x=x), point_of(n), -1.0, identity_mlp(4))
     for v in range(n):
         root = v * n + v
         assert np.abs(out[root] - x[root]).max() <= 1e-14  # (1-1)X + X at roots
@@ -175,9 +187,8 @@ def test_point_update_formula_is_uniform_at_roots():
 def test_point_update_identity_mlp_eps_zero():
     n = 3
     x = random_state(n * n, 4, seed=12)
-    pt = point_adjacency(n)
-    out = point_update(ProductState(x=x), pt, 0.0, identity_mlp(4))
-    assert np.abs(out - (x + pt.to_dense() @ x)).max() <= 1e-14
+    out = point_update(ProductState(x=x), point_of(n), 0.0, identity_mlp(4))
+    assert np.abs(out - (x + point_adjacency(n).to_dense() @ x)).max() <= 1e-14
 
 
 def test_point_update_matches_dense_oracle():
@@ -187,9 +198,8 @@ def test_point_update_matches_dense_oracle():
         mlp = MLPParams.from_rng(4, 6, 5, rng)
         eps = rng.uniform(-0.5, 0.5)
         x = random_state(n * n, 4, seed=seed + 50)
-        pt = point_adjacency(n)
-        out = point_update(ProductState(x=x), pt, eps, mlp)
-        dense = dense_point_oracle(x, pt.to_dense(), eps, mlp)
+        out = point_update(ProductState(x=x), point_of(n), eps, mlp)
+        dense = dense_point_oracle(x, point_adjacency(n).to_dense(), eps, mlp)
         assert np.abs(out - dense).max() <= 1e-12
 
 
@@ -202,20 +212,15 @@ def test_point_message_under_sampling():
     rank = {s: i for i, s in enumerate(kept)}
     full, x0 = make_pipeline(ISOLATED_NODE_GRAPH, seed=7)
     pipe, x = full.sampled(x0, ISOLATED_NODE_MASK)
-    roots = {}
-    for r, c in pipe.point.entry_set():
-        assert r not in roots
-        roots[r] = c
+    assert pipe.point.nnz == len(kept) ** 2
     # the m*n-row state is not a ProductState; point_update reads only `x`
     out = point_update(SimpleNamespace(x=x), pipe.point, 0.25, identity_mlp(4))
     for s in kept:
         for v in range(n):
             row = rank[s] * n + v
             if v in rank:
-                assert roots[row] == rank[v] * n + v
                 assert np.array_equal(out[row], 1.25 * x[row] + x[rank[v] * n + v])
             else:
-                assert row not in roots
                 assert np.array_equal(out[row], 1.25 * x[row])
 
 
@@ -322,9 +327,8 @@ def test_rgcn_block_weights_concatenate():
         w_external=np.hstack([zeros, zeros, zeros, eye]),
     )
     out = rgcn_layer(ProductState(x=x), bundle, params).x
-    expected = np.hstack(
-        [x, bundle.point.matmul(x), bundle.internal.matmul(x), bundle.external.matmul(x)]
-    )
+    expected = np.hstack([x, point_adjacency(n).to_dense() @ x,
+                          internal_adjacency(g).to_dense() @ x, external_adjacency(g).to_dense() @ x])
     assert np.abs(out - expected).max() == 0.0
 
 
@@ -338,9 +342,9 @@ def test_rgcn_matches_dense_oracle():
         out = rgcn_layer(ProductState(x=x), bundle, params).x
         dense = dense_rgcn_oracle(
             x,
-            bundle.internal.to_dense(),
-            bundle.external.to_dense(),
-            bundle.point.to_dense(),
+            internal_adjacency(g).to_dense(),
+            external_adjacency(g).to_dense(),
+            point_adjacency(n).to_dense(),
             params,
         )
         assert np.abs(out - dense).max() <= 1e-12
@@ -416,8 +420,10 @@ def test_grad_check_rejects_non_finite_gradient():
 def test_grad_check_sampled_system_with_empty_rows():
     full, x0 = make_pipeline(ISOLATED_NODE_GRAPH, seed=3, layers=2)
     pipe, x0 = full.sampled(x0, ISOLATED_NODE_MASK)
-    for adj in (pipe.internal, pipe.external, pipe.point):  # some rows lack in-neighbors
-        assert 0 < np.unique(adj.entries[:, 0]).size < adj.rows
+    ones = np.ones((x0.shape[0], 1))
+    for received in (pipe.internal.neighbor_sum(ones), pipe.external.neighbor_sum(ones),
+                     pipe.point.gather(ones)):  # some rows lack in-neighbors
+        assert 0 < np.count_nonzero(received) < x0.shape[0]
     report = grad_check(pipe, x0)
     assert report.passed
     assert report.max_rel_error <= 1e-4
@@ -620,6 +626,35 @@ def test_run_forward_sampling_is_seeded():
     c = run_forward(g, ForwardConfig(k=3, seed=1, sample_ratio=0.5, sample_seed=6))
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("layers, d, heads, features", [(0, 1, 1, 0), (2, 8, 4, 0), (3, 6, 2, 3)])
+def test_model_size_is_bounded_by_memory_before_drawing(monkeypatch, layers, d, heads, features):
+    # the bound counts exactly the parameters the model draws
+    g = random_graph(5, 0.5, seed=95, with_features=features)
+    cfg = ForwardConfig(k=3, layers=layers, d=d, heads=heads)
+    count = sum(arr.size for _, arr in build_forward_model(g, cfg).named())
+    sysconf = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 8 * count}
+    monkeypatch.setattr(model_module.os, "sysconf", sysconf.__getitem__)
+    build_forward_model(g, cfg)
+    sysconf["SC_PHYS_PAGES"] -= 1
+    with pytest.raises(ScaleError):
+        build_forward_model(g, cfg)
+
+
+def test_forward_builds_no_product_coo(monkeypatch):
+    # the model path runs on the factored edge types: neither the n^2-row
+    # COO builders nor the COO sampling filter may be reached
+    from prodgraph import product
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the forward pass built an n^2-row COO adjacency")
+
+    for name in ("slot_adjacency", "k_point_adjacency", "_sampled_entries"):
+        monkeypatch.setattr(product, name, refuse)
+    g = random_graph(7, 0.5, seed=94)
+    for ratio in (None, 0.5, 1.0):
+        assert np.isfinite(run_forward(g, ForwardConfig(k=3, sample_ratio=ratio))).all()
 
 
 @pytest.mark.xfail(strict=True, reason="the eigenvector sign rule depends on node order")

@@ -9,6 +9,7 @@ from prodgraph import (
     RangeError,
     SamplingMask,
     ScaleError,
+    ValidationError,
     apply_sampling_mask,
     cartesian_operator,
     cartesian_product_adjacency,
@@ -31,7 +32,14 @@ from prodgraph import (
 from prodgraph.product import build_product_bundle
 from prodgraph.graphs import SparseAdjacency, complete_graph, path_graph
 from prodgraph.rng import SplitMix64
-from tuple_reference import flatten, point_pairs, reference_adjacency, slot_pairs, unflatten
+from tuple_reference import (
+    factored_adjacency,
+    flatten,
+    point_pairs,
+    reference_adjacency,
+    slot_pairs,
+    unflatten,
+)
 
 P2 = path_graph(2)
 K3 = complete_graph(3)
@@ -366,7 +374,30 @@ def test_bundle_disjoint_internal_external():
     for seed in range(6):
         g = random_graph(4, 0.6, seed=seed)
         bundle = build_product_bundle(g)
-        assert not (bundle.internal.entry_set() & bundle.external.entry_set())
+        internal, external = factored_adjacency(bundle.internal), factored_adjacency(bundle.external)
+        assert not (internal.entry_set() & external.entry_set())
+        # the factored types are the matrices the COO builders materialize
+        for factored, coo, built in ((bundle.internal, internal, internal_adjacency(g)),
+                                     (bundle.external, external, external_adjacency(g)),
+                                     (bundle.point, factored_adjacency(bundle.point), point_adjacency(4))):
+            assert np.array_equal(coo.entries, built.entries)
+            assert factored.nnz == built.nnz
+
+
+def test_degree_buckets_partition_the_base_edges():
+    for g in (random_graph(9, 0.4, seed=3), Graph(n=4, edges=frozenset({(0, 1)})), EMPTY2):
+        adj = build_product_bundle(g).internal
+        nbrs = g.neighbors()
+        seen = []
+        edges = [(u, w) for b in adj.buckets for u, row in zip(b.nodes, b.senders) for w in row]
+        for b in adj.buckets:
+            assert (np.diff(b.nodes) > 0).all()
+            for u, row, rev in zip(b.nodes, b.senders, b.reverse):
+                assert row.tolist() == nbrs[u]  # every receiver of degree k, its senders ascending
+                assert [edges[e] for e in rev] == [(w, u) for w in row]
+                seen.append(int(u))
+        assert sorted(seen) == [u for u in range(g.n) if nbrs[u]]
+        assert len(edges) == 2 * g.num_edges
 
 
 def test_adjacency_permutation_equivariance():
@@ -427,13 +458,48 @@ def test_restriction_matches_from_pairs_route():
         g = random_graph(n, 0.5, seed=seed + 40)
         rng = SplitMix64(seed)
         mask = SamplingMask.from_ratio(n, 0.2 + 0.1 * (seed % 8), rng)
-        for adj in (internal_adjacency(g), external_adjacency(g), point_adjacency(n)):
+        bundle = build_product_bundle(g)
+        for adj, factored in ((internal_adjacency(g), bundle.internal),
+                              (external_adjacency(g), bundle.external),
+                              (point_adjacency(n), bundle.point)):
             masked_ref, restricted_ref = _from_pairs_restriction(adj, mask)
             masked = apply_sampling_mask(adj, mask)
-            restricted = restrict_adjacency(adj, mask)
+            restricted = restrict_adjacency(factored, mask)
             assert np.array_equal(masked.entries, masked_ref.entries)
-            assert np.array_equal(restricted.entries, restricted_ref.entries)
-            assert (restricted.rows, restricted.cols) == (restricted_ref.rows, restricted_ref.cols)
+            assert np.array_equal(factored_adjacency(restricted).entries, restricted_ref.entries)
+            assert restricted.nnz == restricted_ref.nnz
+            assert restricted.grid == (len(mask.sampled), n)
+
+
+def test_factored_products_match_dense():
+    # neighbor_sum and gather are the matrices times x, sampled or not, and
+    # rows without in-neighbours (all of them for an edgeless graph) get zeros
+    rng = np.random.default_rng(3)
+    for g in (random_graph(5, 0.5, seed=6), EMPTY2, Graph(n=1, edges=frozenset())):
+        bundle = build_product_bundle(g)
+        for mask in (SamplingMask.full(g.n), SamplingMask(n=g.n, sampled=(0,))):
+            for kind in ("internal", "external", "point"):
+                adj = restrict_adjacency(getattr(bundle, kind), mask)
+                x = rng.standard_normal((len(mask.sampled) * g.n, 3))
+                got = adj.gather(x) if kind == "point" else adj.neighbor_sum(x)
+                assert got.shape == x.shape and got.dtype == np.float64
+                assert np.allclose(got, factored_adjacency(adj).to_dense() @ x, rtol=0, atol=1e-12)
+
+
+def test_restriction_full_mask_keeps_arrays_and_refuses_a_second_mask():
+    g = random_graph(6, 0.5, seed=8)
+    bundle = build_product_bundle(g)
+    for kind in ("internal", "external", "point"):
+        adj = getattr(bundle, kind)
+        full = restrict_adjacency(adj, SamplingMask.full(6))
+        for name, value in vars(adj).items():
+            if name != "buckets":
+                assert np.array_equal(getattr(full, name), value), (kind, name)
+        restricted = restrict_adjacency(adj, SamplingMask(n=6, sampled=(0, 3, 4)))
+        with pytest.raises(ValidationError):
+            restrict_adjacency(restricted, SamplingMask(n=6, sampled=(0, 1)))
+        with pytest.raises(ValidationError):
+            restrict_adjacency(adj, SamplingMask(n=5, sampled=(0, 1)))
 
 
 def test_mask_idempotent():
@@ -463,16 +529,40 @@ def test_mask_matches_dense_and_semantics():
 def test_restrict_adjacency_reindexes():
     g = random_graph(4, 0.6, seed=1)
     mask = SamplingMask(n=4, sampled=(1, 3))
-    adj = internal_adjacency(g)
-    restricted = restrict_adjacency(adj, mask)
-    assert restricted.rows == 2 * 4
-    # rank mapping: subgraph 1 -> 0, subgraph 3 -> 1
-    masked = apply_sampling_mask(adj, mask)
-    expect = set()
-    rank = {1: 0, 3: 1}
-    for (r, c) in masked.entry_set():
-        expect.add((rank[r // 4] * 4 + r % 4, rank[c // 4] * 4 + c % 4))
-    assert restricted.entry_set() == expect
+    bundle = build_product_bundle(g)
+    rank = {1: 0, 3: 1}  # subgraph 1 -> 0, subgraph 3 -> 1
+    for adj, factored in ((internal_adjacency(g), bundle.internal),
+                          (external_adjacency(g), bundle.external)):
+        restricted = restrict_adjacency(factored, mask)
+        assert restricted.grid == (2, 4)
+        masked = apply_sampling_mask(adj, mask)
+        expect = set()
+        for (r, c) in masked.entry_set():
+            expect.add((rank[r // 4] * 4 + r % 4, rank[c // 4] * 4 + c % 4))
+        assert factored_adjacency(restricted).entry_set() == expect
+
+
+def test_restriction_is_a_slice_not_a_coo_filter():
+    # the train_er256_sampled system: n = 256, mean degree 4, half the
+    # subgraphs; the restricted internal COO alone would be 131,072 entries
+    # of 16 bytes, 2 MB
+    import tracemalloc
+
+    n = 256
+    g = random_graph(n, 4 / (n - 1), seed=12)
+    bundle = build_product_bundle(g)
+    mask = SamplingMask.from_ratio(n, 0.5, SplitMix64(13))
+    tracemalloc.start()
+    try:
+        restricted = [restrict_adjacency(getattr(bundle, kind), mask)
+                      for kind in ("internal", "external", "point")]
+        for adj in restricted[:2]:  # the degree buckets the kernel walks
+            adj.buckets
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
+    assert restricted[0].nnz == 128 * 2 * g.num_edges
 
 
 def test_restrict_rows():

@@ -26,6 +26,7 @@ from prodgraph import (
 from prodgraph.graphs import complete_graph, cycle_graph, path_graph
 from prodgraph.product import product_permutation
 from prodgraph.spectral import _canonical_signs
+from tuple_reference import full_enumeration_tuple_pe
 
 P2 = path_graph(2)
 P4 = path_graph(4)
@@ -231,6 +232,26 @@ def test_k_tuple_pe_matches_product_pe_bitwise():
         b = k_tuple_pe(g, 2, n * n)
         assert np.array_equal(a.data, b.data)
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
+
+
+def test_k_tuple_pe_sorts_only_candidate_tuples_bytewise():
+    # the library enumerates only tuples with every index below k; the
+    # reference sorts all n^K of them
+    graphs = [cycle_graph(6), complete_graph(4), path_graph(5), Graph(n=1, edges=frozenset()),
+              Graph(n=4, edges=frozenset())]
+    graphs += [random_graph(n, 0.4, seed=n) for n in (3, 7, 12)]
+    cases = 0
+    for g in graphs:
+        for order in (2, 3):
+            for k in (1, 2, 4, 9):
+                if k > g.n**order:
+                    continue
+                pe = k_tuple_pe(g, order, k)
+                data, labels = full_enumeration_tuple_pe(g, order, k)
+                assert pe.data.tobytes() == data.tobytes(), (g.n, order, k)
+                assert pe.eigenvalues.tobytes() == labels.tobytes(), (g.n, order, k)
+                cases += 1
+    assert cases == 58
 
 
 def test_k_tuple_pe_p2_cube_spectrum():

@@ -1,11 +1,15 @@
-"""Brute-force K-tuple adjacencies, enumerated tuple by tuple from their definitions.
+"""Brute-force K-tuple adjacencies and PEs, enumerated from their definitions.
 
-These references share no index arithmetic with the library: every tuple is
-decoded with `unflatten`, edited as a Python tuple, and encoded again with
-`flatten`, a scalar digit loop kept here rather than in the library.
+The adjacency references share no index arithmetic with the library: every
+tuple is decoded with `unflatten`, edited as a Python tuple, and encoded
+again with `flatten`, a scalar digit loop kept here rather than in the
+library.  The PE reference sorts every one of the n^K index tuples, which
+the library's sort of the candidate tuples must reproduce byte for byte.
 """
 
-from prodgraph import SparseAdjacency
+import numpy as np
+
+from prodgraph import PointAdjacency, SparseAdjacency, eig_sym, laplacian
 
 
 def flatten(t, n):
@@ -53,3 +57,40 @@ def point_pairs(n, tuple_order, i):
 def reference_adjacency(n, tuple_order, pairs):
     size = n**tuple_order
     return SparseAdjacency.from_pairs(size, size, pairs)
+
+
+def factored_adjacency(adj):
+    """The m*n x m*n COO matrix of a factored edge type, entry by entry.
+
+    A KronAdjacency entry moves the grid coordinate on its axis along one
+    base edge and keeps the other; a PointAdjacency sends row (s, v) to
+    (rank v, v) for every v in its sampled set.
+    """
+    m, n = adj.grid
+    pairs = []
+    if isinstance(adj, PointAdjacency):
+        rank = {v: i for i, v in enumerate(adj.sampled.tolist())}
+        pairs = [(s * n + v, rank[v] * n + v) for s in range(m) for v in rank]
+    else:
+        for u, w in zip(adj.src.tolist(), adj.dst.tolist()):
+            for b in range(adj.grid[1 - adj.axis]):
+                (s, v), (s2, v2) = ((b, u), (b, w)) if adj.axis else ((u, b), (w, b))
+                pairs.append((s * n + v, s2 * n + v2))
+    return SparseAdjacency.from_pairs(m * n, m * n, pairs)
+
+
+def full_enumeration_tuple_pe(g, tuple_order, k):
+    """(data, eigenvalues) of the first k K-tuple PE columns, every one of
+    the n^K base index tuples a candidate, sorted by (label, t1, ..., tK)."""
+    base = eig_sym(laplacian(g))
+    lam = base.values
+    tuples = [t.ravel() for t in np.indices((g.n,) * tuple_order)]
+    labels = lam[tuples[0]]
+    for t in tuples[1:]:
+        labels = labels + lam[t]
+    order = np.lexsort((*tuples[::-1], labels))[:k]
+    data = base.vectors[:, tuples[0][order]]
+    for t in tuples[1:]:
+        factor = base.vectors[:, t[order]]
+        data = (data[:, None, :] * factor[None, :, :]).reshape(-1, k)
+    return data, labels[order]
