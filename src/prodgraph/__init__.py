@@ -50,7 +50,6 @@ from .product import (
     PointAdjacency,
     ProductGraphBundle,
     SamplingMask,
-    apply_sampling_mask,
     build_product_bundle,
     cartesian_operator,
     cartesian_product_adjacency,
@@ -64,6 +63,7 @@ from .product import (
     product_permutation,
     restrict_adjacency,
     restrict_rows,
+    sampled_adjacency,
     slot_adjacency,
 )
 from .rng import SplitMix64

@@ -31,12 +31,10 @@ from .model import (
 )
 from .product import (
     SamplingMask,
-    apply_sampling_mask,
+    build_product_bundle,
     check_scale,
-    external_adjacency,
-    internal_adjacency,
     k_point_adjacency,
-    point_adjacency,
+    sampled_adjacency,
     slot_adjacency,
 )
 from .rng import SplitMix64
@@ -62,8 +60,7 @@ def cmd_build_product(args) -> int:
     # every adjacency is built before the output directory is made, so a
     # graph too large to build leaves nothing behind
     if order == 2:
-        adjs = {"internal": internal_adjacency(g), "external": external_adjacency(g),
-                "point": point_adjacency(g.n)}
+        adjs = {name: adj.to_sparse() for name, adj in vars(build_product_bundle(g)).items()}
     else:
         check_scale(g.n, order)
         slots = [slot_adjacency(g, order, k) for k in range(order)]
@@ -141,9 +138,8 @@ def cmd_sample(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        _write_coo(apply_sampling_mask(internal_adjacency(g), mask), out / "internal.coo")
-        _write_coo(apply_sampling_mask(external_adjacency(g), mask), out / "external.coo")
-        _write_coo(apply_sampling_mask(point_adjacency(g.n), mask), out / "point.coo")
+        for name, adj in vars(build_product_bundle(g)).items():
+            _write_coo(sampled_adjacency(adj, mask), out / f"{name}.coo")
     return 0
 
 

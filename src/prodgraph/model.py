@@ -77,31 +77,19 @@ def _uniform_array(rng: SplitMix64, shape: tuple[int, ...], fan_in: int) -> np.n
     return rng.uniform_array(-bound, bound, math.prod(shape)).reshape(shape)
 
 
-_DRAW_BLOCK = 4096
+class _DrawCursor:
+    """The first `count` units u of SplitMix64(seed), drawn as one run.
+    `uniform_array(low, high, size)` serves the next `size` in order as
+    low + (high - low) * u, the raw stream's values bit for bit
+    (0.0 + 1.0 * u is u); a request past the end is refused."""
 
-
-class _BlockDraws:
-    """A SplitMix64 stream read in blocks of at least _DRAW_BLOCK units.
-
-    `uniform_array(low, high, size)` serves the next `size` units u of
-    `rng.uniform_array(0.0, 1.0, block)` calls as low + (high - low) * u,
-    which are the values of the same call on the raw stream, bit for bit
-    (0.0 + 1.0 * u is u).  It reads the stream past the last unit it
-    serves, so the stream must not be drawn from afterwards.
-    """
-
-    def __init__(self, rng: SplitMix64):
-        self._rng = rng
-        self._units = np.empty(0)
+    def __init__(self, seed: int, count: int):
+        self._units = SplitMix64(seed).uniform_array(0.0, 1.0, count)
         self._pos = 0
 
     def uniform_array(self, low: float, high: float, size: int) -> np.ndarray:
-        if size < 0:
-            raise ValueError("size must be non-negative")
-        if self._pos + size > self._units.size:
-            rest = self._units[self._pos:]
-            fresh = self._rng.uniform_array(0.0, 1.0, max(_DRAW_BLOCK, size - rest.size))
-            self._units, self._pos = np.concatenate([rest, fresh]), 0
+        if not 0 <= size <= self._units.size - self._pos:
+            raise ValueError(f"{size} draws asked, {self._units.size - self._pos} left")
         unit = self._units[self._pos:self._pos + size]
         self._pos += size
         return low + (high - low) * unit
@@ -509,6 +497,11 @@ class Pipeline:
     pool_mlp: MLPParams
     variant: str = "sum_sum"
 
+    def __post_init__(self):
+        grids = self.internal.grid, self.external.grid, self.point.grid
+        if not grids[0] == grids[1] == grids[2] == (grids[2][0], self.n):
+            raise ShapeMismatch(f"edge types on grids {grids} do not share one (m, {self.n}) grid")
+
     def named_arrays(self):
         return _named(self.layers, ("layers",)) + _named(self.pool_mlp, ("pool_mlp",))
 
@@ -653,9 +646,9 @@ class ForwardModel:
 def build_forward_model(g: Graph, cfg: ForwardConfig) -> ForwardModel:
     """Every parameter of the forward pass, drawn from SplitMix64(cfg.seed).
 
-    The draws go through one _BlockDraws, so a model of fewer than
-    _DRAW_BLOCK values costs one stream evaluation; each array holds the
-    values that per-array uniform_array calls on the raw stream give.
+    The model's values are counted first and drawn as one run of the
+    stream (_DrawCursor); each array holds the values that per-array
+    uniform_array calls on the raw stream give.
     """
     if min(cfg.k, cfg.d, cfg.heads) < 1 or cfg.layers < 0:
         raise RangeError(f"need k, d, heads >= 1 and layers >= 0, got k={cfg.k}, d={cfg.d}, "
@@ -667,7 +660,7 @@ def build_forward_model(g: Graph, cfg: ForwardConfig) -> ForwardModel:
     count = (g.n + d_feat + cfg.k + 3 * d + 4) * d + cfg.layers * (12 * d * d + 8 * d + 1)
     if 8 * count > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
         raise ScaleError(f"the model's {count} float64 parameters exceed the machine's memory")
-    rng = _BlockDraws(SplitMix64(cfg.seed))
+    rng = _DrawCursor(cfg.seed, count)
     mark_table = _uniform_array(rng, (g.n + 1, d), g.n + 1)
     encoder = EncoderParams.from_rng(d_feat + cfg.k + d, d, rng)
     layers = [SABParams.from_rng(d, d, rng, cfg.heads) for _ in range(cfg.layers)]

@@ -10,13 +10,15 @@ node set:
   external  (s,v)-(s',v)  for s ~ s'   == A (x) I   (across subgraphs)
   point     (s,v) <- (v,v)             (each tuple reads its root's row)
 
-The model holds them factored on the (m, n) grid of m kept subgraphs by n
-nodes: internal and external are one KronAdjacency type, the base factor
-acting along the node or the subgraph axis, and sampling keeps m subgraphs
-without touching an array of n^2 entries.  The K-tuple COO builders below
-(slot j carries I (x) ... (x) A (x) ... (x) I with A in position j) serve
-`build-product`, `sample` and the oracles.  Each places every entry at its
-row-major position by index arithmetic, so no builder sorts or dedups:
+Each edge type has one implementation: internal and external are one
+KronAdjacency type (the base factor acting along the node or the subgraph
+axis of the (m, n) grid of m kept subgraphs by n nodes, or along axis j for
+slot j of a K-tuple) and point is PointAdjacency.  The model runs them
+factored, and sampling keeps m subgraphs without touching an array of n^2
+entries.  The COO matrices of `build-product`, `sample` and the oracles are
+their to_sparse() expansions; only the K > 2 point type (k_point_adjacency)
+is built on its own.  Each COO builder places every entry at its row-major
+position by index arithmetic, so none sorts or dedups:
 SparseAdjacency's strict-order check is their guard.  Dense matrices appear
 only in the oracle builders (kron, cartesian_operator, k_factor_adjacency,
 closed_form_cartesian), guarded to n^K <= 4096 product nodes.
@@ -55,23 +57,30 @@ class DegreeBucket(NamedTuple):
 
 @dataclass(frozen=True)
 class KronAdjacency:
-    """I_m (x) A (`axis` 1) or A_S (x) I_n (`axis` 0) on the (m, n) `grid`.
+    """I (x) ... (x) A (x) ... (x) I on a K-axis `grid`, A along `axis`: on
+    the (m, n) grid, I_m (x) A (`axis` 1) or A_S (x) I_n (`axis` 0).
 
     The base factor is a symmetric adjacency on grid[axis] nodes, held as
-    its directed edges (src receives from dst) sorted by (src, dst).  Row
-    (s, v) of an (m*n, d) state receives from the rows that differ from it
-    only along `axis`, by one base edge; the other axis is a batch axis.
+    its directed edges (src receives from dst) sorted by (src, dst).  A row
+    of a (prod(grid), d) state receives from the rows that differ from it
+    only along `axis`, by one base edge; the other axes are batch axes.
     """
 
     src: np.ndarray
     dst: np.ndarray
     axis: int
-    grid: tuple[int, int]
+    grid: tuple[int, ...]
+
+    @cached_property
+    def _split(self) -> tuple[int, int, int]:
+        """(left, size, right): the grid axes before, at and after `axis`, flattened."""
+        return (math.prod(self.grid[:self.axis]), self.grid[self.axis],
+                math.prod(self.grid[self.axis + 1:]))
 
     @property
     def nnz(self) -> int:
-        """Entries of the m*n x m*n matrix: one per base edge and batch index."""
-        return self.src.size * self.grid[1 - self.axis]
+        """Entries of the matrix: one per base edge and batch index."""
+        return self.src.size * math.prod(self.grid) // self.grid[self.axis]
 
     @cached_property
     def buckets(self) -> tuple[DegreeBucket, ...]:
@@ -94,13 +103,17 @@ class KronAdjacency:
                      for a, b in zip(starts, np.r_[starts[1:], deg.size]))
 
     def node_major(self, a: np.ndarray) -> np.ndarray:
-        """(m*n, ...) rows as a contiguous (grid[axis], grid[1 - axis], ...) array."""
-        a = a.reshape(self.grid + a.shape[1:])
-        return np.ascontiguousarray(a.swapaxes(0, 1)) if self.axis else a
+        """(rows, ...) as a contiguous (size, left * right, ...) array: the
+        (left, size, right, ...) view with its first two axes swapped."""
+        left, size, right = self._split
+        a = np.ascontiguousarray(a.reshape((left, size, right) + a.shape[1:]).swapaxes(0, 1))
+        return a.reshape((size, left * right) + a.shape[3:])
 
     def grid_rows(self, a: np.ndarray) -> np.ndarray:
-        """The inverse of node_major: back to (m*n, ...) rows."""
-        return (a.swapaxes(0, 1) if self.axis else a).reshape((-1,) + a.shape[2:])
+        """The inverse of node_major: back to (rows, ...)."""
+        left, size, right = self._split
+        a = a.reshape((size, left, right) + a.shape[2:]).swapaxes(0, 1)
+        return a.reshape((-1,) + a.shape[3:])
 
     def neighbor_sum(self, x: np.ndarray) -> np.ndarray:
         """The matrix times x: each row's sum over its in-neighbours' rows."""
@@ -109,6 +122,28 @@ class KronAdjacency:
         for b in self.buckets:
             out[b.nodes] = np.take(xq, b.senders, axis=0).sum(axis=1)
         return self.grid_rows(out)
+
+    def to_sparse(self) -> SparseAdjacency:
+        """The matrix as COO, built in row-major order: left index, then
+        source, right index, target.  Within one left block, directed edge e
+        (sorted by source, then target) with rank k in its source's run of
+        deg entries, starting at first[source], and right index r sits at
+        first[source] * right + r * deg + k."""
+        left, size, right = self._split
+        src, dst = self.src, self.dst
+        deg = np.bincount(src, minlength=size)[src]
+        first = np.searchsorted(src, src)
+        rank = np.arange(src.size) - first
+        r = np.arange(right, dtype=np.int64)
+        pos = (first * right + rank)[:, None] + r * deg[:, None]
+        block = np.empty((2, pos.size), dtype=np.int64)  # (row, col) of one left block
+        block[0][pos] = src[:, None] * right + r
+        block[1][pos] = dst[:, None] * right + r
+        offsets = np.arange(left, dtype=np.int64)[:, None] * (size * right)
+        entries = np.empty((2, left, pos.size), dtype=np.int64)
+        np.add(block[:, None, :], offsets, out=entries)
+        rows = left * size * right
+        return SparseAdjacency(rows=rows, cols=rows, entries=entries.reshape(2, -1).T)
 
 
 @dataclass(frozen=True)
@@ -135,6 +170,13 @@ class PointAdjacency:
         out[:, self.sampled] = x3[np.arange(m), self.sampled]
         return out.reshape(x.shape)
 
+    def to_sparse(self) -> SparseAdjacency:
+        """The matrix as COO: one entry per row (s, v) with v in S, in row order."""
+        m, n = self.grid
+        roots = np.arange(m, dtype=np.int64) * n + self.sampled
+        rows = (np.arange(m, dtype=np.int64)[:, None] * n + self.sampled).ravel()
+        return SparseAdjacency(rows=m * n, cols=m * n, entries=np.array([rows, np.tile(roots, m)]).T)
+
 
 @dataclass(frozen=True)
 class ProductGraphBundle:
@@ -149,30 +191,12 @@ def slot_adjacency(g: Graph, tuple_order: int, slot: int) -> SparseAdjacency:
     """I (x) ... (x) A (x) ... (x) I with A in `slot`, 0-indexed from the left.
 
     Tuples t, t' are adjacent iff they agree everywhere except at `slot`,
-    where t[slot] ~ t'[slot] in g.  Entries are built in row-major order:
-    left digits, then source, right digits, target.  Within one left-digit
-    block, directed edge e (sorted by source, then target) with rank k in
-    its source's run of deg entries, starting at first[source], and right
-    digits r sits at first[source] * stride + r * deg + k.
+    where t[slot] ~ t'[slot] in g: the expansion of the KronAdjacency on
+    the n^K grid with A on axis `slot`.
     """
     if not 0 <= slot < tuple_order:
         raise RangeError(f"slot {slot} out of [0, {tuple_order})")
-    n = g.n
-    src, dst = g.directed_edges
-    stride = n ** (tuple_order - slot - 1)
-    deg = np.bincount(src, minlength=n)[src]
-    first = np.searchsorted(src, src)
-    rank = np.arange(src.size) - first
-    right = np.arange(stride, dtype=np.int64)
-    pos = (first * stride + rank)[:, None] + right * deg[:, None]
-    block = np.empty((2, pos.size), dtype=np.int64)  # (row, col) of one left-digit block
-    block[0][pos] = src[:, None] * stride + right
-    block[1][pos] = dst[:, None] * stride + right
-    left = np.arange(n**slot, dtype=np.int64)[:, None] * (n * stride)
-    entries = np.empty((2, left.size, pos.size), dtype=np.int64)
-    np.add(block[:, None, :], left, out=entries)
-    size = n**tuple_order
-    return SparseAdjacency(rows=size, cols=size, entries=entries.reshape(2, -1).T)
+    return KronAdjacency(*g.directed_edges, slot, (g.n,) * tuple_order).to_sparse()
 
 
 def internal_adjacency(g: Graph) -> SparseAdjacency:
@@ -187,7 +211,9 @@ def external_adjacency(g: Graph) -> SparseAdjacency:
 
 def point_adjacency(n: int) -> SparseAdjacency:
     """Row (s,v) has its single entry at column (v,v); asymmetric, nnz = n^2."""
-    return k_point_adjacency(n, 2, 1)
+    if n < 1:
+        raise RangeError(f"node count must be >= 1, got {n}")
+    return PointAdjacency(np.arange(n), n).to_sparse()
 
 
 def cartesian_product_adjacency(g: Graph) -> SparseAdjacency:
@@ -345,31 +371,6 @@ class SamplingMask:
         return cls(n=n, sampled=tuple(rng.sample_without_replacement(n, count)))
 
 
-def _sampled_entries(adj: SparseAdjacency, mask: SamplingMask) -> np.ndarray:
-    """The entries whose row and column subgraphs are sampled.
-
-    The adjacency must be square on the mask's n^2 product nodes.  A boolean
-    subset of row-major entries keeps their order, so the result is still
-    sorted and unique.  It is selected from the (2, nnz) view of the
-    column-major entries, so it comes out column-major too.
-    """
-    n = mask.n
-    if adj.rows != n * n or adj.cols != n * n:
-        raise ValidationError(f"mask is for {n * n} product nodes, adjacency is {adj.rows}x{adj.cols}")
-    is_sampled = np.zeros(n, dtype=bool)
-    is_sampled[np.asarray(mask.sampled, dtype=np.int64)] = True
-    keep = is_sampled[adj.entries[:, 0] // n] & is_sampled[adj.entries[:, 1] // n]
-    return adj.entries.T[:, keep].T
-
-
-def apply_sampling_mask(adj: SparseAdjacency, mask: SamplingMask) -> SparseAdjacency:
-    """Keep entry ((s,v),(s',v')) iff both s and s' are sampled."""
-    entries = _sampled_entries(adj, mask)
-    if entries.shape[0] == adj.nnz:
-        return adj
-    return SparseAdjacency(rows=adj.rows, cols=adj.cols, entries=entries)
-
-
 def restrict_adjacency(adj: KronAdjacency | PointAdjacency, mask: SamplingMask):
     """An edge type of the n x n grid restricted to the mask's m subgraphs,
     renumbered by rank: I_m (x) A, A_S (x) I_n with A induced on S, or point
@@ -388,6 +389,17 @@ def restrict_adjacency(adj: KronAdjacency | PointAdjacency, mask: SamplingMask):
     src, dst = rank[adj.src], rank[adj.dst]
     keep = (src >= 0) & (dst >= 0)
     return KronAdjacency(src[keep], dst[keep], 0, (kept.size, n))
+
+
+def sampled_adjacency(adj: KronAdjacency | PointAdjacency, mask: SamplingMask) -> SparseAdjacency:
+    """An edge type of the n x n grid as an n^2-square COO matrix with every
+    entry outside the sampled subgraphs dropped: restrict_adjacency's
+    expansion, each rank r mapped back to subgraph kept[r] by restrict_rows.
+    The map ascends, so the entries stay row-major."""
+    n = mask.n
+    index = restrict_rows(np.arange(n * n)[:, None], mask).ravel()  # rank row -> product row
+    entries = index[restrict_adjacency(adj, mask).to_sparse().entries]
+    return SparseAdjacency(rows=n * n, cols=n * n, entries=entries)
 
 
 def restrict_rows(x: np.ndarray, mask: SamplingMask) -> np.ndarray:

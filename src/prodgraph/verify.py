@@ -44,7 +44,6 @@ from .model import (
 from .product import (
     PointAdjacency,
     SamplingMask,
-    apply_sampling_mask,
     build_product_bundle,
     cartesian_operator,
     cartesian_product_adjacency,
@@ -56,6 +55,7 @@ from .product import (
     point_adjacency,
     product_permutation,
     restrict_adjacency,
+    sampled_adjacency,
     slot_adjacency,
 )
 from .rng import SplitMix64
@@ -225,10 +225,9 @@ def check_edge_counts(scale: str):
     graphs += [random_graph(2 + s % 7, 0.4, seed=s) for s in range(20 if scale == "full" else 6)]
     ok = True
     for g in graphs:
-        target = 2 * g.n * g.num_edges
-        ok &= internal_adjacency(g).nnz == target
-        ok &= external_adjacency(g).nnz == target
-        ok &= point_adjacency(g.n).nnz == g.n * g.n
+        target, bundle = 2 * g.n * g.num_edges, build_product_bundle(g)
+        for adj, count in ((bundle.internal, target), (bundle.external, target), (bundle.point, g.n * g.n)):
+            ok &= adj.nnz == adj.to_sparse().nnz == count
     return ok, 0.0 if ok else 1.0
 
 
@@ -239,29 +238,29 @@ def check_adjacency_equivariance(scale: str):
         g = random_graph(n, 0.5, seed=seed)
         perm = random_permutation(n, seed=seed + 50)
         pp = product_permutation(perm)
-        for build in (internal_adjacency, external_adjacency):
+        for build in (internal_adjacency, external_adjacency, lambda h: point_adjacency(h.n)):
             orig = build(g).to_dense()
             conjugated = np.zeros_like(orig)
             conjugated[np.ix_(pp, pp)] = orig
             dev = max(dev, int(np.abs(build(permute_graph(g, perm)).to_dense() - conjugated).max()))
-        orig_pt = point_adjacency(n).to_dense()
-        conj_pt = np.zeros_like(orig_pt)
-        conj_pt[np.ix_(pp, pp)] = orig_pt
-        dev = max(dev, int(np.abs(point_adjacency(n).to_dense() - conj_pt).max()))
     return dev == 0, float(dev)
 
 
-def check_mask_idempotence(scale: str):
+def check_sampled_adjacency_semantics(scale: str):
     dev = 0
     for seed in range(8 if scale == "full" else 3):
         n = 3 + seed % 4
         g = random_graph(n, 0.5, seed=seed)
-        rng = SplitMix64(seed)
-        mask = SamplingMask.from_ratio(n, 0.6, rng)
-        for adj in (internal_adjacency(g), external_adjacency(g), point_adjacency(n)):
-            once = apply_sampling_mask(adj, mask)
-            twice = apply_sampling_mask(once, mask)
-            dev = max(dev, int(np.abs(once.to_dense() - twice.to_dense()).max()))
+        mask = SamplingMask.from_ratio(n, 0.6, SplitMix64(seed))
+        a, eye = dense_adjacency(g), np.eye(n, dtype=np.int64)
+        point = np.zeros((n * n, n * n), dtype=np.int64)
+        point[np.arange(n * n), np.arange(n * n) % n * (n + 1)] = 1  # (s, v) reads (v, v)
+        kept = np.repeat(np.isin(np.arange(n), mask.sampled), n)
+        bundle = build_product_bundle(g)
+        for adj, dense in ((bundle.internal, kron(eye, a)), (bundle.external, kron(a, eye)),
+                           (bundle.point, point)):
+            expected = dense * kept[:, None] * kept[None, :]
+            dev = max(dev, int(np.abs(sampled_adjacency(adj, mask).to_dense() - expected).max()))
     return dev == 0, float(dev)
 
 
@@ -682,8 +681,8 @@ CHECKS = [
      [("edge-count-formulas", check_edge_counts)]),
     ("product-graph", "adjacency construction is permutation-equivariant",
      [("adjacency-equivariance", check_adjacency_equivariance)]),
-    ("product-graph", "sampling masks are idempotent",
-     [("mask-idempotence", check_mask_idempotence)]),
+    ("product-graph", "sampled adjacencies are the dense edge types on the sampled rows and columns",
+     [("sampled-adjacency-semantics", check_sampled_adjacency_semantics)]),
     ("spectral-pe", "pairwise eigenvalue sums match the product spectrum",
      [("spectrum-sum-law", check_spectrum_sum_law)]),
     ("spectral-pe", "eigenspace projectors agree across both routes",

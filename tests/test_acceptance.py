@@ -17,7 +17,6 @@ from prodgraph import (
     RGCNParams,
     SABParams,
     SamplingMask,
-    apply_sampling_mask,
     build_product_bundle,
     cartesian_operator,
     cartesian_product_adjacency,
@@ -34,6 +33,7 @@ from prodgraph import (
     random_graph,
     random_permutation,
     rgcn_layer,
+    sampled_adjacency,
 )
 from prodgraph.graphs import complete_graph, cycle_graph, path_graph
 from prodgraph.model import MLPParams, run_forward, ForwardConfig, _attention_forward
@@ -284,8 +284,11 @@ def test_criterion_8_sampling_semantics():
         mask = SamplingMask.from_ratio(n, 0.5, SplitMix64(seed))
         kept = np.array([1 if s in set(mask.sampled) else 0 for s in range(n)])
         mask_dense = np.repeat(kept, n)[:, None] * np.repeat(kept, n)[None, :]
-        for adj in (internal_adjacency(g), external_adjacency(g), point_adjacency(n)):
-            masked = apply_sampling_mask(adj, mask)
+        bundle = build_product_bundle(g)
+        for adj, factored in ((internal_adjacency(g), bundle.internal),
+                              (external_adjacency(g), bundle.external),
+                              (point_adjacency(n), bundle.point)):
+            masked = sampled_adjacency(factored, mask)
             exact_ok &= np.array_equal(masked.to_dense(), adj.to_dense() * mask_dense)
     g = random_graph(6, 0.5, seed=431)
     base = run_forward(g, ForwardConfig(k=3, seed=2))

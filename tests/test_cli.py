@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import struct
@@ -324,6 +325,40 @@ def test_sample_is_seed_deterministic(p2_file, capsys):
     _, out1, _ = run_cli(capsys, "sample", p2_file, "--ratio", "0.5", "--seed", "3")
     _, out2, _ = run_cli(capsys, "sample", p2_file, "--ratio", "0.5", "--seed", "3")
     assert out1 == out2
+
+
+OUTPUT_DIGESTS = {
+    "k2/external.coo": "12dc71f028b49f48f4878b59a6388733b8e58b6d9b89e099051b35c1f690360c",
+    "k2/internal.coo": "3ff5db5c81c2778c7a0bdae2b89478e11dae637f0b579a863a570b3085c42b85",
+    "k2/point.coo": "4cf5ac695a1c9ec97a5120217f429844e397734d8d99e9961d9f94294d8990c9",
+    "k3/point1.coo": "6aaca65db6270b8b8284e0affdcba8debafed367f732d792a442a64887893a4d",
+    "k3/point2.coo": "f83f21d8f476b5589e2a619e97a544ee3ab93e735fbc6533a371c620f3591494",
+    "k3/point3.coo": "37c4a1093adbbbb62143c42b948b18aec6e74409cec34eaf074d32a81808719b",
+    "k3/slot0.coo": "349f2288487b2e6b98a6e7bbd6e130522cf14c940bf3996f56d7f8a90089b3f2",
+    "k3/slot1.coo": "569d71382835949782bada2967ab32f6b2def8c74d605d6db2be3b35ace1459d",
+    "k3/slot2.coo": "127092ca54cb096e4ace0301bd5fecf86c323a1745b5e789b4f129d866fff487",
+    "k3/union.coo": "3a3af7f3bdc6586641e255423be9f942e8010df5b8db37020a269bb1b54bb01d",
+    "s/external.coo": "f0b50d3b9f22058243f36a87a78cad4d349e878e2d74d26da8d5d32eb470665b",
+    "s/internal.coo": "520ba33a0fea32d09a9714c11b8978a3dca2aed892c94286234c9cf842e77f40",
+    "s/point.coo": "aecf7835c1b34dc80768c58666d808360030917c28834777518df0c1bf570e0f",
+}
+
+
+def test_output_files_are_pinned_by_digest(tmp_path, capsys):
+    # a 7-node graph with an isolated node (6); the sample keeps 5 of 7 subgraphs
+    graph = tmp_path / "g.json"
+    graph.write_text('{"n":7,"edges":[[0,1],[1,2],[2,3],[3,4],[4,5],[1,4]]}')
+    for order in ("2", "3"):
+        code, _, _ = run_cli(capsys, "build-product", str(graph), "--tuple-order", order,
+                             "--include-point", "--out", str(tmp_path / f"k{order}"))
+        assert code == 0
+    code, stdout, _ = run_cli(capsys, "sample", str(graph), "--ratio", "0.6", "--seed", "1",
+                              "--out", str(tmp_path / "s"))
+    assert code == 0
+    assert stdout.splitlines()[0] == "0 1 3 4 6"
+    written = {p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in tmp_path.rglob("*.coo")}
+    assert written == OUTPUT_DIGESTS
 
 
 def test_pe_output_independent_of_sampling(p2_file, tmp_path, capsys):

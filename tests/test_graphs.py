@@ -12,7 +12,7 @@ from prodgraph import (
     ScaleError,
     SparseAdjacency,
     ValidationError,
-    apply_sampling_mask,
+    build_product_bundle,
     dense_adjacency,
     external_adjacency,
     graph_to_json,
@@ -22,6 +22,7 @@ from prodgraph import (
     permute_graph,
     random_graph,
     random_permutation,
+    sampled_adjacency,
     shortest_path_distances,
 )
 from prodgraph.graphs import complete_graph, cycle_graph, path_graph
@@ -221,7 +222,7 @@ def _adjacency_routes():
         "from_dense": SparseAdjacency.from_dense(dense_adjacency(g)),
         "union": internal.union(external_adjacency(g)),
         "from_coo_text": SparseAdjacency.from_coo_text(internal.to_coo_text()),
-        "apply_sampling_mask": apply_sampling_mask(internal, mask),
+        "sampled_adjacency": sampled_adjacency(build_product_bundle(g).internal, mask),
     }
 
 

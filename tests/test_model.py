@@ -12,6 +12,7 @@ from prodgraph import (
     AttentionParams,
     EncoderParams,
     Graph,
+    KronAdjacency,
     MLPParams,
     Pipeline,
     ProductState,
@@ -20,10 +21,12 @@ from prodgraph import (
     ScaleError,
     ShapeMismatch,
     build_product_bundle,
+    dense_adjacency,
     external_adjacency,
     grad_check,
     init_state,
     internal_adjacency,
+    kron,
     load_parameters,
     node_mark_indices,
     point_adjacency,
@@ -39,11 +42,12 @@ from prodgraph.graphs import complete_graph, load_graph, path_graph
 from prodgraph.model import (
     ForwardConfig,
     ForwardModel,
+    _attention_forward,
     _uniform_array,
     build_forward_model,
     run_forward,
 )
-from prodgraph.product import SamplingMask, product_permutation
+from prodgraph.product import SamplingMask, product_permutation, restrict_adjacency
 from prodgraph.rng import SplitMix64
 from prodgraph.verify import (
     ISOLATED_NODE_GRAPH,
@@ -149,6 +153,28 @@ def test_attention_matches_dense_oracle():
             sparse = sparse_attention(ProductState(x=x), adj, params, heads=4)
             dense = dense_attention_oracle(x, coo.to_dense(), params)
             assert np.abs(sparse - dense).max() <= 1e-12
+        # the K = 3 slots: the same kernel along another axis of the n^3 grid
+        x3, a = random_state(n ** 3, 6, seed=seed + 60), dense_adjacency(g)
+        for j in range(3):
+            slot = KronAdjacency(*g.directed_edges, j, (n,) * 3)
+            dense = dense_attention_oracle(x3, kron(kron(np.eye(n ** j), a), np.eye(n ** (2 - j))), params)
+            assert np.abs(_attention_forward(x3, slot, params)[0] - dense).max() <= 1e-12
+
+
+def test_pipeline_refuses_edge_types_off_its_grid():
+    # a node count the edge types do not carry used to run: n = 7 on this
+    # 4-node bundle moved the mean_sum output by 0.11
+    bundle = build_product_bundle(path_graph(4))
+    model = build_forward_model(path_graph(4), ForwardConfig(layers=1))
+    parts = (model.layers, model.pool_mlp, "mean_sum")
+    Pipeline(bundle.internal, bundle.external, bundle.point, 4, *parts)
+    with pytest.raises(ShapeMismatch):
+        Pipeline(bundle.internal, bundle.external, bundle.point, 7, *parts)
+    with pytest.raises(ShapeMismatch):
+        Pipeline(bundle.internal, build_product_bundle(path_graph(5)).external, bundle.point, 4, *parts)
+    sampled = restrict_adjacency(bundle.internal, SamplingMask(n=4, sampled=(0, 2)))
+    with pytest.raises(ShapeMismatch):
+        Pipeline(sampled, bundle.external, bundle.point, 4, *parts)
 
 
 def test_attention_shape_mismatch():
@@ -643,15 +669,17 @@ def test_model_size_is_bounded_by_memory_before_drawing(monkeypatch, layers, d, 
 
 
 def test_forward_builds_no_product_coo(monkeypatch):
-    # the model path runs on the factored edge types: neither the n^2-row
-    # COO builders nor the COO sampling filter may be reached
+    # the model path runs on the factored edge types: no COO expansion of
+    # them and no K-tuple COO builder may be reached
     from prodgraph import product
 
     def refuse(*args, **kwargs):
         raise AssertionError("the forward pass built an n^2-row COO adjacency")
 
-    for name in ("slot_adjacency", "k_point_adjacency", "_sampled_entries"):
+    for name in ("slot_adjacency", "k_point_adjacency"):
         monkeypatch.setattr(product, name, refuse)
+    for cls in (product.KronAdjacency, product.PointAdjacency):
+        monkeypatch.setattr(cls, "to_sparse", refuse)
     g = random_graph(7, 0.5, seed=94)
     for ratio in (None, 0.5, 1.0):
         assert np.isfinite(run_forward(g, ForwardConfig(k=3, sample_ratio=ratio))).all()
@@ -701,49 +729,36 @@ def _scalar_uniform_array(rng, shape, fan_in):
 
 
 def test_build_forward_model_matches_scalar_draws(monkeypatch):
-    g = random_graph(9, 0.4, seed=2)
-    cfg = ForwardConfig(seed=11)
-    fast = build_forward_model(g, cfg)
-    monkeypatch.setattr(model_module, "_BlockDraws", lambda rng: rng)
+    # the reference draws every parameter from a raw stream, one value at a
+    # time; the 600-node model's mark table alone is 601 x 8 = 4808 draws
+    cases = [(random_graph(9, 0.4, seed=2), ForwardConfig(seed=11)),
+             (path_graph(600), ForwardConfig(seed=5))]
+    fast = [build_forward_model(g, cfg) for g, cfg in cases]
+    monkeypatch.setattr(model_module, "_DrawCursor", lambda seed, count: SplitMix64(seed))
     monkeypatch.setattr(model_module, "_uniform_array", _scalar_uniform_array)
-    ref = build_forward_model(g, cfg)
-    assert [name for name, _ in fast.named()] == [name for name, _ in ref.named()]
-    for (name, got), (_, want) in zip(fast.named(), ref.named()):
-        assert got.dtype == want.dtype and got.shape == want.shape, name
-        assert np.array_equal(got, want), name
-    fast_bytes, ref_bytes = io.BytesIO(), io.BytesIO()
-    save_parameters(fast_bytes, fast.named())
-    save_parameters(ref_bytes, ref.named())
-    assert fast_bytes.getvalue() == ref_bytes.getvalue()
+    for model, (g, cfg) in zip(fast, cases):
+        ref = build_forward_model(g, cfg)
+        assert [name for name, _ in model.named()] == [name for name, _ in ref.named()]
+        for (name, got), (_, want) in zip(model.named(), ref.named()):
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert np.array_equal(got, want), name
+        fast_bytes, ref_bytes = io.BytesIO(), io.BytesIO()
+        save_parameters(fast_bytes, model.named())
+        save_parameters(ref_bytes, ref.named())
+        assert fast_bytes.getvalue() == ref_bytes.getvalue()
 
 
-def _container_bytes(model):
-    buf = io.BytesIO()
-    save_parameters(buf, model.named())
-    return buf.getvalue()
-
-
-def test_multi_block_model_matches_per_array_draws(monkeypatch):
-    # mark_table alone is 601 x 8 = 4808 draws, more than one block
-    g = path_graph(600)
-    cfg = ForwardConfig(seed=5)
-    fast = build_forward_model(g, cfg)
-    assert fast.mark_table.size > model_module._DRAW_BLOCK
-    monkeypatch.setattr(model_module, "_BlockDraws", lambda rng: rng)
-    assert _container_bytes(fast) == _container_bytes(build_forward_model(g, cfg))
-
-
-def test_block_draws_match_raw_stream_across_blocks():
-    block = model_module._DRAW_BLOCK
-    draws = model_module._BlockDraws(SplitMix64(7))
+def test_draw_cursor_serves_its_run_and_refuses_an_over_read():
+    cursor = model_module._DrawCursor(7, 10)
     raw = SplitMix64(7)
-    for low, high, size in ((-0.5, 0.5, 3), (-2.0, 1.0, block - 1), (0.0, 1.0, 0),
-                            (-0.25, 0.25, 2), (-1.0, 1.0, 2 * block + 5), (3.0, 4.0, 1)):
-        got = draws.uniform_array(low, high, size)
+    for low, high, size in ((-0.5, 0.5, 3), (0.0, 1.0, 0), (-2.0, 1.0, 6)):
+        got = cursor.uniform_array(low, high, size)
         want = raw.uniform_array(low, high, size)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    with pytest.raises(ValueError):
-        draws.uniform_array(0.0, 1.0, -1)
+    for size in (2, -1):
+        with pytest.raises(ValueError):
+            cursor.uniform_array(0.0, 1.0, size)
+    assert cursor.uniform_array(3.0, 4.0, 1).tobytes() == raw.uniform_array(3.0, 4.0, 1).tobytes()
 
 
 SAB_LEAVES = [f"{part}.{leaf}" for part, leaves in (

@@ -10,7 +10,6 @@ from prodgraph import (
     SamplingMask,
     ScaleError,
     ValidationError,
-    apply_sampling_mask,
     cartesian_operator,
     cartesian_product_adjacency,
     closed_form_cartesian,
@@ -27,14 +26,16 @@ from prodgraph import (
     random_permutation,
     restrict_adjacency,
     restrict_rows,
+    sampled_adjacency,
     slot_adjacency,
 )
-from prodgraph.product import build_product_bundle
+from prodgraph.product import KronAdjacency, build_product_bundle
 from prodgraph.graphs import SparseAdjacency, complete_graph, path_graph
 from prodgraph.rng import SplitMix64
 from tuple_reference import (
     factored_adjacency,
     flatten,
+    masked_adjacency,
     point_pairs,
     reference_adjacency,
     slot_pairs,
@@ -368,6 +369,10 @@ def test_edge_count_formulas():
         assert internal_adjacency(g).nnz == target
         assert external_adjacency(g).nnz == target
         assert point_adjacency(g.n).nnz == g.n * g.n
+        # the K = 3 slots: 2|E| n^(K-1) entries, counted and expanded
+        for axis in range(3):
+            slot = KronAdjacency(*g.directed_edges, axis, (g.n,) * 3)
+            assert slot.nnz == slot.to_sparse().nnz == 2 * g.num_edges * g.n ** 2
 
 
 def test_bundle_disjoint_internal_external():
@@ -427,15 +432,16 @@ def test_sampling_mask_validation():
 def test_full_mask_keeps_everything():
     g = random_graph(5, 0.5, seed=2)
     adj = internal_adjacency(g)
-    masked = apply_sampling_mask(adj, SamplingMask.full(5))
+    masked = sampled_adjacency(build_product_bundle(g).internal, SamplingMask.full(5))
     assert masked.entry_set() == adj.entry_set()
 
 
 def test_mask_filters_p2_examples():
     mask = SamplingMask(n=2, sampled=(0,))
-    masked_internal = apply_sampling_mask(internal_adjacency(P2), mask)
+    bundle = build_product_bundle(P2)
+    masked_internal = sampled_adjacency(bundle.internal, mask)
     assert masked_internal.entry_set() == {(0, 1), (1, 0)}
-    masked_external = apply_sampling_mask(external_adjacency(P2), mask)
+    masked_external = sampled_adjacency(bundle.external, mask)
     assert masked_external.nnz == 0  # every external edge crosses subgraphs
 
 
@@ -463,7 +469,7 @@ def test_restriction_matches_from_pairs_route():
                               (external_adjacency(g), bundle.external),
                               (point_adjacency(n), bundle.point)):
             masked_ref, restricted_ref = _from_pairs_restriction(adj, mask)
-            masked = apply_sampling_mask(adj, mask)
+            masked = sampled_adjacency(factored, mask)
             restricted = restrict_adjacency(factored, mask)
             assert np.array_equal(masked.entries, masked_ref.entries)
             assert np.array_equal(factored_adjacency(restricted).entries, restricted_ref.entries)
@@ -503,11 +509,14 @@ def test_restriction_full_mask_keeps_arrays_and_refuses_a_second_mask():
 
 
 def test_mask_idempotent():
+    # a sampled adjacency already lies on the sampled rows and columns:
+    # filtering it by the mask again drops nothing
     g = random_graph(5, 0.5, seed=4)
     mask = SamplingMask(n=5, sampled=(0, 2, 3))
-    for adj in (internal_adjacency(g), external_adjacency(g), point_adjacency(5)):
-        once = apply_sampling_mask(adj, mask)
-        assert apply_sampling_mask(once, mask).entry_set() == once.entry_set()
+    bundle = build_product_bundle(g)
+    for adj in (bundle.internal, bundle.external, bundle.point):
+        once = sampled_adjacency(adj, mask)
+        assert masked_adjacency(once, mask).entry_set() == once.entry_set()
 
 
 def test_mask_matches_dense_and_semantics():
@@ -516,8 +525,12 @@ def test_mask_matches_dense_and_semantics():
         g = random_graph(n, 0.5, seed=seed)
         mask = SamplingMask.from_ratio(n, 0.6, SplitMix64(seed))
         kept = set(mask.sampled)
-        for adj in (internal_adjacency(g), external_adjacency(g), point_adjacency(n)):
-            masked = apply_sampling_mask(adj, mask)
+        bundle = build_product_bundle(g)
+        for adj, factored in ((internal_adjacency(g), bundle.internal),
+                              (external_adjacency(g), bundle.external),
+                              (point_adjacency(n), bundle.point)):
+            masked = sampled_adjacency(factored, mask)
+            assert np.array_equal(masked.entries, masked_adjacency(adj, mask).entries)
             for (r, c) in masked.entry_set():
                 assert r // n in kept and c // n in kept
             # dense oracle: elementwise AND with the mask matrix
@@ -535,7 +548,7 @@ def test_restrict_adjacency_reindexes():
                           (external_adjacency(g), bundle.external)):
         restricted = restrict_adjacency(factored, mask)
         assert restricted.grid == (2, 4)
-        masked = apply_sampling_mask(adj, mask)
+        masked = masked_adjacency(adj, mask)
         expect = set()
         for (r, c) in masked.entry_set():
             expect.add((rank[r // 4] * 4 + r % 4, rank[c // 4] * 4 + c % 4))

@@ -79,6 +79,14 @@ def factored_adjacency(adj):
     return SparseAdjacency.from_pairs(m * n, m * n, pairs)
 
 
+def masked_adjacency(adj, mask):
+    """The n^2-node COO matrix `adj` with every entry dropped whose row or
+    column subgraph is not sampled, tested entry by entry."""
+    n, kept = mask.n, set(mask.sampled)
+    pairs = [(r, c) for r, c in adj.entries.tolist() if r // n in kept and c // n in kept]
+    return SparseAdjacency.from_pairs(adj.rows, adj.cols, pairs)
+
+
 def full_enumeration_tuple_pe(g, tuple_order, k):
     """(data, eigenvalues) of the first k K-tuple PE columns, every one of
     the n^K base index tuples a candidate, sorted by (label, t1, ..., tK)."""
