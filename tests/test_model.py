@@ -748,6 +748,21 @@ def test_build_forward_model_matches_scalar_draws(monkeypatch):
         assert fast_bytes.getvalue() == ref_bytes.getvalue()
 
 
+def test_multi_block_model_matches_per_array_draws(monkeypatch):
+    # one run of 601 x 8 mark-table draws and more, cut into arrays, against
+    # one uniform_array call per array on the raw stream
+    g = path_graph(600)
+    cfg = ForwardConfig(seed=5)
+    fast = build_forward_model(g, cfg)
+    assert fast.mark_table.size == 601 * cfg.d
+    monkeypatch.setattr(model_module, "_DrawCursor", lambda seed, count: SplitMix64(seed))
+    ref = build_forward_model(g, cfg)
+    fast_bytes, ref_bytes = io.BytesIO(), io.BytesIO()
+    save_parameters(fast_bytes, fast.named())
+    save_parameters(ref_bytes, ref.named())
+    assert fast_bytes.getvalue() == ref_bytes.getvalue()
+
+
 def test_draw_cursor_serves_its_run_and_refuses_an_over_read():
     cursor = model_module._DrawCursor(7, 10)
     raw = SplitMix64(7)
