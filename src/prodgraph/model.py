@@ -38,11 +38,18 @@ internal and external attention are one kernel along one grid axis of it
 (product.KronAdjacency).  The kernel views its arrays node-major and walks
 the base factor's degree buckets: the r receivers of degree k gather their
 senders' rows as one (r, k, ...) block, and the softmax reduces the k axis.
-The cache keeps each bucket's weights and a bool mask of the LeakyReLU's
-negative side.  The adjacency is symmetric, so the backward pass gathers
+The forward writes the buckets' softmax weights back to back into one
+(E, P, heads) array in edge order, and the bool mask of the LeakyReLU's
+negative side into one array of that shape; the cache keeps both, with one
+view per bucket.  The adjacency is symmetric, so the backward pass gathers
 instead of scattering: what a node sends on are the reverses of its own
-edges, read through the bucket's reverse index.  `Pipeline` holds the only
-loop over the blocks.
+edges, read through the bucket's reverse index.  The value gradient is the
+one step that reads other buckets' weights that way, so it runs first, and
+the score gradient dz then overwrites each bucket's weights in place.  A
+backward pass therefore consumes its cache and refuses a consumed one.
+Every cache is dropped as soon as its backward has run, and the MLPs keep
+(input, activation) only: the ReLU mask is activation > 0.  `Pipeline`
+holds the only loop over the blocks.
 
 All math is float64.  ReLU takes subgradient 0 at 0.
 """
@@ -237,17 +244,16 @@ def _mlp_forward(x: np.ndarray, p: MLPParams):
     if x.shape[1] != p.w1.shape[0]:
         raise ShapeMismatch(f"MLP expects width {p.w1.shape[0]}, got {x.shape[1]}")
     h = x @ p.w1 + p.b1
-    mask = h > 0.0
-    act = h * mask
+    act = h * (h > 0.0)
     y = act @ p.w2 + p.b2
-    return y, (x, mask, act)
+    return y, (x, act)
 
 
 def _mlp_backward(dy: np.ndarray, cache, p: MLPParams):
-    x, mask, act = cache
+    x, act = cache
     dw2 = act.T @ dy
     db2 = dy.sum(axis=0)
-    dh = (dy @ p.w2.T) * mask
+    dh = (dy @ p.w2.T) * (act > 0.0)  # act = h * (h > 0), so act > 0 exactly where h > 0
     dw1 = x.T @ dh
     db1 = dh.sum(axis=0)
     dx = dh @ p.w1.T
@@ -269,8 +275,13 @@ class _AttentionCache(NamedTuple):
     x: np.ndarray
     adj: KronAdjacency
     v: np.ndarray  # (Q, P, heads, hd) values, node-major
-    alpha: list[np.ndarray]  # per bucket (r, k, P, heads); each receiver's k weights sum to 1
-    negative: list[np.ndarray]  # per bucket (r, k, P, heads) bool: score <= 0, where the LeakyReLU has LEAKY_SLOPE
+    # (E, P, heads) softmax weights in edge order, buckets back to back; the
+    # backward overwrites them with dz and then marks the array read-only
+    alpha_e: np.ndarray
+    alpha: list[np.ndarray]  # per bucket (r, k, P, heads) views of alpha_e; each receiver's k weights sum to 1
+    # per bucket (r, k, P, heads) views of one edge-order bool array:
+    # score <= 0, where the LeakyReLU has LEAKY_SLOPE
+    negative: list[np.ndarray]
 
 
 def _attention_forward(x: np.ndarray, adj: KronAdjacency, p: AttentionParams):
@@ -285,54 +296,64 @@ def _attention_forward(x: np.ndarray, adj: KronAdjacency, p: AttentionParams):
     s_k = adj.node_major(x @ m_k)
     v = adj.node_major((x @ p.w_value).reshape(rows_n, heads, -1))  # (Q, P, H, hd)
     out = np.zeros_like(v)
+    alpha_e = np.empty((adj.src.size,) + s_k.shape[1:])  # (E, P, H), buckets back to back
+    negative_e = np.empty(alpha_e.shape, dtype=bool)
     alphas, negatives = [], []
+    start = 0
     for b in adj.buckets:
-        z = np.take(s_k, b.senders, axis=0)  # (r, k, P, H)
-        z += s_q[b.nodes, None]
-        alpha = LEAKY_SLOPE * z
-        np.maximum(z, alpha, out=alpha)  # the LeakyReLU; the softmax runs in place below
+        shape = b.senders.shape + s_k.shape[1:]  # (r, k, P, H)
+        alpha = alpha_e[start:start + b.senders.size].reshape(shape)
+        negative = negative_e[start:start + b.senders.size].reshape(shape)
+        start += b.senders.size
+        # with out=, the default mode="raise" buffers the whole gather; the indices are in range
+        np.take(s_k, b.senders, axis=0, out=alpha, mode="clip")
+        alpha += s_q[b.nodes, None]  # the score z
+        np.less_equal(alpha, 0.0, out=negative)
+        np.maximum(alpha, LEAKY_SLOPE * alpha, out=alpha)  # the LeakyReLU, then the softmax
         alpha -= alpha.max(axis=1, keepdims=True)
         np.exp(alpha, out=alpha)
         alpha /= alpha.sum(axis=1, keepdims=True)
         out[b.nodes] = np.einsum("rkph,rkphd->rphd", alpha, np.take(v, b.senders, axis=0))
         alphas.append(alpha)
-        negatives.append(z <= 0.0)
-    return adj.grid_rows(out).reshape(rows_n, -1), _AttentionCache(x, adj, v, alphas, negatives)
+        negatives.append(negative)
+    cache = _AttentionCache(x, adj, v, alpha_e, alphas, negatives)
+    return adj.grid_rows(out).reshape(rows_n, -1), cache
 
 
 def _attention_backward(dout: np.ndarray, cache: _AttentionCache, p: AttentionParams):
-    x, adj, v, alphas, negatives = cache
+    """Gradients of one attention forward.  Consumes `cache`: dz overwrites
+    the weights in place, so a cache serves one backward pass only."""
+    x, adj, v, alpha_e, alphas, negatives = cache
+    if not alpha_e.flags.writeable:
+        raise ValueError("attention cache already consumed by a backward pass")
     q, batch, heads, hd = v.shape
     d_in, d_out = p.w_query.shape
     dout = adj.node_major(dout.reshape(-1, heads, hd))
-    # weights and dz in edge order, (E, P, H): the concatenated buckets
-    alpha_e = np.concatenate([a.reshape(-1, batch, heads) for a in alphas]
-                             + [np.empty((0, batch, heads))])
-    dz_e = np.empty_like(alpha_e)
+    # dv first: it is the one step that reads other buckets' weights, the
+    # weights of the edges a node sends on, through the reverse index
     dv = np.zeros_like(v)
+    for b in adj.buckets:
+        dv[b.nodes] = np.einsum("rkph,rkphd->rphd", np.take(alpha_e, b.reverse, axis=0),
+                                np.take(dout, b.senders, axis=0))
     dz_r = np.zeros((q, batch, heads))
-    start = 0
-    for b, alpha, negative in zip(adj.buckets, alphas, negatives):
+    for b, dz, negative in zip(adj.buckets, alphas, negatives):
         # dalpha = dout[receiver] . v[sender] over head_dim, one channel at
         # a time: head_dim is short, and einsum's inner loop over it is slow
         dout_r, v_s = dout[b.nodes, None], np.take(v, b.senders, axis=0)
         dalpha = dout_r[..., 0] * v_s[..., 0]
         for c in range(1, hd):
             dalpha += dout_r[..., c] * v_s[..., c]
-        dalpha -= (alpha * dalpha).sum(axis=1, keepdims=True)
-        dz = dz_e[start:start + b.senders.size].reshape(alpha.shape)
-        start += b.senders.size
-        np.multiply(alpha, dalpha, out=dz)
+        dalpha -= (dz * dalpha).sum(axis=1, keepdims=True)
+        dz *= dalpha  # the bucket's weights become its dz
         dz *= negative * LEAKY_SLOPE + ~negative  # exactly LEAKY_SLOPE or 1; branch-free, unlike np.where
         dz_r[b.nodes] = dz.sum(axis=1)
-        dv[b.nodes] = np.einsum("rkph,rkphd->rphd", np.take(alpha_e, b.reverse, axis=0),
-                                np.take(dout, b.senders, axis=0))
     # z = (x @ M_q)[receiver] + (x @ M_k)[sender], so the score gradient
     # reaches each node through its receiver and sender sums of dz, and the
     # maps through x.T times those sums
     dz_c = np.zeros_like(dz_r)
     for b in adj.buckets:
-        dz_c[b.nodes] = np.take(dz_e, b.reverse, axis=0).sum(axis=1)
+        dz_c[b.nodes] = np.take(alpha_e, b.reverse, axis=0).sum(axis=1)
+    alpha_e.flags.writeable = False  # it holds dz now, not weights
     dz_r, dz_c = adj.grid_rows(dz_r), adj.grid_rows(dz_c)
     dv = adj.grid_rows(dv).reshape(-1, d_out)
     dm_q = x.T @ dz_r  # (d_in, H)
@@ -376,17 +397,19 @@ def _sab_forward_raw(x, internal, external, point, params: SABParams):
     a_ext, c_ext = _attention_forward(x, external, params.external)
     a_pt, c_pt = _point_forward(x, point, params.epsilon, params.point_mlp)
     fused_in = np.hstack([a_int, a_ext, a_pt])
+    del a_int, a_ext, a_pt  # copied into fused_in
     y, c_fuse = _mlp_forward(fused_in, params.fuse_mlp)
-    return y, (c_int, c_ext, c_pt, c_fuse)
+    return y, [c_int, c_ext, c_pt, c_fuse]
 
 
-def _sab_backward_raw(dy, cache, params: SABParams):
-    c_int, c_ext, c_pt, c_fuse = cache
-    dfused, fuse_grads = _mlp_backward(dy, c_fuse, params.fuse_mlp)
+def _sab_backward_raw(dy, cache: list, params: SABParams):
+    """Empties `cache`, the list `_sab_forward_raw` returned: each part is
+    dropped as soon as its backward has run."""
+    dfused, fuse_grads = _mlp_backward(dy, cache.pop(), params.fuse_mlp)
     d_int, d_ext, d_pt = np.split(dfused, 3, axis=1)
-    dx_int, int_grads = _attention_backward(d_int, c_int, params.internal)
-    dx_ext, ext_grads = _attention_backward(d_ext, c_ext, params.external)
-    dx_pt, deps, point_grads = _point_backward(d_pt, c_pt, params.epsilon, params.point_mlp)
+    dx_pt, deps, point_grads = _point_backward(d_pt, cache.pop(), params.epsilon, params.point_mlp)
+    dx_ext, ext_grads = _attention_backward(d_ext, cache.pop(), params.external)
+    dx_int, int_grads = _attention_backward(d_int, cache.pop(), params.internal)
     grads = SABParams(internal=int_grads, external=ext_grads, point_mlp=point_grads,
                       epsilon=np.array(deps), fuse_mlp=fuse_grads)
     return dx_int + dx_ext + dx_pt, grads
@@ -541,13 +564,12 @@ class Pipeline:
 
     def loss_and_grads(self, x0: np.ndarray):
         caches: list = []
-        x = self._layers(x0, caches)
-        pooled, pool_cache = _pool_forward(x, self.variant, self.n, self.pool_mlp)
+        pooled, pool_cache = _pool_forward(self._layers(x0, caches), self.variant, self.n, self.pool_mlp)
         loss = float(pooled.sum())
         dx, pool_grads = _pool_backward(np.ones_like(pooled), pool_cache, self.pool_mlp)
         layer_grads = []
-        for layer, cache in zip(reversed(self.layers), reversed(caches)):
-            dx, layer_grad = _sab_backward_raw(dx, cache, layer)
+        for layer in reversed(self.layers):  # each layer's cache is dropped once its backward ran
+            dx, layer_grad = _sab_backward_raw(dx, caches.pop(), layer)
             layer_grads.insert(0, layer_grad)
         # a Pipeline of gradients: its names are named_arrays() names by construction
         grads = replace(self, layers=layer_grads, pool_mlp=pool_grads)
