@@ -40,13 +40,14 @@ the base factor's degree buckets: the r receivers of degree k gather their
 senders' rows as one (r, k, ...) block, and the softmax reduces the k axis.
 The forward writes the buckets' softmax weights back to back into one
 (E, P, heads) array in edge order, and the bool mask of the LeakyReLU's
-negative side into one array of that shape; the cache keeps both, with one
-view per bucket.  The adjacency is symmetric, so the backward pass gathers
-instead of scattering: what a node sends on are the reverses of its own
-edges, read through the bucket's reverse index.  The value gradient is the
-one step that reads other buckets' weights that way, so it runs first, and
-the score gradient dz then overwrites each bucket's weights in place.  A
-backward pass therefore consumes its cache and refuses a consumed one.
+negative side into one array of that shape; the cache keeps both, and each
+bucket reads its rows of them through DegreeBucket.view.  The adjacency is
+symmetric, so the backward pass gathers instead of scattering: what a node
+sends on are the reverses of its own edges, read through the bucket's
+reverse index.  The value gradient is the one step that reads other
+buckets' weights that way, so it runs first, and the score gradient dz then
+overwrites each bucket's weights in place.  A backward pass therefore
+consumes its cache and refuses a consumed one.
 Every cache is dropped as soon as its backward has run, and the MLPs keep
 (input, activation) only: the ReLU mask is activation > 0.  `Pipeline`
 holds the only loop over the blocks.
@@ -217,22 +218,18 @@ class EncoderParams:
 
 @dataclass(frozen=True)
 class ProductState:
-    """Features of the n^2 product nodes, row index flatten((s,v)) = s*n + v."""
+    """Features of m*n product nodes, m subgraphs by n nodes: row s*n + v."""
 
     x: np.ndarray
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=np.float64)
-        if x.ndim != 2 or math.isqrt(x.shape[0]) ** 2 != x.shape[0]:
-            raise ShapeMismatch(f"state must have n^2 rows for some n, got shape {x.shape}")
+        if x.ndim != 2:
+            raise ShapeMismatch(f"state must be a (rows, d) array, got shape {x.shape}")
         if not np.isfinite(x).all():
             raise ShapeMismatch("state contains non-finite entries")
         x.flags.writeable = False
         object.__setattr__(self, "x", x)
-
-    @property
-    def n(self) -> int:
-        return math.isqrt(self.x.shape[0])
 
 
 # ---------------------------------------------------------------------------
@@ -275,13 +272,10 @@ class _AttentionCache(NamedTuple):
     x: np.ndarray
     adj: KronAdjacency
     v: np.ndarray  # (Q, P, heads, hd) values, node-major
-    # (E, P, heads) softmax weights in edge order, buckets back to back; the
-    # backward overwrites them with dz and then marks the array read-only
-    alpha_e: np.ndarray
-    alpha: list[np.ndarray]  # per bucket (r, k, P, heads) views of alpha_e; each receiver's k weights sum to 1
-    # per bucket (r, k, P, heads) views of one edge-order bool array:
-    # score <= 0, where the LeakyReLU has LEAKY_SLOPE
-    negative: list[np.ndarray]
+    # (E, P, heads) in edge order, a bucket's rows read by bucket.view: the softmax weights,
+    # which the backward overwrites with dz and then marks read-only, and score <= 0,
+    alpha: np.ndarray
+    negative: np.ndarray  # where the LeakyReLU has LEAKY_SLOPE
 
 
 def _attention_forward(x: np.ndarray, adj: KronAdjacency, p: AttentionParams):
@@ -296,15 +290,10 @@ def _attention_forward(x: np.ndarray, adj: KronAdjacency, p: AttentionParams):
     s_k = adj.node_major(x @ m_k)
     v = adj.node_major((x @ p.w_value).reshape(rows_n, heads, -1))  # (Q, P, H, hd)
     out = np.zeros_like(v)
-    alpha_e = np.empty((adj.src.size,) + s_k.shape[1:])  # (E, P, H), buckets back to back
+    alpha_e = np.empty((adj.src.size,) + s_k.shape[1:])  # (E, P, H) in edge order
     negative_e = np.empty(alpha_e.shape, dtype=bool)
-    alphas, negatives = [], []
-    start = 0
     for b in adj.buckets:
-        shape = b.senders.shape + s_k.shape[1:]  # (r, k, P, H)
-        alpha = alpha_e[start:start + b.senders.size].reshape(shape)
-        negative = negative_e[start:start + b.senders.size].reshape(shape)
-        start += b.senders.size
+        alpha, negative = b.view(alpha_e), b.view(negative_e)  # (r, k, P, H)
         # with out=, the default mode="raise" buffers the whole gather; the indices are in range
         np.take(s_k, b.senders, axis=0, out=alpha, mode="clip")
         alpha += s_q[b.nodes, None]  # the score z
@@ -314,16 +303,14 @@ def _attention_forward(x: np.ndarray, adj: KronAdjacency, p: AttentionParams):
         np.exp(alpha, out=alpha)
         alpha /= alpha.sum(axis=1, keepdims=True)
         out[b.nodes] = np.einsum("rkph,rkphd->rphd", alpha, np.take(v, b.senders, axis=0))
-        alphas.append(alpha)
-        negatives.append(negative)
-    cache = _AttentionCache(x, adj, v, alpha_e, alphas, negatives)
+    cache = _AttentionCache(x, adj, v, alpha_e, negative_e)
     return adj.grid_rows(out).reshape(rows_n, -1), cache
 
 
 def _attention_backward(dout: np.ndarray, cache: _AttentionCache, p: AttentionParams):
     """Gradients of one attention forward.  Consumes `cache`: dz overwrites
     the weights in place, so a cache serves one backward pass only."""
-    x, adj, v, alpha_e, alphas, negatives = cache
+    x, adj, v, alpha_e, negative_e = cache
     if not alpha_e.flags.writeable:
         raise ValueError("attention cache already consumed by a backward pass")
     q, batch, heads, hd = v.shape
@@ -336,7 +323,8 @@ def _attention_backward(dout: np.ndarray, cache: _AttentionCache, p: AttentionPa
         dv[b.nodes] = np.einsum("rkph,rkphd->rphd", np.take(alpha_e, b.reverse, axis=0),
                                 np.take(dout, b.senders, axis=0))
     dz_r = np.zeros((q, batch, heads))
-    for b, dz, negative in zip(adj.buckets, alphas, negatives):
+    for b in adj.buckets:
+        dz, negative = b.view(alpha_e), b.view(negative_e)
         # dalpha = dout[receiver] . v[sender] over head_dim, one channel at
         # a time: head_dim is short, and einsum's inner loop over it is slow
         dout_r, v_s = dout[b.nodes, None], np.take(v, b.senders, axis=0)
@@ -385,10 +373,7 @@ def _point_backward(dy: np.ndarray, cache, epsilon: np.ndarray, mlp: MLPParams):
     dpre, mlp_grads = _mlp_backward(dy, mlp_cache, mlp)
     deps = float((dpre * x).sum())
     dx = (1.0 + float(epsilon)) * dpre
-    # root row (rank v, v) receives the gradient of every row (s, v) reading it
-    m, n = point.grid
-    roots = dpre.reshape(m, n, -1)[:, point.sampled].sum(axis=0)
-    dx.reshape(m, n, -1)[np.arange(m), point.sampled] += roots
+    point.add_transposed(dpre, dx)
     return dx, deps, mlp_grads
 
 
@@ -415,27 +400,17 @@ def _sab_backward_raw(dy, cache: list, params: SABParams):
     return dx_int + dx_ext + dx_pt, grads
 
 
-def _pool_forward(x: np.ndarray, variant: str, n: int, mlp: MLPParams):
-    """Column sum of all rows ("sum_sum"), or that sum divided by n ("mean_sum"),
-    then the pool MLP.  n is the base node count even when x holds only the
-    m*n rows of m sampled subgraphs."""
-    if variant == "sum_sum":
-        pre = x.sum(axis=0)
-    elif variant == "mean_sum":
-        pre = x.sum(axis=0) / n
-    else:
-        raise ShapeMismatch(f"unknown pooling variant {variant!r}")
-    y, mlp_cache = _mlp_forward(pre[None, :], mlp)
-    return y[0], (x.shape, variant, n, mlp_cache)
+def _pool_forward(x: np.ndarray, divisor: int, mlp: MLPParams):
+    """Column sum of all rows divided by `divisor`, then the pool MLP."""
+    y, mlp_cache = _mlp_forward((x.sum(axis=0) / divisor)[None, :], mlp)
+    return y[0], (x.shape, divisor, mlp_cache)
 
 
 def _pool_backward(dy: np.ndarray, cache, mlp: MLPParams):
-    shape, variant, n, mlp_cache = cache
+    """The gradient of every row is one vector: a read-only broadcast of it."""
+    shape, divisor, mlp_cache = cache
     dpre, mlp_grads = _mlp_backward(dy[None, :], mlp_cache, mlp)
-    dx = np.broadcast_to(dpre[0], shape).copy()
-    if variant == "mean_sum":
-        dx /= n
-    return dx, mlp_grads
+    return np.broadcast_to(dpre[0] / divisor, shape), mlp_grads
 
 
 # ---------------------------------------------------------------------------
@@ -524,6 +499,16 @@ class Pipeline:
         grids = self.internal.grid, self.external.grid, self.point.grid
         if not grids[0] == grids[1] == grids[2] == (grids[2][0], self.n):
             raise ShapeMismatch(f"edge types on grids {grids} do not share one (m, {self.n}) grid")
+        self._pool_divisor  # refuses an unknown pooling variant at construction
+
+    @property
+    def _pool_divisor(self) -> int:
+        """The row sum's divisor: 1 for "sum_sum"; n for "mean_sum", even on
+        the m*n rows of a sampled system."""
+        divisor = {"sum_sum": 1, "mean_sum": self.n}.get(self.variant)
+        if divisor is None:
+            raise ShapeMismatch(f"unknown pooling variant {self.variant!r}")
+        return divisor
 
     def named_arrays(self):
         return _named(self.layers, ("layers",)) + _named(self.pool_mlp, ("pool_mlp",))
@@ -556,7 +541,7 @@ class Pipeline:
         return self._layers(x0)
 
     def pooled(self, x0: np.ndarray) -> np.ndarray:
-        out, _ = _pool_forward(self._layers(x0), self.variant, self.n, self.pool_mlp)
+        out, _ = _pool_forward(self._layers(x0), self._pool_divisor, self.pool_mlp)
         return out
 
     def loss(self, x0: np.ndarray) -> float:
@@ -564,13 +549,15 @@ class Pipeline:
 
     def loss_and_grads(self, x0: np.ndarray):
         caches: list = []
-        pooled, pool_cache = _pool_forward(self._layers(x0, caches), self.variant, self.n, self.pool_mlp)
+        pooled, pool_cache = _pool_forward(self._layers(x0, caches), self._pool_divisor, self.pool_mlp)
         loss = float(pooled.sum())
         dx, pool_grads = _pool_backward(np.ones_like(pooled), pool_cache, self.pool_mlp)
         layer_grads = []
         for layer in reversed(self.layers):  # each layer's cache is dropped once its backward ran
             dx, layer_grad = _sab_backward_raw(dx, caches.pop(), layer)
             layer_grads.insert(0, layer_grad)
+        if not self.layers:  # dx is still the pool's read-only broadcast
+            dx = dx.copy()
         # a Pipeline of gradients: its names are named_arrays() names by construction
         grads = replace(self, layers=layer_grads, pool_mlp=pool_grads)
         return loss, dict(grads.named_arrays()), dx
@@ -589,21 +576,24 @@ class GradCheckReport:
 
 
 def grad_check(pipeline: Pipeline, x0: np.ndarray) -> GradCheckReport:
-    """Compare analytic gradients against central finite differences of
-    step GRAD_CHECK_STEP.
+    """Compare the analytic gradients of every parameter and of the input
+    x0 against central finite differences of step GRAD_CHECK_STEP.
 
-    Relative error per parameter entry is |a - f| / max(|a|, |f|, 1e-6), and
-    the check passes when no entry exceeds GRAD_CHECK_TOLERANCE; the report
-    carries the worst offender so a corrupted gradient can be pinpointed.
+    Relative error per entry is |a - f| / max(|a|, |f|, 1e-6), and the check
+    passes when no entry exceeds GRAD_CHECK_TOLERANCE; the report carries
+    the worst offender, a parameter name or "x0", so a corrupted gradient
+    can be pinpointed.
     """
-    _, grads, _ = pipeline.loss_and_grads(x0)
+    _, grads, dx0 = pipeline.loss_and_grads(x0)
+    grads["x0"] = dx0
     for name, g in grads.items():
         if not np.isfinite(g).all():
             raise NonFiniteGradient(f"gradient of {name} is not finite")
+    x0 = np.array(x0, dtype=np.float64)  # a copy: its entries are perturbed like the parameters'
     max_rel = 0.0
     worst_name = ""
     worst_index: tuple = ()
-    for name, arr in pipeline.named_arrays():
+    for name, arr in pipeline.named_arrays() + [("x0", x0)]:
         gflat = grads[name].ravel()
         flat = arr.reshape(-1)
         for idx in range(flat.size):

@@ -53,6 +53,11 @@ class DegreeBucket(NamedTuple):
     nodes: np.ndarray  # (r,) receivers, ascending
     senders: np.ndarray  # (r, k) each receiver's senders, ascending
     reverse: np.ndarray  # (r, k) edge-order position of each edge's reverse
+    edges: slice  # the bucket's r * k positions in edge order
+
+    def view(self, a: np.ndarray) -> np.ndarray:
+        """The bucket's (r, k, ...) rows of an (E, ...) array in edge order."""
+        return a[self.edges].reshape(self.senders.shape + a.shape[1:])
 
 
 @dataclass(frozen=True)
@@ -99,7 +104,7 @@ class KronAdjacency:
         src, dst, reverse, deg = self.src[order], self.dst[order], reverse[order], deg[order]
         starts = np.flatnonzero(np.diff(deg, prepend=-1))
         return tuple(DegreeBucket(src[a:b:deg[a]], dst[a:b].reshape(-1, deg[a]),
-                                  reverse[a:b].reshape(-1, deg[a]))
+                                  reverse[a:b].reshape(-1, deg[a]), slice(a, b))
                      for a, b in zip(starts, np.r_[starts[1:], deg.size]))
 
     def node_major(self, a: np.ndarray) -> np.ndarray:
@@ -169,6 +174,13 @@ class PointAdjacency:
         out = np.zeros_like(x3)
         out[:, self.sampled] = x3[np.arange(m), self.sampled]
         return out.reshape(x.shape)
+
+    def add_transposed(self, y: np.ndarray, out: np.ndarray) -> None:
+        """out += the transposed matrix times y, in place: each root row
+        (rank v, v) gains the rows (s, v) that read it.  `out` is C-contiguous."""
+        m = self.sampled.size
+        roots = y.reshape(m, self.n, -1)[:, self.sampled].sum(axis=0)
+        out.reshape(m, self.n, -1)[np.arange(m), self.sampled] += roots
 
     def to_sparse(self) -> SparseAdjacency:
         """The matrix as COO: one entry per row (s, v) with v in S, in row order."""

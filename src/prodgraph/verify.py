@@ -489,7 +489,8 @@ def check_attention_row_stochastic(scale: str):
             x = _random_state(len(mask.sampled) * n, 4, rng)
             for adj in (internal, external):
                 _, cache = _attention_forward(x, adj, params.internal)
-                for b, alpha in zip(adj.buckets, cache.alpha):
+                for b in adj.buckets:
+                    alpha = b.view(cache.alpha)
                     dev = max(dev, float(-alpha.min()))
                     sums = np.zeros((b.nodes.size,) + alpha.shape[2:])
                     # deliberately np.add.at, a route independent of the kernel's sum
@@ -568,14 +569,17 @@ ISOLATED_NODE_MASK = SamplingMask(n=4, sampled=(0, 1, 3))
 
 
 def check_gradient_correctness(scale: str):
-    """grad_check on unsampled 1-layer stacks over P2, P4 and K3, and on the
-    sampled 2-layer system of ISOLATED_NODE_GRAPH, whose empty rows take the
-    backward pass's empty-neighborhood paths."""
+    """grad_check, parameters and x0, on unsampled 1-layer stacks over P2, P4
+    and K3, and on the sampled 2-layer system of ISOLATED_NODE_GRAPH, whose
+    empty rows take the backward pass's empty-neighborhood paths.  Odd seeds
+    pool with "mean_sum", even ones with "sum_sum"."""
     graphs = [path_graph(2), path_graph(4), complete_graph(3)]
     seeds = range(5 if scale == "full" else 2)
-    systems = [_build_pipeline(g, seed, d=4, layers=1) for g in graphs for seed in seeds]
+    variants = ("sum_sum", "mean_sum")
+    systems = [_build_pipeline(g, seed, d=4, layers=1, variant=variants[seed % 2])
+               for g in graphs for seed in seeds]
     for seed in seeds:
-        pipe, x0 = _build_pipeline(ISOLATED_NODE_GRAPH, seed, d=4)
+        pipe, x0 = _build_pipeline(ISOLATED_NODE_GRAPH, seed, d=4, variant=variants[seed % 2])
         systems.append(pipe.sampled(x0, ISOLATED_NODE_MASK))
     worst = 0.0
     ok = True
@@ -705,7 +709,8 @@ CHECKS = [
      [("sab-equivariance", check_sab_equivariance), ("pool-invariance", check_pool_invariance)]),
     ("sab-model", "full-bag mask reproduces the unmasked forward",
      [("masked-full-bag", check_masked_full_bag)]),
-    ("sab-model", "analytic gradients match finite differences, sampled systems with empty rows included",
+    ("sab-model", "analytic gradients of parameters and x0 match finite differences, both pool "
+     "variants and sampled systems with empty rows included",
      [("gradient-correctness", check_gradient_correctness)]),
     ("sab-model", "block-weight RGCN concatenates and separates update inputs",
      [("rgcn-simulation", check_rgcn_simulation)]),

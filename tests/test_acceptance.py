@@ -200,7 +200,8 @@ def test_criterion_6_sab_correctness():
             sparse, cache = _attention_forward(x, adj, params.internal)
             dense = dense_attention_oracle(x, coo.to_dense(), params.internal)
             oracle_dev = max(oracle_dev, float(np.abs(sparse - dense).max()))
-            for b, alpha in zip(adj.buckets, cache.alpha):  # (r, k, batch, heads) per degree k
+            for b in adj.buckets:
+                alpha = b.view(cache.alpha)  # (r, k, batch, heads) per degree k
                 stochastic_dev = max(stochastic_dev, float(max(0.0, -alpha.min())))
                 sums = np.zeros((b.nodes.size,) + alpha.shape[2:])
                 # deliberately np.add.at, a route independent of the kernel's sum

@@ -52,7 +52,8 @@ def _alpha_by_entry(adj, alphas):
     """The bucketed weights as an (E, heads) array in row-major entry order."""
     m, n = adj.grid
     keys, values = [], []
-    for b, alpha in zip(adj.buckets, alphas):
+    for b in adj.buckets:
+        alpha = b.view(alphas)
         batch = np.arange(adj.grid[1 - adj.axis])
         u, w, t = b.nodes[:, None, None], b.senders[:, :, None], batch[None, None, :]
         rows, cols = ((t * n + u), (t * n + w)) if adj.axis else ((u * n + t), (w * n + t))

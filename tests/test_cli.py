@@ -148,6 +148,14 @@ def test_mark_output(p2_file, capsys):
     assert stdout.splitlines() == ["2 3", "0 1", "1 0"]
 
 
+def test_mark_out_writes_what_mark_prints(p2_file, tmp_path, capsys):
+    _, printed, _ = run_cli(capsys, "mark", p2_file)
+    path = tmp_path / "marks.txt"
+    code, stdout, _ = run_cli(capsys, "mark", p2_file, "--out", str(path))
+    assert (code, stdout) == (0, f"wrote {path}\n")
+    assert path.read_text() == printed
+
+
 def test_forward_deterministic_and_golden(p2_file, capsys):
     args = ["forward", p2_file, "--k", "4", "--seed", "7", "--layers", "2"]
     code, out1, _ = run_cli(capsys, *args)
@@ -226,14 +234,18 @@ def test_out_of_range_model_and_sampling_arguments_are_input_errors(p2_file, cap
 
 
 def _container(manifest) -> bytes:
-    """A parameter container holding `manifest` and no array data."""
-    body = json.dumps(manifest).encode("utf-8")
+    """A parameter container holding `manifest`, as JSON or as the given
+    bytes, and no array data."""
+    body = manifest if isinstance(manifest, bytes) else json.dumps(manifest).encode("utf-8")
     return struct.pack("<Q", len(body)) + body
 
 
 @pytest.mark.parametrize("argv, container", [
     (["pe", "{graph}", "--k", "4", "--variant", "tuple:x"], None),
     (["pe", "{graph}", "--k", "4", "--variant", "tuple:"], None),
+    (["build-product", "{graph}", "--tuple-order", "1", "--out", "{params}.d"], None),
+    (["forward", "{graph}", "--load-params", "{params}"], b"{nope"),
+    (["forward", "{graph}", "--load-params", "{params}"], {"arrays": []}),
     (["forward", "{graph}", "--load-params", "{params}"], []),
     (["forward", "{graph}", "--load-params", "{params}"], {"arrays": [{"shape": [2]}]}),
     (["forward", "{graph}", "--load-params", "{params}"],
@@ -242,7 +254,8 @@ def _container(manifest) -> bytes:
      {"arrays": [{"name": "mark_table", "shape": "ab"}]}),
     (["forward", "{graph}", "--load-params", "{params}"],
      {"arrays": [{"name": "mark_table", "shape": [0, 2**62, 4]}]}),
-], ids=["tuple-x", "tuple-empty", "manifest-list", "entry-without-name", "shape-negative",
+], ids=["tuple-x", "tuple-empty", "tuple-order-1", "manifest-not-json", "missing-mark-table",
+        "manifest-list", "entry-without-name", "shape-negative",
         "shape-string", "shape-empty-but-oversized"])
 def test_malformed_outside_input_is_input_error(p2_file, tmp_path, capsys, argv, container):
     params = tmp_path / "params.bin"
@@ -252,6 +265,14 @@ def test_malformed_outside_input_is_input_error(p2_file, tmp_path, capsys, argv,
     assert code == 2
     assert out == ""
     assert err.startswith(("ParseError: ", "RangeError: ")) and err.count("\n") == 1
+
+
+def test_parameter_of_another_shape_is_shape_mismatch(p2_file, tmp_path, capsys):
+    params = tmp_path / "params.bin"  # P2's mark table is (3, 8)
+    params.write_bytes(_container({"arrays": [{"name": "mark_table", "shape": [4, 8]}]}) + bytes(8 * 32))
+    code, out, err = run_cli(capsys, "forward", p2_file, "--load-params", str(params))
+    assert (code, out) == (2, "")
+    assert err.startswith("ShapeMismatch: mark_table: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("container", [
@@ -292,6 +313,28 @@ def test_feature_values_must_be_finite_numbers(tmp_path, capsys, value):
         assert code == 2, argv
         assert out == ""
         assert err.startswith("ParseError: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("data, error", [
+    (b'{"n":0,"edges":[]}', "ValidationError"),
+    (b'{"n":-3,"edges":[]}', "ValidationError"),
+    (b'{"n":"3","edges":[]}', "ParseError"),
+    (b'{"n":3,"edges":{"0":1}}', "ParseError"),
+    (b'{"n":3,"edges":[[0,1.5]]}', "ParseError"),
+    (b'{"n":3,"edges":[[0,true]]}', "ParseError"),
+    (b'[3,[[0,1]]]', "ParseError"),
+    (b'{"n":3,"edges":[]}\xff\xfe', "ParseError"),
+    (b'{"n":3,"edges":[[0,1]],"features":"abc"}', "ParseError"),
+    (b'{"n":3,"edges":[[0,1]],"features":[[1],[2,3],[4]]}', "ValidationError"),
+], ids=["n-0", "n-minus-3", "n-string", "edges-object", "endpoint-float", "endpoint-bool",
+        "top-level-array", "non-utf8", "features-string", "features-ragged"])
+def test_malformed_graph_is_input_error(tmp_path, capsys, data, error):
+    graph = tmp_path / "g.json"
+    graph.write_bytes(data)
+    for argv in FEATURE_COMMANDS:
+        code, out, err = run_cli(capsys, *(a.format(graph=graph, out=tmp_path / "adj") for a in argv))
+        assert (code, out) == (2, ""), argv
+        assert err.startswith(f"{error}: ") and err.count("\n") == 1, argv
 
 
 def test_non_finite_parameter_container_is_parse_error(p2_file, tmp_path, capsys):

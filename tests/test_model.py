@@ -3,7 +3,6 @@ import io
 import json
 from dataclasses import fields
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -44,6 +43,7 @@ from prodgraph.model import (
     ForwardModel,
     _attention_backward,
     _attention_forward,
+    _point_forward,
     _uniform_array,
     build_forward_model,
     run_forward,
@@ -240,8 +240,7 @@ def test_point_message_under_sampling():
     full, x0 = make_pipeline(ISOLATED_NODE_GRAPH, seed=7)
     pipe, x = full.sampled(x0, ISOLATED_NODE_MASK)
     assert pipe.point.nnz == len(kept) ** 2
-    # the m*n-row state is not a ProductState; point_update reads only `x`
-    out = point_update(SimpleNamespace(x=x), pipe.point, 0.25, identity_mlp(4))
+    out = point_update(ProductState(x=x), pipe.point, 0.25, identity_mlp(4))
     for s in kept:
         for v in range(n):
             row = rank[s] * n + v
@@ -321,8 +320,28 @@ def test_pool_variants_differ_by_factor_n():
 
 def test_pool_rejects_unknown_variant():
     mlp = identity_mlp(4)
-    with pytest.raises(ShapeMismatch):
-        pipeline_on(P2, [], mlp, "max").pooled(np.zeros((4, 4)))
+    with pytest.raises(ShapeMismatch):  # at construction, before any forward
+        pipeline_on(P2, [], mlp, "max")
+    pipe = pipeline_on(P2, [], mlp)
+    pipe.variant = "max"
+    with pytest.raises(ShapeMismatch):  # and at a forward after an assignment
+        pipe.pooled(np.zeros((4, 4)))
+
+
+def test_pool_gradient_without_layers_is_a_writable_dx0():
+    mlp = MLPParams.from_rng(4, 4, 4, SplitMix64(53))
+    x0 = random_state(9, 4, seed=54)
+    for variant, divisor in (("sum_sum", 1), ("mean_sum", 3)):
+        pipe = pipeline_on(path_graph(3), [], mlp, variant)
+        _, _, dx0 = pipe.loss_and_grads(x0)
+        assert dx0.shape == x0.shape and dx0.flags.writeable
+        # every row gets the pool MLP's input gradient, divided by the divisor
+        h = (x0.sum(axis=0) / divisor) @ mlp.w1 + mlp.b1
+        want = ((mlp.w2.sum(axis=1) * (h > 0.0)) @ mlp.w1.T) / divisor
+        assert np.abs(dx0 - want).max() <= 1e-12
+        before = dx0.tobytes()
+        dx0 += 1.0  # the caller owns it: the next step's dx0 is unchanged
+        assert pipe.loss_and_grads(x0)[2].tobytes() == before
 
 
 # --- RGCN -------------------------------------------------------------------
@@ -421,6 +440,22 @@ def test_grad_check_flags_corrupted_gradient():
     assert report.worst_parameter == "layers.0.fuse_mlp.w2"
 
 
+def test_grad_check_flags_corrupted_input_gradient():
+    pipe, x0 = make_pipeline(P2, seed=1)
+    original = pipe.loss_and_grads
+
+    def corrupted(x):
+        loss, grads, dx = original(x)
+        dx = dx.copy()
+        dx[2, 1] *= 2.0
+        return loss, grads, dx
+
+    pipe.loss_and_grads = corrupted
+    report = grad_check(pipe, x0)
+    assert not report.passed
+    assert (report.worst_parameter, report.worst_index) == ("x0", (2, 1))
+
+
 def test_grad_check_seeds_and_graphs():
     for g in (P2, path_graph(4), K3):
         for seed in range(2):
@@ -454,6 +489,28 @@ def test_grad_check_sampled_system_with_empty_rows():
     report = grad_check(pipe, x0)
     assert report.passed
     assert report.max_rel_error <= 1e-4
+
+
+def test_grad_check_mean_sum_sampled_system():
+    full, x0 = make_pipeline(ISOLATED_NODE_GRAPH, seed=3, layers=2, variant="mean_sum")
+    report = grad_check(*full.sampled(x0, ISOLATED_NODE_MASK))
+    assert report.passed
+    assert report.max_rel_error <= 1e-4
+
+
+def test_public_ops_take_a_sampled_product_state():
+    # 3 of 7 subgraphs: 21 rows, which is no square
+    g = random_graph(7, 0.45, seed=5)
+    full, x = make_pipeline(g, seed=9)
+    pipe, x = full.sampled(x, SamplingMask(n=7, sampled=(1, 2, 5)))
+    assert x.shape[0] == 21
+    layer = pipe.layers[0]
+    state = ProductState(x=x)
+    for adj, params in ((pipe.internal, layer.internal), (pipe.external, layer.external)):
+        want, _ = _attention_forward(x, adj, params)
+        assert np.array_equal(sparse_attention(state, adj, params, heads=layer.heads), want)
+    want, _ = _point_forward(x, pipe.point, layer.epsilon, layer.point_mlp)
+    assert np.array_equal(point_update(state, pipe.point, float(layer.epsilon), layer.point_mlp), want)
 
 
 G6 = '{"n":6,"edges":[[0,1],[1,2],[2,3],[3,4],[1,4],[4,5],[0,2]]}'
@@ -626,9 +683,8 @@ def test_init_state_shape_mismatch():
 
 
 def test_product_state_validation():
-    assert ProductState(x=np.zeros((9, 2))).n == 3
-    with pytest.raises(ShapeMismatch):
-        ProductState(x=np.zeros((3, 4)))
+    for rows in (9, 21, 3):  # m*n rows of any m subgraphs: 21 for 3 of 7
+        assert not ProductState(x=np.zeros((rows, 2))).x.flags.writeable
     with pytest.raises(ShapeMismatch):
         ProductState(x=np.zeros(4))
     with pytest.raises(ShapeMismatch):
