@@ -344,9 +344,6 @@ class SparseAdjacency:
             out[self.entries[:, 0], self.entries[:, 1]] = 1
         return out
 
-    def entry_set(self) -> set[tuple[int, int]]:
-        return {(int(r), int(c)) for r, c in self.entries}
-
     def union(self, other: "SparseAdjacency") -> "SparseAdjacency":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValidationError("union requires matching shapes")
@@ -359,17 +356,3 @@ class SparseAdjacency:
         lines = [f"{self.rows} {self.cols} {self.nnz}"]
         lines.extend(f"{r} {c}" for r, c in self.entries)
         return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_coo_text(cls, text: str) -> "SparseAdjacency":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines:
-            raise ParseError("empty COO text")
-        try:
-            rows, cols, nnz = (int(x) for x in lines[0].split())
-            pairs = [tuple(int(x) for x in ln.split()) for ln in lines[1:]]
-        except ValueError as exc:
-            raise ParseError(f"malformed COO text: {exc}") from exc
-        if len(pairs) != nnz or any(len(p) != 2 for p in pairs):
-            raise ParseError("COO entry count does not match header")
-        return cls.from_pairs(rows, cols, pairs)

@@ -454,21 +454,31 @@ def init_state(
     mark_table: np.ndarray,
     encoder: EncoderParams,
 ) -> ProductState:
-    """X(s,v) = Linear( feat(v) || pe(s,v) || mark_table[dist(s,v)] )."""
+    """X(s,v) = Linear( feat(v) || pe(s,v) || mark_table[dist(s,v)] ), block by block.
+
+    The rows of the encoder weight split at the block widths into W_f, W_pe
+    and W_m, so with b the bias
+
+        X(s,v) = (feat W_f + b)[v] + pe(s,v) W_pe + (mark_table W_m)[dist(s,v)]
+
+    The side terms are rows of an n-row and an (n + 1)-row table; the PE
+    product is the only n*n-row operation.
+    """
     n = g.n
     if pe.rows != n * n:
         raise ShapeMismatch(f"PE has {pe.rows} rows, expected {n * n}")
     if marks.n != n or mark_table.shape[0] != marks.vocabulary:
         raise ShapeMismatch("mark table rows must equal the mark vocabulary")
     feats = g.features if g.features is not None else np.ones((n, 1))
-    node_part = np.tile(feats, (n, 1))  # row s*n + v carries feat(v)
-    mark_part = mark_table[marks.dist.ravel()]  # row s*n + v carries mark dist(s, v)
-    combined = np.hstack([node_part, pe.data, mark_part])
-    if combined.shape[1] != encoder.weight.shape[0]:
-        raise ShapeMismatch(
-            f"encoder expects width {encoder.weight.shape[0]}, got {combined.shape[1]}"
-        )
-    return ProductState(x=combined @ encoder.weight + encoder.bias)
+    width = feats.shape[1] + pe.k + mark_table.shape[1]
+    if width != encoder.weight.shape[0]:
+        raise ShapeMismatch(f"encoder expects width {encoder.weight.shape[0]}, got {width}")
+    w_f, w_pe, w_m = np.split(encoder.weight, [feats.shape[1], feats.shape[1] + pe.k])
+    d = encoder.weight.shape[1]
+    x = (pe.data @ w_pe).reshape(n, n, d)  # x[s, v] is product node (s, v)
+    x += feats @ w_f + encoder.bias
+    x += (mark_table @ w_m)[marks.dist]
+    return ProductState(x=x.reshape(n * n, d))
 
 
 # ---------------------------------------------------------------------------
@@ -688,7 +698,9 @@ def run_forward(g: Graph, cfg: ForwardConfig, model: ForwardModel | None = None)
     and the whole system (state rows and all three adjacencies) is restricted
     to their rows before the stack runs; ratio 1.0 reproduces the unsampled
     forward bit for bit.  Pooling "mean_sum" divides the sum over the m*n
-    sampled rows by n, whatever m is.
+    sampled rows by n, whatever m is.  Parameters large enough to overflow
+    float64 raise RangeError (or ShapeMismatch for a non-finite state)
+    instead of returning NaN or infinity.
     """
     # product.* and spectral.* are looked up at call time, so that wrappers
     # installed on those modules (profilers, tracers) see every stage.
@@ -696,17 +708,21 @@ def run_forward(g: Graph, cfg: ForwardConfig, model: ForwardModel | None = None)
         model = build_forward_model(g, cfg)
     pe = spectral.product_pe(g, cfg.k)
     marks = spectral.node_mark_indices(g)
-    x = init_state(g, pe, marks, model.mark_table, model.encoder).x
-    bundle = product.build_product_bundle(g)
-    pipeline = Pipeline(
-        bundle.internal, bundle.external, bundle.point, g.n, model.layers, model.pool_mlp,
-        cfg.pool_variant,
-    )
-    if cfg.sample_ratio is not None:
-        sample_seed = cfg.seed if cfg.sample_seed is None else cfg.sample_seed
-        mask = product.SamplingMask.from_ratio(g.n, cfg.sample_ratio, SplitMix64(sample_seed))
-        pipeline, x = pipeline.sampled(x, mask)
-    return pipeline.pooled(x)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below as one error
+        x = init_state(g, pe, marks, model.mark_table, model.encoder).x
+        bundle = product.build_product_bundle(g)
+        pipeline = Pipeline(
+            bundle.internal, bundle.external, bundle.point, g.n, model.layers, model.pool_mlp,
+            cfg.pool_variant,
+        )
+        if cfg.sample_ratio is not None:
+            sample_seed = cfg.seed if cfg.sample_seed is None else cfg.sample_seed
+            mask = product.SamplingMask.from_ratio(g.n, cfg.sample_ratio, SplitMix64(sample_seed))
+            pipeline, x = pipeline.sampled(x, mask)
+        pooled = pipeline.pooled(x)
+    if not np.isfinite(pooled).all():
+        raise RangeError("the pooled output is not finite: the parameters overflow float64")
+    return pooled
 
 
 # ---------------------------------------------------------------------------

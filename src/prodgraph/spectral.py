@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotSymmetric, ParseError, ProdGraphError, RangeError, ScaleError, ShapeMismatch
+from .errors import NotSymmetric, ProdGraphError, RangeError, ScaleError, ShapeMismatch
 from .graphs import DistanceMatrix, Graph, dense_adjacency, shortest_path_distances
 from .product import cartesian_product_adjacency, check_scale
 
@@ -185,21 +185,6 @@ class PEMatrix:
         for row in self.data:
             lines.append(" ".join(format(x, ".17g") for x in row))
         return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "PEMatrix":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if len(lines) < 2:
-            raise ParseError("PE text requires a header and a label line")
-        try:
-            rows, k = (int(x) for x in lines[0].split())
-            labels = np.array([float(x) for x in lines[1].split()])
-            data = np.array([[float(x) for x in ln.split()] for ln in lines[2:]])
-        except ValueError as exc:
-            raise ParseError(f"malformed PE text: {exc}") from exc
-        if labels.shape != (k,) or data.shape != (rows, k):
-            raise ParseError("PE text dimensions do not match header")
-        return cls(data=data, eigenvalues=labels)
 
 
 def _tuple_pe(g: Graph, tuple_order: int, k: int) -> PEMatrix:

@@ -19,7 +19,7 @@ from prodgraph import (
 )
 from prodgraph.cli import main
 from prodgraph.model import ForwardConfig, build_forward_model, save_parameters
-from prodgraph.spectral import PEMatrix
+from helpers import entry_set, read_coo, read_pe
 from tuple_reference import point_pairs, reference_adjacency
 
 P2_JSON = '{"n":2,"edges":[[0,1]]}'
@@ -43,7 +43,7 @@ def test_build_product_k2(p2_file, tmp_path, capsys):
     code, _, _ = run_cli(capsys, "build-product", p2_file, "--out", str(out))
     assert code == 0
     for name, nnz in (("internal.coo", 4), ("external.coo", 4), ("point.coo", 4)):
-        adj = SparseAdjacency.from_coo_text((out / name).read_text())
+        adj = read_coo((out / name).read_text())
         assert adj.nnz == nnz
         assert (adj.rows, adj.cols) == (4, 4)
 
@@ -54,7 +54,7 @@ def test_build_product_k3_writes_four_files(p2_file, tmp_path, capsys):
     assert code == 0
     files = sorted(p.name for p in out.iterdir())
     assert files == ["slot0.coo", "slot1.coo", "slot2.coo", "union.coo"]
-    union = SparseAdjacency.from_coo_text((out / "union.coo").read_text())
+    union = read_coo((out / "union.coo").read_text())
     assert union.nnz == 24  # the 3-cube
 
 
@@ -69,7 +69,7 @@ def test_build_product_k3_optional_point_files(p2_file, tmp_path, capsys):
     assert names == ["point1.coo", "point2.coo", "point3.coo",
                      "slot0.coo", "slot1.coo", "slot2.coo", "union.coo"]
     for i in (1, 2, 3):
-        pt = SparseAdjacency.from_coo_text((out / f"point{i}.coo").read_text())
+        pt = read_coo((out / f"point{i}.coo").read_text())
         assert pt.nnz == 4  # n^2 entries
 
 
@@ -120,7 +120,7 @@ def test_pe_product_labels(p2_file, tmp_path, capsys):
                               "--out", str(out))
     assert code == 0
     assert stdout.splitlines()[-1] == "0 2 2 4"
-    pe = PEMatrix.from_text(out.read_text())
+    pe = read_pe(out.read_text())
     assert pe.rows == 4 and pe.k == 4
 
 
@@ -350,6 +350,22 @@ def test_non_finite_parameter_container_is_parse_error(p2_file, tmp_path, capsys
     assert err.startswith("ParseError: ") and "layers.0.fuse_mlp.w1" in err
 
 
+def test_overflowing_parameters_are_an_error_not_nan(tmp_path, capsys):
+    # finite parameters whose forward pass overflows float64
+    graph = tmp_path / "p4.json"
+    graph.write_text('{"n":4,"edges":[[0,1],[1,2],[2,3]]}')
+    named = build_forward_model(load_graph(graph.read_text()), ForwardConfig(k=2)).named()
+    for name, arr in named:
+        if name.startswith("layers.") and name.endswith(".fuse_mlp.w1"):
+            arr[...] = -1e200
+    params = tmp_path / "big.bin"
+    with params.open("wb") as fh:
+        save_parameters(fh, named)
+    code, out, err = run_cli(capsys, "forward", str(graph), "--k", "2", "--load-params", str(params))
+    assert (code, out) == (2, "")
+    assert err.startswith("RangeError: ") and err.count("\n") == 1
+
+
 def test_sample_masked_files(p2_file, tmp_path, capsys):
     out = tmp_path / "masked"
     code, stdout, _ = run_cli(capsys, "sample", p2_file, "--ratio", "0.5", "--seed", "3",
@@ -357,11 +373,11 @@ def test_sample_masked_files(p2_file, tmp_path, capsys):
     assert code == 0
     sampled = {int(x) for x in stdout.splitlines()[0].split()}
     assert len(sampled) == 1
-    external = SparseAdjacency.from_coo_text((out / "external.coo").read_text())
+    external = read_coo((out / "external.coo").read_text())
     assert external.nnz == 0  # external edges always cross subgraphs
-    internal = SparseAdjacency.from_coo_text((out / "internal.coo").read_text())
+    internal = read_coo((out / "internal.coo").read_text())
     s = next(iter(sampled))
-    assert internal.entry_set() == {(s * 2, s * 2 + 1), (s * 2 + 1, s * 2)}
+    assert entry_set(internal) == {(s * 2, s * 2 + 1), (s * 2 + 1, s * 2)}
 
 
 def test_sample_is_seed_deterministic(p2_file, capsys):

@@ -57,6 +57,7 @@ from prodgraph.verify import (
     dense_point_oracle,
     dense_rgcn_oracle,
 )
+from helpers import concatenated_state, entry_set
 
 P2 = path_graph(2)
 K3 = complete_graph(3)
@@ -107,7 +108,7 @@ def test_attention_singleton_neighborhood_is_value_projection():
     values = x @ params.w_value
     for adj, coo in ((bundle.internal, internal_adjacency(g)), (bundle.external, external_adjacency(g))):
         out = sparse_attention(ProductState(x=x), adj, params, heads=4)
-        for (r, c) in coo.entry_set():
+        for (r, c) in entry_set(coo):
             assert np.abs(out[r] - values[c]).max() <= 1e-14
 
 
@@ -671,6 +672,26 @@ def test_init_state_equivariance_given_permuted_inputs():
     assert np.abs(state_p.x - expected).max() <= 1e-12
 
 
+@pytest.mark.parametrize("features", [None, 2, 0], ids=["no-features", "2-features", "0-width"])
+def test_init_state_matches_concatenation(features):
+    n = 6
+    g = random_graph(n, 0.5, seed=75, with_features=features or 0)
+    if features == 0:
+        g = load_graph(json.dumps({"n": n, "edges": [list(e) for e in sorted(g.edges)],
+                                   "features": [[] for _ in range(n)]}))
+        assert g.features.shape == (n, 0)
+    pe = product_pe(g, 3)
+    marks = node_mark_indices(g)
+    rng = SplitMix64(76)
+    mark_table = _uniform_array(rng, (n + 1, 4), n + 1)
+    d_feat = 1 if features is None else features
+    encoder = EncoderParams.from_rng(d_feat + 3 + 4, 5, rng)
+    x = init_state(g, pe, marks, mark_table, encoder).x
+    expected = concatenated_state(g, pe, marks, mark_table, encoder)
+    assert x.shape == expected.shape == (n * n, 5)
+    assert np.abs(x - expected).max() <= 1e-15 * np.abs(expected).max()
+
+
 def test_init_state_shape_mismatch():
     g = P2
     pe = product_pe(g, 2)
@@ -680,6 +701,16 @@ def test_init_state_shape_mismatch():
     big_pe = product_pe(path_graph(3), 2)
     with pytest.raises(ShapeMismatch):
         init_state(g, big_pe, marks, np.zeros((3, 4)), EncoderParams(np.zeros((7, 4)), np.zeros(4)))
+    # one block one column too wide for a 1 + 2 + 4 encoder: refused before
+    # the weight is split
+    encoder = EncoderParams(np.zeros((7, 4)), np.zeros(4))
+    for args in (
+        (random_graph(2, 1.0, seed=1, with_features=2), pe, marks, np.zeros((3, 4))),  # features
+        (g, product_pe(g, 3), marks, np.zeros((3, 4))),  # PE k
+        (g, pe, marks, np.zeros((3, 5))),  # mark table
+    ):
+        with pytest.raises(ShapeMismatch, match="encoder expects width 7, got 8"):
+            init_state(*args, encoder)
 
 
 def test_product_state_validation():

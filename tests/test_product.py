@@ -32,6 +32,7 @@ from prodgraph import (
 from prodgraph.product import KronAdjacency, build_product_bundle
 from prodgraph.graphs import SparseAdjacency, complete_graph, path_graph
 from prodgraph.rng import SplitMix64
+from helpers import entry_set
 from tuple_reference import (
     factored_adjacency,
     flatten,
@@ -69,7 +70,7 @@ def test_tuple_indexing_bijection():
 
 
 def test_internal_adjacency_p2():
-    assert internal_adjacency(P2).entry_set() == {(0, 1), (1, 0), (2, 3), (3, 2)}
+    assert entry_set(internal_adjacency(P2)) == {(0, 1), (1, 0), (2, 3), (3, 2)}
 
 
 def test_internal_adjacency_empty_graph():
@@ -81,7 +82,7 @@ def test_internal_adjacency_k3_count():
 
 
 def test_external_adjacency_p2():
-    assert external_adjacency(P2).entry_set() == {(0, 2), (2, 0), (1, 3), (3, 1)}
+    assert entry_set(external_adjacency(P2)) == {(0, 2), (2, 0), (1, 3), (3, 1)}
 
 
 def test_external_is_tuple_transposed_internal():
@@ -95,9 +96,9 @@ def test_external_is_tuple_transposed_internal():
 
 
 def test_point_adjacency_examples():
-    assert point_adjacency(2).entry_set() == {(0, 0), (1, 3), (2, 0), (3, 3)}
-    assert point_adjacency(1).entry_set() == {(0, 0)}
-    row7 = {(r, c) for r, c in point_adjacency(3).entry_set() if r == 7}
+    assert entry_set(point_adjacency(2)) == {(0, 0), (1, 3), (2, 0), (3, 3)}
+    assert entry_set(point_adjacency(1)) == {(0, 0)}
+    row7 = {(r, c) for r, c in entry_set(point_adjacency(3)) if r == 7}
     assert row7 == {(7, 4)}  # (s=2,v=1) reads its root (1,1)
 
 
@@ -253,7 +254,7 @@ def test_k_point_recovers_point_adjacency():
 
 def test_k_point_other_slot_is_transposed_variant():
     # free slot 2: row (v1, v2) reads root (v1, v1)
-    entries = sorted(k_point_adjacency(2, 2, 2).entry_set())
+    entries = sorted(entry_set(k_point_adjacency(2, 2, 2)))
     assert entries == [(0, 0), (1, 0), (2, 3), (3, 3)]
 
 
@@ -340,9 +341,9 @@ def test_global_adjacencies():
     gi, ge = _clique_adjacencies(3)
     assert gi.nnz == 18 and ge.nnz == 18
     n = 3
-    for (r, c) in gi.entry_set():
+    for (r, c) in entry_set(gi):
         assert r // n == c // n and r % n != c % n
-    for (r, c) in ge.entry_set():
+    for (r, c) in entry_set(ge):
         assert r % n == c % n and r // n != c // n
 
 
@@ -350,7 +351,7 @@ def test_global_adjacencies_edge_cases():
     gi, ge = _clique_adjacencies(1)
     assert gi.nnz == 0 and ge.nnz == 0
     gi2, _ = _clique_adjacencies(2)
-    assert gi2.entry_set() == internal_adjacency(P2).entry_set()
+    assert entry_set(gi2) == entry_set(internal_adjacency(P2))
 
 
 def test_global_matches_clique_kron():
@@ -380,7 +381,7 @@ def test_bundle_disjoint_internal_external():
         g = random_graph(4, 0.6, seed=seed)
         bundle = build_product_bundle(g)
         internal, external = factored_adjacency(bundle.internal), factored_adjacency(bundle.external)
-        assert not (internal.entry_set() & external.entry_set())
+        assert not (entry_set(internal) & entry_set(external))
         # the factored types are the matrices the COO builders materialize
         for factored, coo, built in ((bundle.internal, internal, internal_adjacency(g)),
                                      (bundle.external, external, external_adjacency(g)),
@@ -433,14 +434,14 @@ def test_full_mask_keeps_everything():
     g = random_graph(5, 0.5, seed=2)
     adj = internal_adjacency(g)
     masked = sampled_adjacency(build_product_bundle(g).internal, SamplingMask.full(5))
-    assert masked.entry_set() == adj.entry_set()
+    assert entry_set(masked) == entry_set(adj)
 
 
 def test_mask_filters_p2_examples():
     mask = SamplingMask(n=2, sampled=(0,))
     bundle = build_product_bundle(P2)
     masked_internal = sampled_adjacency(bundle.internal, mask)
-    assert masked_internal.entry_set() == {(0, 1), (1, 0)}
+    assert entry_set(masked_internal) == {(0, 1), (1, 0)}
     masked_external = sampled_adjacency(bundle.external, mask)
     assert masked_external.nnz == 0  # every external edge crosses subgraphs
 
@@ -516,7 +517,7 @@ def test_mask_idempotent():
     bundle = build_product_bundle(g)
     for adj in (bundle.internal, bundle.external, bundle.point):
         once = sampled_adjacency(adj, mask)
-        assert masked_adjacency(once, mask).entry_set() == once.entry_set()
+        assert entry_set(masked_adjacency(once, mask)) == entry_set(once)
 
 
 def test_mask_matches_dense_and_semantics():
@@ -531,7 +532,7 @@ def test_mask_matches_dense_and_semantics():
                               (point_adjacency(n), bundle.point)):
             masked = sampled_adjacency(factored, mask)
             assert np.array_equal(masked.entries, masked_adjacency(adj, mask).entries)
-            for (r, c) in masked.entry_set():
+            for (r, c) in entry_set(masked):
                 assert r // n in kept and c // n in kept
             # dense oracle: elementwise AND with the mask matrix
             mvec = np.array([1 if s in kept else 0 for s in range(n)])
@@ -550,9 +551,9 @@ def test_restrict_adjacency_reindexes():
         assert restricted.grid == (2, 4)
         masked = masked_adjacency(adj, mask)
         expect = set()
-        for (r, c) in masked.entry_set():
+        for (r, c) in entry_set(masked):
             expect.add((rank[r // 4] * 4 + r % 4, rank[c // 4] * 4 + c % 4))
-        assert factored_adjacency(restricted).entry_set() == expect
+        assert entry_set(factored_adjacency(restricted)) == expect
 
 
 def test_restriction_is_a_slice_not_a_coo_filter():

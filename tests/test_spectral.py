@@ -26,6 +26,7 @@ from prodgraph import (
 from prodgraph.graphs import complete_graph, cycle_graph, path_graph
 from prodgraph.product import product_permutation
 from prodgraph.spectral import _canonical_signs
+from helpers import read_pe
 from tuple_reference import full_enumeration_tuple_pe
 
 P2 = path_graph(2)
@@ -371,7 +372,7 @@ def test_pe_permutation_covariance_simple_spectrum():
 def test_pe_text_roundtrip():
     pe = product_pe(random_graph(4, 0.5, seed=3), 6)
     text = pe.to_text()
-    back = PEMatrix.from_text(text)
+    back = read_pe(text)
     assert back.rows == pe.rows and back.k == pe.k
     assert np.array_equal(back.data, pe.data)  # 17 significant digits round-trips f64
     assert np.array_equal(back.eigenvalues, pe.eigenvalues)
