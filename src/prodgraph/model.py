@@ -227,7 +227,7 @@ class ProductState:
         if x.ndim != 2:
             raise ShapeMismatch(f"state must be a (rows, d) array, got shape {x.shape}")
         if not np.isfinite(x).all():
-            raise ShapeMismatch("state contains non-finite entries")
+            raise RangeError("state contains non-finite entries")
         x.flags.writeable = False
         object.__setattr__(self, "x", x)
 
@@ -699,7 +699,7 @@ def run_forward(g: Graph, cfg: ForwardConfig, model: ForwardModel | None = None)
     to their rows before the stack runs; ratio 1.0 reproduces the unsampled
     forward bit for bit.  Pooling "mean_sum" divides the sum over the m*n
     sampled rows by n, whatever m is.  Parameters large enough to overflow
-    float64 raise RangeError (or ShapeMismatch for a non-finite state)
+    float64, in the initial state or later in the stack, raise RangeError
     instead of returning NaN or infinity.
     """
     # product.* and spectral.* are looked up at call time, so that wrappers

@@ -366,6 +366,20 @@ def test_overflowing_parameters_are_an_error_not_nan(tmp_path, capsys):
     assert err.startswith("RangeError: ") and err.count("\n") == 1
 
 
+def test_overflowing_initial_state_is_a_range_error(tmp_path, capsys):
+    # finite encoder weights whose product overflows float64 in init_state
+    graph = tmp_path / "p4.json"
+    graph.write_text('{"n":4,"edges":[[0,1],[1,2],[2,3]]}')
+    named = build_forward_model(load_graph(graph.read_text()), ForwardConfig(k=2)).named()
+    dict(named)["encoder.weight"][...] = 1.7e308
+    params = tmp_path / "huge.bin"
+    with params.open("wb") as fh:
+        save_parameters(fh, named)
+    code, out, err = run_cli(capsys, "forward", str(graph), "--k", "2", "--load-params", str(params))
+    assert (code, out) == (2, "")
+    assert err.startswith("RangeError: state contains non-finite entries") and err.count("\n") == 1
+
+
 def test_sample_masked_files(p2_file, tmp_path, capsys):
     out = tmp_path / "masked"
     code, stdout, _ = run_cli(capsys, "sample", p2_file, "--ratio", "0.5", "--seed", "3",

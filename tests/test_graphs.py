@@ -136,15 +136,58 @@ def _queue_bfs(g):
     return dist
 
 
+def _grid_graph(rows, cols):
+    return Graph(n=rows * cols, edges=frozenset(
+        {(v, v + 1) for v in range(rows * cols) if (v + 1) % cols}
+        | {(v, v + cols) for v in range(rows * cols - cols)}))
+
+
 def test_bfs_matches_queue_reference():
     for seed in range(60):
         g = random_graph(1 + seed % 30, (seed % 7) / 12, seed=seed + 400)
         got = shortest_path_distances(g).dist
         assert got.dtype == np.int64
         assert np.array_equal(got, _queue_bfs(g))
-    # long diameters: one BFS level per hop
-    for g in (path_graph(1), path_graph(40), cycle_graph(41), Graph(n=4, edges=frozenset())):
+    # source counts on both sides of the 64-source bitset word
+    for n in (63, 64, 65, 127, 128, 129):
+        for p in (3 / n, 0.5):
+            g = random_graph(n, p, seed=n)
+            assert np.array_equal(shortest_path_distances(g).dist, _queue_bfs(g))
+    # isolated nodes and several components: a path, a cycle, five lone nodes
+    parts = Graph(n=25, edges=frozenset({(i, i + 1) for i in range(9)}
+                                        | {(10 + i, 10 + (i + 1) % 10) for i in range(10)}))
+    # long diameters: one BFS level per hop, most of them in the sparse tail
+    for g in (path_graph(1), path_graph(40), cycle_graph(41), Graph(n=4, edges=frozenset()),
+              Graph(n=70, edges=frozenset()), parts, random_graph(90, 0.015, seed=5),
+              path_graph(300), cycle_graph(257), _grid_graph(12, 12)):
         assert np.array_equal(shortest_path_distances(g).dist, _queue_bfs(g))
+
+
+def test_bfs_deeper_than_the_dense_levels_count():
+    # the circulant C_n(1, 2, 3): every frontier holds 6 nodes per source,
+    # too many for the sparse tail, for 259 levels, more than the dense
+    # phase's uint8 level count holds; d(s, v) = ceil(cyclic gap / 3)
+    n = 1560
+    g = Graph(n=n, edges=frozenset((v, (v + j) % n) for v in range(n) for j in (1, 2, 3)))
+    gap = np.abs(np.arange(n)[:, None] - np.arange(n))
+    assert np.array_equal(shortest_path_distances(g).dist, -(-np.minimum(gap, n - gap) // 3))
+
+
+def test_bfs_peak_memory():
+    # the dense levels hold the frontier as bitsets and count depths in one
+    # uint8 matrix: 1.3x the int64 output here, against 21x for a BFS that
+    # expands and deduplicates every (source, node) pair of every level
+    import tracemalloc
+
+    g = random_graph(512, 8 / 511, seed=11)
+    g.directed_edges  # cached on the graph, not the BFS's own memory
+    tracemalloc.start()
+    try:
+        dist = shortest_path_distances(g).dist
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * dist.nbytes
 
 
 def test_permute_identity_and_swap():

@@ -15,6 +15,7 @@ from prodgraph import (
     MLPParams,
     Pipeline,
     ProductState,
+    RangeError,
     RGCNParams,
     SABParams,
     ScaleError,
@@ -718,7 +719,7 @@ def test_product_state_validation():
         assert not ProductState(x=np.zeros((rows, 2))).x.flags.writeable
     with pytest.raises(ShapeMismatch):
         ProductState(x=np.zeros(4))
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(RangeError):
         ProductState(x=np.full((4, 2), np.nan))
 
 
@@ -833,8 +834,6 @@ def test_build_forward_model_rejects_bad_heads():
 
 
 def test_model_arguments_out_of_range_are_range_errors():
-    from prodgraph import RangeError
-
     for heads, d_out in ((0, 8), (-4, 8), (4, 0)):
         with pytest.raises(RangeError):
             SABParams.from_rng(4, d_out, SplitMix64(0), heads=heads)
