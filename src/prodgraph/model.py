@@ -41,16 +41,23 @@ senders' rows as one (r, k, ...) block, and the softmax reduces the k axis.
 The forward writes the buckets' softmax weights back to back into one
 (E, P, heads) array in edge order, and the bool mask of the LeakyReLU's
 negative side into one array of that shape; the cache keeps both, and each
-bucket reads its rows of them through DegreeBucket.view.  The adjacency is
+bucket reads its rows of them through DegreeBucket.views.  The adjacency is
 symmetric, so the backward pass gathers instead of scattering: what a node
 sends on are the reverses of its own edges, read through the bucket's
 reverse index.  The value gradient is the one step that reads other
 buckets' weights that way, so it runs first, and the score gradient dz then
 overwrites each bucket's weights in place.  A backward pass therefore
 consumes its cache and refuses a consumed one.
-Every cache is dropped as soon as its backward has run, and the MLPs keep
-(input, activation) only: the ReLU mask is activation > 0.  `Pipeline`
-holds the only loop over the blocks.
+
+A layer caches only its input x, each attention type's weights and sign
+mask, and the fuse MLP's three input blocks.  The backward rebuilds the
+values x W_V, the point MLP's input and both MLPs' activations from those,
+each with one thin product or gather, so it reads the parameters as they
+are when it runs: forward and backward stay inside one `loss_and_grads`
+call.  The fuse MLP's input and its gradient stay column blocks, each
+branch's block formed just before its backward runs.  Every cache is
+dropped as soon as its backward has run.  `Pipeline` holds the only loop
+over the blocks.
 
 All math is float64.  ReLU takes subgradient 0 at 0.
 """
@@ -237,24 +244,40 @@ class ProductState:
 # ---------------------------------------------------------------------------
 
 
-def _mlp_forward(x: np.ndarray, p: MLPParams):
-    if x.shape[1] != p.w1.shape[0]:
-        raise ShapeMismatch(f"MLP expects width {p.w1.shape[0]}, got {x.shape[1]}")
-    h = x @ p.w1 + p.b1
-    act = h * (h > 0.0)
-    y = act @ p.w2 + p.b2
-    return y, (x, act)
+def _mlp_hidden(parts: list[np.ndarray], p: MLPParams) -> np.ndarray:
+    """relu(sum_b parts[b] @ W1_b + b1), W1_b the rows of W1 that read
+    column block b of the input: the blocks are never concatenated."""
+    widths = [part.shape[1] for part in parts]
+    if sum(widths) != p.w1.shape[0]:
+        raise ShapeMismatch(f"MLP expects width {p.w1.shape[0]}, got {sum(widths)}")
+    blocks = np.split(p.w1, np.cumsum(widths)[:-1])
+    act = parts[0] @ blocks[0]
+    for part, w1 in zip(parts[1:], blocks[1:]):
+        act += part @ w1
+    act += p.b1
+    act *= act > 0.0
+    return act
 
 
-def _mlp_backward(dy: np.ndarray, cache, p: MLPParams):
-    x, act = cache
+def _mlp_forward(parts: list[np.ndarray], p: MLPParams):
+    """The MLP of the column blocks `parts`; the cache is `parts` itself."""
+    y = _mlp_hidden(parts, p) @ p.w2 + p.b2
+    return y, parts
+
+
+def _mlp_backward(dy: np.ndarray, parts: list[np.ndarray], p: MLPParams):
+    """(dh, gradients) with dh the gradient at the hidden pre-activation.
+    The activation is rebuilt from `parts`.  The gradient of input block b
+    is dh @ W1_b.T, which each caller forms when it reads it."""
+    act = _mlp_hidden(parts, p)
     dw2 = act.T @ dy
     db2 = dy.sum(axis=0)
-    dh = (dy @ p.w2.T) * (act > 0.0)  # act = h * (h > 0), so act > 0 exactly where h > 0
-    dw1 = x.T @ dh
+    dh = dy @ p.w2.T
+    dh *= act > 0.0  # act = h * (h > 0), so act > 0 exactly where h > 0
+    del act
+    dw1 = np.vstack([part.T @ dh for part in parts])
     db1 = dh.sum(axis=0)
-    dx = dh @ p.w1.T
-    return dx, MLPParams(w1=dw1, b1=db1, w2=dw2, b2=db2)
+    return dh, MLPParams(w1=dw1, b1=db1, w2=dw2, b2=db2)
 
 
 def _score_maps(p: AttentionParams):
@@ -269,13 +292,17 @@ def _score_maps(p: AttentionParams):
 
 
 class _AttentionCache(NamedTuple):
-    x: np.ndarray
+    x: np.ndarray  # the layer input, from which the backward rebuilds the values
     adj: KronAdjacency
-    v: np.ndarray  # (Q, P, heads, hd) values, node-major
-    # (E, P, heads) in edge order, a bucket's rows read by bucket.view: the softmax weights,
+    # (E, P, heads) in edge order, a bucket's rows read by bucket.views: the softmax weights,
     # which the backward overwrites with dz and then marks read-only, and score <= 0,
     alpha: np.ndarray
     negative: np.ndarray  # where the LeakyReLU has LEAKY_SLOPE
+
+
+def _values(x: np.ndarray, adj: KronAdjacency, p: AttentionParams) -> np.ndarray:
+    """(Q, P, heads, hd) values x W_V, node-major."""
+    return adj.node_major((x @ p.w_value).reshape(x.shape[0], p.attn.shape[0], -1))
 
 
 def _attention_forward(x: np.ndarray, adj: KronAdjacency, p: AttentionParams):
@@ -284,16 +311,15 @@ def _attention_forward(x: np.ndarray, adj: KronAdjacency, p: AttentionParams):
         raise ShapeMismatch(f"adjacency grid {adj.grid} does not match {rows_n} state rows")
     if p.w_query.shape[0] != d_in:
         raise ShapeMismatch(f"attention expects width {p.w_query.shape[0]}, got {d_in}")
-    heads = p.attn.shape[0]
     m_q, m_k = _score_maps(p)
     s_q = adj.node_major(x @ m_q)  # (Q, P, H)
     s_k = adj.node_major(x @ m_k)
-    v = adj.node_major((x @ p.w_value).reshape(rows_n, heads, -1))  # (Q, P, H, hd)
+    v = _values(x, adj, p)
     out = np.zeros_like(v)
     alpha_e = np.empty((adj.src.size,) + s_k.shape[1:])  # (E, P, H) in edge order
     negative_e = np.empty(alpha_e.shape, dtype=bool)
     for b in adj.buckets:
-        alpha, negative = b.view(alpha_e), b.view(negative_e)  # (r, k, P, H)
+        alpha, negative = b.views(alpha_e, negative_e)  # (r, k, P, H)
         # with out=, the default mode="raise" buffers the whole gather; the indices are in range
         np.take(s_k, b.senders, axis=0, out=alpha, mode="clip")
         alpha += s_q[b.nodes, None]  # the score z
@@ -303,38 +329,49 @@ def _attention_forward(x: np.ndarray, adj: KronAdjacency, p: AttentionParams):
         np.exp(alpha, out=alpha)
         alpha /= alpha.sum(axis=1, keepdims=True)
         out[b.nodes] = np.einsum("rkph,rkphd->rphd", alpha, np.take(v, b.senders, axis=0))
-    cache = _AttentionCache(x, adj, v, alpha_e, negative_e)
+    cache = _AttentionCache(x, adj, alpha_e, negative_e)
     return adj.grid_rows(out).reshape(rows_n, -1), cache
 
 
 def _attention_backward(dout: np.ndarray, cache: _AttentionCache, p: AttentionParams):
     """Gradients of one attention forward.  Consumes `cache`: dz overwrites
-    the weights in place, so a cache serves one backward pass only."""
-    x, adj, v, alpha_e, negative_e = cache
+    the weights in place, so a cache serves one backward pass only.  Each
+    node-major array is dropped once nothing reads it, and `dx` is summed
+    in place."""
+    x, adj, alpha_e, negative_e = cache
     if not alpha_e.flags.writeable:
         raise ValueError("attention cache already consumed by a backward pass")
-    q, batch, heads, hd = v.shape
     d_in, d_out = p.w_query.shape
-    dout = adj.node_major(dout.reshape(-1, heads, hd))
+    heads = p.attn.shape[0]
+    hd = d_out // heads
+    dout = adj.node_major(dout.reshape(-1, heads, hd))  # (Q, P, H, hd)
     # dv first: it is the one step that reads other buckets' weights, the
     # weights of the edges a node sends on, through the reverse index
-    dv = np.zeros_like(v)
+    dv = np.zeros_like(dout)
     for b in adj.buckets:
         dv[b.nodes] = np.einsum("rkph,rkphd->rphd", np.take(alpha_e, b.reverse, axis=0),
                                 np.take(dout, b.senders, axis=0))
-    dz_r = np.zeros((q, batch, heads))
+    dv = adj.grid_rows(dv).reshape(-1, d_out)
+    dw_value = x.T @ dv
+    dx = dv @ p.w_value.T
+    del dv
+    v = _values(x, adj, p)  # rebuilt from the layer input: the forward's values, bit for bit
+    dz_r = np.zeros(dout.shape[:3])  # (Q, P, H)
     for b in adj.buckets:
-        dz, negative = b.view(alpha_e), b.view(negative_e)
+        dz, negative = b.views(alpha_e, negative_e)
         # dalpha = dout[receiver] . v[sender] over head_dim, one channel at
         # a time: head_dim is short, and einsum's inner loop over it is slow
         dout_r, v_s = dout[b.nodes, None], np.take(v, b.senders, axis=0)
         dalpha = dout_r[..., 0] * v_s[..., 0]
         for c in range(1, hd):
             dalpha += dout_r[..., c] * v_s[..., c]
+        del v_s  # before the next bucket's gather
         dalpha -= (dz * dalpha).sum(axis=1, keepdims=True)
         dz *= dalpha  # the bucket's weights become its dz
+        del dalpha
         dz *= negative * LEAKY_SLOPE + ~negative  # exactly LEAKY_SLOPE or 1; branch-free, unlike np.where
         dz_r[b.nodes] = dz.sum(axis=1)
+    del dout, v
     # z = (x @ M_q)[receiver] + (x @ M_k)[sender], so the score gradient
     # reaches each node through its receiver and sender sums of dz, and the
     # maps through x.T times those sums
@@ -342,35 +379,46 @@ def _attention_backward(dout: np.ndarray, cache: _AttentionCache, p: AttentionPa
     for b in adj.buckets:
         dz_c[b.nodes] = np.take(alpha_e, b.reverse, axis=0).sum(axis=1)
     alpha_e.flags.writeable = False  # it holds dz now, not weights
-    dz_r, dz_c = adj.grid_rows(dz_r), adj.grid_rows(dz_c)
-    dv = adj.grid_rows(dv).reshape(-1, d_out)
+    m_q, m_k = _score_maps(p)
+    dz_r = adj.grid_rows(dz_r)
     dm_q = x.T @ dz_r  # (d_in, H)
+    dx += dz_r @ m_q.T
+    del dz_r
+    dz_c = adj.grid_rows(dz_c)
     dm_k = x.T @ dz_c
+    dx += dz_c @ m_k.T
+    del dz_c
     w_q = p.w_query.reshape(d_in, heads, hd)
     w_k = p.w_key.reshape(d_in, heads, hd)
     grads = AttentionParams(
         w_query=(dm_q[..., None] * p.attn[:, :hd]).reshape(d_in, d_out),
         w_key=(dm_k[..., None] * p.attn[:, hd:]).reshape(d_in, d_out),
-        w_value=x.T @ dv,
+        w_value=dw_value,
         attn=np.hstack([np.einsum("dhk,dh->hk", w_q, dm_q),
                         np.einsum("dhk,dh->hk", w_k, dm_k)]),
     )
-    m_q, m_k = _score_maps(p)
-    dx = dz_r @ m_q.T + dz_c @ m_k.T + dv @ p.w_value.T
     return dx, grads
 
 
+def _point_pre(x: np.ndarray, point: PointAdjacency, epsilon: np.ndarray) -> np.ndarray:
+    """The point MLP's input (1 + eps) x + P x, in the forward and the backward alike."""
+    return (1.0 + float(epsilon)) * x + point.gather(x)
+
+
 def _point_forward(x: np.ndarray, point: PointAdjacency, epsilon: np.ndarray, mlp: MLPParams):
+    """The GIN update; the cache is (x, point), from which the backward
+    rebuilds the MLP input."""
     if math.prod(point.grid) != x.shape[0]:
         raise ShapeMismatch(f"point adjacency grid {point.grid} does not match {x.shape[0]} state rows")
-    pre = (1.0 + float(epsilon)) * x + point.gather(x)
-    y, mlp_cache = _mlp_forward(pre, mlp)
-    return y, (x, point, mlp_cache)
+    y, _ = _mlp_forward([_point_pre(x, point, epsilon)], mlp)
+    return y, (x, point)
 
 
 def _point_backward(dy: np.ndarray, cache, epsilon: np.ndarray, mlp: MLPParams):
-    x, point, mlp_cache = cache
-    dpre, mlp_grads = _mlp_backward(dy, mlp_cache, mlp)
+    x, point = cache
+    dh, mlp_grads = _mlp_backward(dy, [_point_pre(x, point, epsilon)], mlp)
+    dpre = dh @ mlp.w1.T
+    del dh
     deps = float((dpre * x).sum())
     dx = (1.0 + float(epsilon)) * dpre
     point.add_transposed(dpre, dx)
@@ -381,36 +429,38 @@ def _sab_forward_raw(x, internal, external, point, params: SABParams):
     a_int, c_int = _attention_forward(x, internal, params.internal)
     a_ext, c_ext = _attention_forward(x, external, params.external)
     a_pt, c_pt = _point_forward(x, point, params.epsilon, params.point_mlp)
-    fused_in = np.hstack([a_int, a_ext, a_pt])
-    del a_int, a_ext, a_pt  # copied into fused_in
-    y, c_fuse = _mlp_forward(fused_in, params.fuse_mlp)
+    y, c_fuse = _mlp_forward([a_int, a_ext, a_pt], params.fuse_mlp)
     return y, [c_int, c_ext, c_pt, c_fuse]
 
 
 def _sab_backward_raw(dy, cache: list, params: SABParams):
     """Empties `cache`, the list `_sab_forward_raw` returned: each part is
-    dropped as soon as its backward has run."""
-    dfused, fuse_grads = _mlp_backward(dy, cache.pop(), params.fuse_mlp)
-    d_int, d_ext, d_pt = np.split(dfused, 3, axis=1)
-    dx_pt, deps, point_grads = _point_backward(d_pt, cache.pop(), params.epsilon, params.point_mlp)
-    dx_ext, ext_grads = _attention_backward(d_ext, cache.pop(), params.external)
-    dx_int, int_grads = _attention_backward(d_int, cache.pop(), params.internal)
+    dropped as soon as its backward has run.  Each branch gets its block of
+    the fuse input's gradient just before its backward runs."""
+    dh, fuse_grads = _mlp_backward(dy, cache.pop(), params.fuse_mlp)
+    w_int, w_ext, w_pt = np.split(params.fuse_mlp.w1, 3)
+    dx, deps, point_grads = _point_backward(dh @ w_pt.T, cache.pop(), params.epsilon, params.point_mlp)
+    dx_ext, ext_grads = _attention_backward(dh @ w_ext.T, cache.pop(), params.external)
+    dx += dx_ext
+    del dx_ext
+    dx_int, int_grads = _attention_backward(dh @ w_int.T, cache.pop(), params.internal)
+    dx += dx_int
     grads = SABParams(internal=int_grads, external=ext_grads, point_mlp=point_grads,
                       epsilon=np.array(deps), fuse_mlp=fuse_grads)
-    return dx_int + dx_ext + dx_pt, grads
+    return dx, grads
 
 
 def _pool_forward(x: np.ndarray, divisor: int, mlp: MLPParams):
     """Column sum of all rows divided by `divisor`, then the pool MLP."""
-    y, mlp_cache = _mlp_forward((x.sum(axis=0) / divisor)[None, :], mlp)
+    y, mlp_cache = _mlp_forward([(x.sum(axis=0) / divisor)[None, :]], mlp)
     return y[0], (x.shape, divisor, mlp_cache)
 
 
 def _pool_backward(dy: np.ndarray, cache, mlp: MLPParams):
     """The gradient of every row is one vector: a read-only broadcast of it."""
     shape, divisor, mlp_cache = cache
-    dpre, mlp_grads = _mlp_backward(dy[None, :], mlp_cache, mlp)
-    return np.broadcast_to(dpre[0] / divisor, shape), mlp_grads
+    dh, mlp_grads = _mlp_backward(dy[None, :], mlp_cache, mlp)
+    return np.broadcast_to((dh @ mlp.w1.T)[0] / divisor, shape), mlp_grads
 
 
 # ---------------------------------------------------------------------------
@@ -447,6 +497,9 @@ def rgcn_layer(state: ProductState, bundle: ProductGraphBundle, params: RGCNPara
     return ProductState(x=y)
 
 
+_MARK_BLOCK = 64  # subgraphs per block of gathered mark rows in init_state
+
+
 def init_state(
     g: Graph,
     pe: PEMatrix,
@@ -462,7 +515,9 @@ def init_state(
         X(s,v) = (feat W_f + b)[v] + pe(s,v) W_pe + (mark_table W_m)[dist(s,v)]
 
     The side terms are rows of an n-row and an (n + 1)-row table; the PE
-    product is the only n*n-row operation.
+    product is the only n*n-row operation.  The mark rows are gathered and
+    added _MARK_BLOCK subgraphs at a time, so no second (n, n, d) array
+    exists; each entry gets the same additions as in one pass.
     """
     n = g.n
     if pe.rows != n * n:
@@ -477,7 +532,9 @@ def init_state(
     d = encoder.weight.shape[1]
     x = (pe.data @ w_pe).reshape(n, n, d)  # x[s, v] is product node (s, v)
     x += feats @ w_f + encoder.bias
-    x += (mark_table @ w_m)[marks.dist]
+    mark_rows = mark_table @ w_m
+    for s in range(0, n, _MARK_BLOCK):
+        x[s:s + _MARK_BLOCK] += mark_rows[marks.dist[s:s + _MARK_BLOCK]]
     return ProductState(x=x.reshape(n * n, d))
 
 

@@ -1,13 +1,14 @@
 """Test-side code the library does not carry.
 
 Readers of the COO and PE text the CLI writes, kept here because nothing
-in the program reads those files back, and the encoder's concatenation
-formula, the reference for the block-by-block `init_state`.
+in the program reads those files back, and two concatenation formulas:
+the encoder's, the reference for the block-by-block `init_state`, and the
+MLP's, the reference for the MLP of column blocks.
 """
 
 import numpy as np
 
-from prodgraph import SparseAdjacency
+from prodgraph import MLPParams, SparseAdjacency
 from prodgraph.spectral import PEMatrix
 
 
@@ -42,3 +43,19 @@ def concatenated_state(g, pe, marks, mark_table, encoder) -> np.ndarray:
     node_part = np.tile(feats, (n, 1))  # row s*n + v carries feat(v)
     mark_part = mark_table[marks.dist.ravel()]  # row s*n + v carries mark dist(s, v)
     return np.hstack([node_part, pe.data, mark_part]) @ encoder.weight + encoder.bias
+
+
+def concatenated_mlp(parts, p: MLPParams):
+    """relu(hstack(parts) @ W1 + b1) @ W2 + b2, and its (input, activation) cache."""
+    x = np.hstack(parts)
+    h = x @ p.w1 + p.b1
+    act = h * (h > 0.0)
+    return act @ p.w2 + p.b2, (x, act)
+
+
+def concatenated_mlp_backward(dy, cache, p: MLPParams):
+    """The gradient of the concatenated input, and the parameters' gradients."""
+    x, act = cache
+    dh = (dy @ p.w2.T) * (act > 0.0)
+    grads = MLPParams(w1=x.T @ dh, b1=dh.sum(axis=0), w2=act.T @ dy, b2=dy.sum(axis=0))
+    return dh @ p.w1.T, grads

@@ -72,7 +72,8 @@ def test_attention_matches_entry_major_reference(heads, head_dim):
     for name, x, adj in _systems():
         rng = SplitMix64(heads * 10 + head_dim)
         params = AttentionParams.from_rng(D_IN, d_out, heads, rng)
-        # the upstream gradient is a column block of the fused one, as in a SAB layer
+        # a SAB layer hands each branch a contiguous gradient; a strided column
+        # block of a wider array is kept here as a robustness case
         fused = rng.uniform_array(-1.0, 1.0, x.shape[0] * 3 * d_out).reshape(x.shape[0], 3 * d_out)
         dout = fused[:, d_out:2 * d_out]
         coo = factored_adjacency(adj)

@@ -44,6 +44,8 @@ from prodgraph.model import (
     ForwardModel,
     _attention_backward,
     _attention_forward,
+    _mlp_backward,
+    _mlp_forward,
     _point_forward,
     _uniform_array,
     build_forward_model,
@@ -58,7 +60,7 @@ from prodgraph.verify import (
     dense_point_oracle,
     dense_rgcn_oracle,
 )
-from helpers import concatenated_state, entry_set
+from helpers import concatenated_mlp, concatenated_mlp_backward, concatenated_state, entry_set
 
 P2 = path_graph(2)
 K3 = complete_graph(3)
@@ -279,6 +281,60 @@ def test_sab_golden_p2():
     )
     assert np.isfinite(out).all()
     assert np.abs(out - golden).max() <= 1e-12
+
+
+@pytest.mark.parametrize("widths", [(8,), (8, 8, 8), (3, 1, 5)])
+def test_mlp_of_column_blocks_matches_concatenated_mlp(widths):
+    # the fuse MLP reads its three branches as column blocks, never as one
+    # (rows, 3d) array; one block is the concatenated MLP bit for bit
+    rng = SplitMix64(sum(widths))
+    p = MLPParams.from_rng(sum(widths), 6, 5, rng)
+    parts = [random_state(40, w, seed=90 + w + i) for i, w in enumerate(widths)]
+    dy = random_state(40, 5, seed=99)
+    y, cache = _mlp_forward(parts, p)
+    want_y, want_cache = concatenated_mlp(parts, p)
+    dh, grads = _mlp_backward(dy, cache, p)
+    dx = np.hstack([dh @ w1.T for w1 in np.split(p.w1, np.cumsum(widths)[:-1])])
+    want_dx, want_grads = concatenated_mlp_backward(dy, want_cache, p)
+    pairs = [(y, want_y), (dx, want_dx)]
+    pairs += [(getattr(grads, f.name), getattr(want_grads, f.name)) for f in fields(MLPParams)]
+    for got, want in pairs:
+        assert got.shape == want.shape
+        if len(widths) == 1:
+            assert got.tobytes() == want.tobytes()
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
+def _cache_buffers(node, owners: dict) -> dict:
+    """The arrays reachable from a cache through lists and tuples, each
+    resolved to the array that owns its memory, keyed by identity."""
+    if isinstance(node, (list, tuple)):
+        for child in node:
+            _cache_buffers(child, owners)
+    elif isinstance(node, np.ndarray):
+        while isinstance(node.base, np.ndarray):
+            node = node.base
+        owners[id(node)] = node
+    return owners
+
+
+def test_layer_caches_hold_only_what_the_backward_cannot_rebuild():
+    # per layer: its input, each attention type's (E, P, heads) softmax
+    # weights and sign mask, and the fuse MLP's three (rows, d) input blocks.
+    # The values, the point MLP's input, both MLPs' activations and a
+    # (rows, 3d) fuse input are rebuilt by the backward or never formed.
+    pipe, x0 = sampled_g6_system()
+    caches: list = []
+    pipe._layers(x0, caches)
+    rows, d = x0.shape
+    want = []
+    for layer in pipe.layers:
+        want += [(rows * d * 8, "<f8")] * 4
+        for adj in (pipe.internal, pipe.external):
+            weights = adj.src.size * (rows // adj.grid[adj.axis]) * layer.heads
+            want += [(weights * 8, "<f8"), (weights, "|b1")]
+    got = [(a.nbytes, a.dtype.str) for a in _cache_buffers(caches, {}).values()]
+    assert sorted(got) == sorted(want)
 
 
 def test_sab_permutation_equivariance():
@@ -578,9 +634,12 @@ def test_sampled_step_peak_memory():
     # Peak traced bytes of one sampled training step, in units of its input
     # state's bytes: 39.6x when every layer's cache lived until the step
     # returned and the backward copied the softmax weights to edge order,
-    # 29.3x with each cache freed once read and dz written over the weights.
-    # The bound leaves about 15 % of headroom over the latter and still
-    # fails a step that keeps each layer's cache to the end (36.4x).
+    # 29.3x with each cache freed once read and dz written over the weights,
+    # 28.2x with one edge-order array per attention cache, and 18.3x with
+    # caches that keep only what the backward cannot rebuild (the layer
+    # input, the softmax weights and signs, the fuse input blocks).  The
+    # bound leaves about 15 % of headroom over the last and still fails a
+    # step that keeps each layer's cache to the end (23.2x).
     import tracemalloc
 
     g = random_graph(48, 4 / 47, seed=3)
@@ -593,7 +652,7 @@ def test_sampled_step_peak_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 34 * x0.nbytes
+    assert peak <= 21 * x0.nbytes
 
 
 def test_full_mask_sampled_system_reproduces_pooled_bitwise():
@@ -691,6 +750,42 @@ def test_init_state_matches_concatenation(features):
     expected = concatenated_state(g, pe, marks, mark_table, encoder)
     assert x.shape == expected.shape == (n * n, 5)
     assert np.abs(x - expected).max() <= 1e-15 * np.abs(expected).max()
+
+
+def test_init_state_mark_blocks_match_one_pass_bitwise():
+    # 150 subgraphs span two full blocks of mark rows and a partial one
+    n = 150
+    g = random_graph(n, 3 / (n - 1), seed=77)
+    pe, marks = product_pe(g, 3), node_mark_indices(g)
+    rng = SplitMix64(78)
+    mark_table = _uniform_array(rng, (n + 1, 4), n + 1)
+    encoder = EncoderParams.from_rng(1 + 3 + 4, 4, rng)
+    w_f, w_pe, w_m = np.split(encoder.weight, [1, 4])
+    want = (pe.data @ w_pe).reshape(n, n, 4)
+    want += np.ones((n, 1)) @ w_f + encoder.bias
+    want += (mark_table @ w_m)[marks.dist]
+    assert init_state(g, pe, marks, mark_table, encoder).x.tobytes() == want.tobytes()
+
+
+def test_init_state_peak_memory():
+    # 2.00x the output when the gathered mark rows formed a second (n, n, d)
+    # array; 1.13x with them added in blocks of subgraphs, where the state's
+    # finiteness mask (1/8 of the output) sets the peak
+    import tracemalloc
+
+    n = 1024
+    g = random_graph(n, 4 / (n - 1), seed=3)
+    pe, marks = product_pe(g, 4), node_mark_indices(g)
+    rng = SplitMix64(5)
+    mark_table = _uniform_array(rng, (n + 1, 8), n + 1)
+    encoder = EncoderParams.from_rng(1 + 4 + 8, 8, rng)
+    tracemalloc.start()
+    try:
+        x = init_state(g, pe, marks, mark_table, encoder).x
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * x.nbytes
 
 
 def test_init_state_shape_mismatch():
