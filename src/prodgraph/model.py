@@ -40,8 +40,11 @@ the base factor's degree buckets: the r receivers of degree k gather their
 senders' rows as one (r, k, ...) block, and the softmax reduces the k axis.
 The forward writes the buckets' softmax weights back to back into one
 (E, P, heads) array in edge order, and the bool mask of the LeakyReLU's
-negative side into one array of that shape; the cache keeps both, and each
-bucket reads its rows of them through DegreeBucket.views.  The adjacency is
+negative side into one array of that shape, each bucket's rows through
+DegreeBucket.views.  The cache keeps the weights and the mask packed
+eight signs to a byte: np.packbits over each edge's P * heads signs, one
+(E, ceil(P * heads / 8)) uint8 array in edge order, which the backward
+unpacks one bucket's edge rows at a time (_signs).  The adjacency is
 symmetric, so the backward pass gathers instead of scattering: what a node
 sends on are the reverses of its own edges, read through the bucket's
 reverse index.  The value gradient is the one step that reads other
@@ -49,15 +52,21 @@ buckets' weights that way, so it runs first, and the score gradient dz then
 overwrites each bucket's weights in place.  A backward pass therefore
 consumes its cache and refuses a consumed one.
 
-A layer caches only its input x, each attention type's weights and sign
-mask, and the fuse MLP's three input blocks.  The backward rebuilds the
-values x W_V, the point MLP's input and both MLPs' activations from those,
-each with one thin product or gather, so it reads the parameters as they
-are when it runs: forward and backward stay inside one `loss_and_grads`
-call.  The fuse MLP's input and its gradient stay column blocks, each
-branch's block formed just before its backward runs.  Every cache is
-dropped as soon as its backward has run.  `Pipeline` holds the only loop
-over the blocks.
+A layer caches only its input x, the two attention outputs (the fuse
+MLP's first two input blocks), and each attention type's weights and
+packed sign mask.  The backward rebuilds the rest from those with thin
+products and gathers, so it reads the parameters as they are when it
+runs: forward and backward stay inside one `loss_and_grads` call.  It
+rebuilds the point branch's output for the fuse MLP's third input block,
+the point MLP's input once that block is freed, both MLPs' activations,
+and, in the score-gradient loop, each bucket's sender values from its
+gathered rows of the node-major x with one (r k P, d) @ W_V product, so no
+(Q, P, heads, hd) value array exists in the backward.  The fuse MLP's
+input and its gradient stay column blocks, each branch's block formed just
+before its backward runs.  The point backward returns the layer's input
+gradient, and each attention backward adds its own into that array in
+place.  Every cache is dropped as soon as its backward has run.
+`Pipeline` holds the only loop over the blocks.
 
 All math is float64.  ReLU takes subgradient 0 at 0.
 """
@@ -223,6 +232,9 @@ class EncoderParams:
         )
 
 
+_FINITE_BLOCK = 1 << 16  # entries per block of ProductState's finiteness check
+
+
 @dataclass(frozen=True)
 class ProductState:
     """Features of m*n product nodes, m subgraphs by n nodes: row s*n + v."""
@@ -233,7 +245,8 @@ class ProductState:
         x = np.asarray(self.x, dtype=np.float64)
         if x.ndim != 2:
             raise ShapeMismatch(f"state must be a (rows, d) array, got shape {x.shape}")
-        if not np.isfinite(x).all():
+        rows = max(1, _FINITE_BLOCK // max(1, x.shape[1]))  # a block's mask, not a (rows, d) one
+        if not all(np.isfinite(x[i:i + rows]).all() for i in range(0, x.shape[0], rows)):
             raise RangeError("state contains non-finite entries")
         x.flags.writeable = False
         object.__setattr__(self, "x", x)
@@ -294,15 +307,17 @@ def _score_maps(p: AttentionParams):
 class _AttentionCache(NamedTuple):
     x: np.ndarray  # the layer input, from which the backward rebuilds the values
     adj: KronAdjacency
-    # (E, P, heads) in edge order, a bucket's rows read by bucket.views: the softmax weights,
-    # which the backward overwrites with dz and then marks read-only, and score <= 0,
+    # (E, P, heads) softmax weights in edge order, a bucket's rows read by bucket.view;
+    # the backward overwrites them with dz and then marks them read-only
     alpha: np.ndarray
-    negative: np.ndarray  # where the LeakyReLU has LEAKY_SLOPE
+    # score <= 0, where the LeakyReLU has LEAKY_SLOPE: np.packbits of each edge's P * heads
+    # signs, (E, ceil(P * heads / 8)) uint8 in edge order, read back by _signs
+    negative: np.ndarray
 
 
-def _values(x: np.ndarray, adj: KronAdjacency, p: AttentionParams) -> np.ndarray:
-    """(Q, P, heads, hd) values x W_V, node-major."""
-    return adj.node_major((x @ p.w_value).reshape(x.shape[0], p.attn.shape[0], -1))
+def _signs(packed: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The bool sign mask of `shape` (..., P, heads) from its packed edge rows."""
+    return np.unpackbits(packed, axis=1, count=math.prod(shape[-2:])).view(bool).reshape(shape)
 
 
 def _attention_forward(x: np.ndarray, adj: KronAdjacency, p: AttentionParams):
@@ -314,7 +329,7 @@ def _attention_forward(x: np.ndarray, adj: KronAdjacency, p: AttentionParams):
     m_q, m_k = _score_maps(p)
     s_q = adj.node_major(x @ m_q)  # (Q, P, H)
     s_k = adj.node_major(x @ m_k)
-    v = _values(x, adj, p)
+    v = adj.node_major((x @ p.w_value).reshape(rows_n, p.attn.shape[0], -1))  # (Q, P, H, hd)
     out = np.zeros_like(v)
     alpha_e = np.empty((adj.src.size,) + s_k.shape[1:])  # (E, P, H) in edge order
     negative_e = np.empty(alpha_e.shape, dtype=bool)
@@ -329,15 +344,17 @@ def _attention_forward(x: np.ndarray, adj: KronAdjacency, p: AttentionParams):
         np.exp(alpha, out=alpha)
         alpha /= alpha.sum(axis=1, keepdims=True)
         out[b.nodes] = np.einsum("rkph,rkphd->rphd", alpha, np.take(v, b.senders, axis=0))
-    cache = _AttentionCache(x, adj, alpha_e, negative_e)
+    edges, signs = alpha_e.shape[0], math.prod(alpha_e.shape[1:])  # not reshape(-1): E may be 0
+    cache = _AttentionCache(x, adj, alpha_e, np.packbits(negative_e.reshape(edges, signs), axis=1))
     return adj.grid_rows(out).reshape(rows_n, -1), cache
 
 
-def _attention_backward(dout: np.ndarray, cache: _AttentionCache, p: AttentionParams):
-    """Gradients of one attention forward.  Consumes `cache`: dz overwrites
-    the weights in place, so a cache serves one backward pass only.  Each
-    node-major array is dropped once nothing reads it, and `dx` is summed
-    in place."""
+def _attention_backward(dout: np.ndarray, cache: _AttentionCache, p: AttentionParams,
+                        dx: np.ndarray) -> AttentionParams:
+    """Gradients of one attention forward: the parameters' are returned, and
+    the input's is added into the caller's `dx` in place.  Consumes `cache`:
+    dz overwrites the weights in place, so a cache serves one backward pass
+    only.  Each node-major array is dropped once nothing reads it."""
     x, adj, alpha_e, negative_e = cache
     if not alpha_e.flags.writeable:
         raise ValueError("attention cache already consumed by a backward pass")
@@ -353,25 +370,28 @@ def _attention_backward(dout: np.ndarray, cache: _AttentionCache, p: AttentionPa
                                 np.take(dout, b.senders, axis=0))
     dv = adj.grid_rows(dv).reshape(-1, d_out)
     dw_value = x.T @ dv
-    dx = dv @ p.w_value.T
+    dx += dv @ p.w_value.T
     del dv
-    v = _values(x, adj, p)  # rebuilt from the layer input: the forward's values, bit for bit
+    xq = adj.node_major(x)  # (Q, P, d_in), from which each bucket rebuilds its senders' values
     dz_r = np.zeros(dout.shape[:3])  # (Q, P, H)
     for b in adj.buckets:
-        dz, negative = b.views(alpha_e, negative_e)
+        dz = b.view(alpha_e)
+        # the forward's values x W_V of the bucket's senders, one product per bucket
+        v_s = (np.take(xq, b.senders, axis=0).reshape(-1, d_in) @ p.w_value).reshape(dz.shape + (hd,))
         # dalpha = dout[receiver] . v[sender] over head_dim, one channel at
         # a time: head_dim is short, and einsum's inner loop over it is slow
-        dout_r, v_s = dout[b.nodes, None], np.take(v, b.senders, axis=0)
+        dout_r = dout[b.nodes, None]
         dalpha = dout_r[..., 0] * v_s[..., 0]
         for c in range(1, hd):
             dalpha += dout_r[..., c] * v_s[..., c]
-        del v_s  # before the next bucket's gather
+        del v_s  # before the next bucket's product
         dalpha -= (dz * dalpha).sum(axis=1, keepdims=True)
         dz *= dalpha  # the bucket's weights become its dz
         del dalpha
+        negative = _signs(negative_e[b.edges], dz.shape)
         dz *= negative * LEAKY_SLOPE + ~negative  # exactly LEAKY_SLOPE or 1; branch-free, unlike np.where
         dz_r[b.nodes] = dz.sum(axis=1)
-    del dout, v
+    del dout, xq
     # z = (x @ M_q)[receiver] + (x @ M_k)[sender], so the score gradient
     # reaches each node through its receiver and sender sums of dz, and the
     # maps through x.T times those sums
@@ -390,14 +410,13 @@ def _attention_backward(dout: np.ndarray, cache: _AttentionCache, p: AttentionPa
     del dz_c
     w_q = p.w_query.reshape(d_in, heads, hd)
     w_k = p.w_key.reshape(d_in, heads, hd)
-    grads = AttentionParams(
+    return AttentionParams(
         w_query=(dm_q[..., None] * p.attn[:, :hd]).reshape(d_in, d_out),
         w_key=(dm_k[..., None] * p.attn[:, hd:]).reshape(d_in, d_out),
         w_value=dw_value,
         attn=np.hstack([np.einsum("dhk,dh->hk", w_q, dm_q),
                         np.einsum("dhk,dh->hk", w_k, dm_k)]),
     )
-    return dx, grads
 
 
 def _point_pre(x: np.ndarray, point: PointAdjacency, epsilon: np.ndarray) -> np.ndarray:
@@ -407,7 +426,7 @@ def _point_pre(x: np.ndarray, point: PointAdjacency, epsilon: np.ndarray) -> np.
 
 def _point_forward(x: np.ndarray, point: PointAdjacency, epsilon: np.ndarray, mlp: MLPParams):
     """The GIN update; the cache is (x, point), from which the backward
-    rebuilds the MLP input."""
+    rebuilds the output and the MLP input."""
     if math.prod(point.grid) != x.shape[0]:
         raise ShapeMismatch(f"point adjacency grid {point.grid} does not match {x.shape[0]} state rows")
     y, _ = _mlp_forward([_point_pre(x, point, epsilon)], mlp)
@@ -429,22 +448,26 @@ def _sab_forward_raw(x, internal, external, point, params: SABParams):
     a_int, c_int = _attention_forward(x, internal, params.internal)
     a_ext, c_ext = _attention_forward(x, external, params.external)
     a_pt, c_pt = _point_forward(x, point, params.epsilon, params.point_mlp)
-    y, c_fuse = _mlp_forward([a_int, a_ext, a_pt], params.fuse_mlp)
-    return y, [c_int, c_ext, c_pt, c_fuse]
+    y, _ = _mlp_forward([a_int, a_ext, a_pt], params.fuse_mlp)
+    return y, [c_int, c_ext, c_pt, [a_int, a_ext]]  # the backward rebuilds a_pt
 
 
 def _sab_backward_raw(dy, cache: list, params: SABParams):
     """Empties `cache`, the list `_sab_forward_raw` returned: each part is
-    dropped as soon as its backward has run.  Each branch gets its block of
-    the fuse input's gradient just before its backward runs."""
-    dh, fuse_grads = _mlp_backward(dy, cache.pop(), params.fuse_mlp)
+    dropped as soon as its backward has run.  The point branch's output is
+    rebuilt for the fuse MLP's third input block, and the point backward
+    rebuilds its own MLP input once that block is gone.  Each branch gets
+    its block of the fuse input's gradient just before its backward runs,
+    and both attention backwards add into the point branch's dx."""
+    attention_outputs = cache.pop()
+    point_cache = cache.pop()
+    a_pt, _ = _point_forward(*point_cache, params.epsilon, params.point_mlp)
+    dh, fuse_grads = _mlp_backward(dy, attention_outputs + [a_pt], params.fuse_mlp)
+    del attention_outputs, a_pt
     w_int, w_ext, w_pt = np.split(params.fuse_mlp.w1, 3)
-    dx, deps, point_grads = _point_backward(dh @ w_pt.T, cache.pop(), params.epsilon, params.point_mlp)
-    dx_ext, ext_grads = _attention_backward(dh @ w_ext.T, cache.pop(), params.external)
-    dx += dx_ext
-    del dx_ext
-    dx_int, int_grads = _attention_backward(dh @ w_int.T, cache.pop(), params.internal)
-    dx += dx_int
+    dx, deps, point_grads = _point_backward(dh @ w_pt.T, point_cache, params.epsilon, params.point_mlp)
+    ext_grads = _attention_backward(dh @ w_ext.T, cache.pop(), params.external, dx)
+    int_grads = _attention_backward(dh @ w_int.T, cache.pop(), params.internal, dx)
     grads = SABParams(internal=int_grads, external=ext_grads, point_mlp=point_grads,
                       epsilon=np.array(deps), fuse_mlp=fuse_grads)
     return dx, grads

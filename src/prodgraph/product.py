@@ -61,7 +61,7 @@ class DegreeBucket(NamedTuple):
 
     def views(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """view(a), view(b) of two (E, ...) arrays of one shape, in one call:
-        the attention kernels read two such arrays per bucket."""
+        the attention forward writes two such arrays per bucket."""
         shape = self.senders.shape + a.shape[1:]
         return a[self.edges].reshape(shape), b[self.edges].reshape(shape)
 

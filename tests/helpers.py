@@ -1,10 +1,13 @@
 """Test-side code the library does not carry.
 
 Readers of the COO and PE text the CLI writes, kept here because nothing
-in the program reads those files back, and two concatenation formulas:
-the encoder's, the reference for the block-by-block `init_state`, and the
-MLP's, the reference for the MLP of column blocks.
+in the program reads those files back; two concatenation formulas: the
+encoder's, the reference for the block-by-block `init_state`, and the
+MLP's, the reference for the MLP of column blocks; and `traced_peak`, the
+memory probe of the peak-memory tests.
 """
+
+import tracemalloc
 
 import numpy as np
 
@@ -59,3 +62,15 @@ def concatenated_mlp_backward(dy, cache, p: MLPParams):
     dh = (dy @ p.w2.T) * (act > 0.0)
     grads = MLPParams(w1=x.T @ dh, b1=dh.sum(axis=0), w2=act.T @ dy, b2=dy.sum(axis=0))
     return dh @ p.w1.T, grads
+
+
+def traced_peak(fn):
+    """(fn(), the peak of the bytes tracemalloc traced while fn ran)."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        out = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak

@@ -17,7 +17,8 @@ from prodgraph import (
     build_product_bundle,
     random_graph,
 )
-from prodgraph.model import _attention_backward, _attention_forward
+from prodgraph.graphs import path_graph
+from prodgraph.model import _attention_backward, _attention_forward, _signs
 from prodgraph.rng import SplitMix64
 from prodgraph.verify import ISOLATED_NODE_GRAPH, ISOLATED_NODE_MASK
 from tuple_reference import factored_adjacency
@@ -82,10 +83,64 @@ def test_attention_matches_entry_major_reference(heads, head_dim):
         assert _close(out, want), name
         if coo.nnz:
             assert _close(_alpha_by_entry(adj, cache.alpha), want_cache["alpha"]), name
-        dx, grads = _attention_backward(dout, cache, params)
+        dx = np.zeros_like(x)
+        grads = _attention_backward(dout, cache, params, dx)
         want_dx, want_grads = attention_backward(dout, want_cache, params)
         assert _close(dx, want_dx), name
         for field in ("w_query", "w_key", "w_value", "attn"):
             assert _close(getattr(grads, field), getattr(want_grads, field)), (name, field)
         seen_empty_rows |= np.unique(coo.entries[:, 0]).size < coo.rows
     assert seen_empty_rows
+
+
+def _sign_cases():
+    """(name, x, adjacency) on odd grids, where 3 heads make P * heads no
+    multiple of 8: a random graph, an edgeless one (E = 0) and a path,
+    whose two ends form a degree-1 bucket."""
+    rng = SplitMix64(17)
+    cases = []
+    for gname, g in (("g7", random_graph(7, 0.45, seed=5)), ("edgeless", Graph(n=3, edges=frozenset())),
+                     ("path", path_graph(5))):
+        bundle = build_product_bundle(g)
+        x = rng.uniform_array(-2.0, 2.0, g.n * g.n * D_IN).reshape(g.n * g.n, D_IN)
+        for kind in ("internal", "external"):
+            cases.append(pytest.param(f"{gname}-{kind}", x, getattr(bundle, kind), id=f"{gname}-{kind}"))
+    return cases
+
+
+@pytest.mark.parametrize("name, x, adj", _sign_cases())
+def test_packed_signs_unpack_to_the_reference_scores(name, x, adj):
+    heads = 3
+    params = AttentionParams.from_rng(D_IN, 2 * heads, heads, SplitMix64(len(name)))
+    _, cache = _attention_forward(x, adj, params)
+    _, want_cache = attention_forward(x, factored_adjacency(adj), params, heads)
+    edges, p, h = cache.alpha.shape
+    assert p * h % 8 and cache.negative.shape == (edges, -(-p * h // 8))
+    assert cache.negative.dtype == np.uint8
+    signs = _signs(cache.negative, cache.alpha.shape)
+    assert signs.shape == cache.alpha.shape and signs.dtype == bool
+    if name.startswith("edgeless"):
+        assert edges == 0 and want_cache["z"].size == 0
+        return
+    if name.startswith("path"):
+        assert 1 in {b.senders.shape[1] for b in adj.buckets}
+    for b in adj.buckets:  # the backward unpacks bucket by bucket
+        assert np.array_equal(_signs(cache.negative[b.edges], b.view(cache.alpha).shape), b.view(signs))
+    assert np.array_equal(_alpha_by_entry(adj, signs), want_cache["z"] <= 0.0)
+
+
+def test_backward_adds_the_input_gradient_into_the_callers_dx():
+    x, adj = {name: (x, adj) for name, x, adj in _systems()}["g7-external-sampled"]
+    params = AttentionParams.from_rng(D_IN, 8, 4, SplitMix64(23))
+    dout = SplitMix64(24).uniform_array(-1.0, 1.0, x.shape[0] * 8).reshape(x.shape[0], 8)
+    fresh = np.zeros_like(x)
+    want = _attention_backward(dout, _attention_forward(x, adj, params)[1], params, fresh)
+    base = SplitMix64(25).uniform_array(-3.0, 3.0, x.size).reshape(x.shape)
+    dx = base.copy()
+    _, cache = _attention_forward(x, adj, params)
+    grads = _attention_backward(dout, cache, params, dx)
+    for field in ("w_query", "w_key", "w_value", "attn"):
+        assert getattr(grads, field).tobytes() == getattr(want, field).tobytes(), field
+    assert np.abs((dx - base) - fresh).max() <= 1e-15 * np.abs(dx).max()
+    with pytest.raises(ValueError, match="consumed"):
+        _attention_backward(dout, cache, params, dx)

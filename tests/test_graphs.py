@@ -27,7 +27,7 @@ from prodgraph import (
 )
 from prodgraph.graphs import complete_graph, cycle_graph, path_graph
 from prodgraph.rng import SplitMix64
-from helpers import entry_set, read_coo
+from helpers import entry_set, read_coo, traced_peak
 
 
 def test_load_minimal_path_graph():
@@ -177,16 +177,9 @@ def test_bfs_peak_memory():
     # the dense levels hold the frontier as bitsets and count depths in one
     # uint8 matrix: 1.3x the int64 output here, against 21x for a BFS that
     # expands and deduplicates every (source, node) pair of every level
-    import tracemalloc
-
     g = random_graph(512, 8 / 511, seed=11)
     g.directed_edges  # cached on the graph, not the BFS's own memory
-    tracemalloc.start()
-    try:
-        dist = shortest_path_distances(g).dist
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    dist, peak = traced_peak(lambda: shortest_path_distances(g).dist)
     assert peak <= 3 * dist.nbytes
 
 

@@ -60,7 +60,7 @@ from prodgraph.verify import (
     dense_point_oracle,
     dense_rgcn_oracle,
 )
-from helpers import concatenated_mlp, concatenated_mlp_backward, concatenated_state, entry_set
+from helpers import concatenated_mlp, concatenated_mlp_backward, concatenated_state, entry_set, traced_peak
 
 P2 = path_graph(2)
 K3 = complete_graph(3)
@@ -319,9 +319,10 @@ def _cache_buffers(node, owners: dict) -> dict:
 
 
 def test_layer_caches_hold_only_what_the_backward_cannot_rebuild():
-    # per layer: its input, each attention type's (E, P, heads) softmax
-    # weights and sign mask, and the fuse MLP's three (rows, d) input blocks.
-    # The values, the point MLP's input, both MLPs' activations and a
+    # per layer: its input and the two attention outputs, each (rows, d),
+    # and for each attention type the (E, P, heads) softmax weights and the
+    # sign mask packed to (E, ceil(P * heads / 8)) bytes.  The values, the
+    # point branch's output and MLP input, both MLPs' activations and a
     # (rows, 3d) fuse input are rebuilt by the backward or never formed.
     pipe, x0 = sampled_g6_system()
     caches: list = []
@@ -329,10 +330,10 @@ def test_layer_caches_hold_only_what_the_backward_cannot_rebuild():
     rows, d = x0.shape
     want = []
     for layer in pipe.layers:
-        want += [(rows * d * 8, "<f8")] * 4
+        want += [(rows * d * 8, "<f8")] * 3
         for adj in (pipe.internal, pipe.external):
-            weights = adj.src.size * (rows // adj.grid[adj.axis]) * layer.heads
-            want += [(weights * 8, "<f8"), (weights, "|b1")]
+            signs = rows // adj.grid[adj.axis] * layer.heads  # P * heads per edge
+            want += [(adj.src.size * signs * 8, "<f8"), (adj.src.size * -(-signs // 8), "|u1")]
     got = [(a.nbytes, a.dtype.str) for a in _cache_buffers(caches, {}).values()]
     assert sorted(got) == sorted(want)
 
@@ -620,9 +621,9 @@ def test_backward_consumes_its_caches_and_steps_repeat_bitwise():
     params = pipe.layers[0].internal
     _, cache = _attention_forward(x0, pipe.internal, params)
     dout = random_state(x0.shape[0], 8, seed=6)
-    _attention_backward(dout, cache, params)
+    _attention_backward(dout, cache, params, np.zeros_like(x0))
     with pytest.raises(ValueError, match="consumed"):  # dz has overwritten the weights
-        _attention_backward(dout, cache, params)
+        _attention_backward(dout, cache, params, np.zeros_like(x0))
     (loss, grads, dx), (loss2, grads2, dx2) = pipe.loss_and_grads(x0), pipe.loss_and_grads(x0)
     assert np.float64(loss).tobytes() == np.float64(loss2).tobytes()
     assert list(grads) == list(grads2)
@@ -635,24 +636,19 @@ def test_sampled_step_peak_memory():
     # state's bytes: 39.6x when every layer's cache lived until the step
     # returned and the backward copied the softmax weights to edge order,
     # 29.3x with each cache freed once read and dz written over the weights,
-    # 28.2x with one edge-order array per attention cache, and 18.3x with
+    # 28.2x with one edge-order array per attention cache, 18.3x with
     # caches that keep only what the backward cannot rebuild (the layer
-    # input, the softmax weights and signs, the fuse input blocks).  The
-    # bound leaves about 15 % of headroom over the last and still fails a
-    # step that keeps each layer's cache to the end (23.2x).
-    import tracemalloc
-
+    # input, the softmax weights and signs, the fuse input blocks), and
+    # 15.5x with the point branch's output rebuilt, the input gradients
+    # added in place, the values rebuilt per bucket and the signs packed.
+    # The bound fails a step that caches the point output again (16.5x),
+    # so it leaves 3 % of headroom: that cache is one input state's bytes.
     g = random_graph(48, 4 / 47, seed=3)
     full, x = make_pipeline(g, seed=8, d=8, layers=2)
     pipe, x0 = full.sampled(x, SamplingMask.from_ratio(g.n, 0.5, SplitMix64(7)))
     pipe.loss_and_grads(x0)  # builds the degree buckets, which the adjacencies keep
-    tracemalloc.start()
-    try:
-        pipe.loss_and_grads(x0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 21 * x0.nbytes
+    _, peak = traced_peak(lambda: pipe.loss_and_grads(x0))
+    assert peak <= 16 * x0.nbytes
 
 
 def test_full_mask_sampled_system_reproduces_pooled_bitwise():
@@ -770,22 +766,17 @@ def test_init_state_mark_blocks_match_one_pass_bitwise():
 def test_init_state_peak_memory():
     # 2.00x the output when the gathered mark rows formed a second (n, n, d)
     # array; 1.13x with them added in blocks of subgraphs, where the state's
-    # finiteness mask (1/8 of the output) sets the peak
-    import tracemalloc
-
+    # (rows, d) finiteness mask set the peak; 1.06x with that mask checked
+    # in blocks of rows, where one block of gathered mark rows (1/16 of
+    # the output here) sets it
     n = 1024
     g = random_graph(n, 4 / (n - 1), seed=3)
     pe, marks = product_pe(g, 4), node_mark_indices(g)
     rng = SplitMix64(5)
     mark_table = _uniform_array(rng, (n + 1, 8), n + 1)
     encoder = EncoderParams.from_rng(1 + 4 + 8, 8, rng)
-    tracemalloc.start()
-    try:
-        x = init_state(g, pe, marks, mark_table, encoder).x
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.25 * x.nbytes
+    x, peak = traced_peak(lambda: init_state(g, pe, marks, mark_table, encoder).x)
+    assert peak <= 1.10 * x.nbytes
 
 
 def test_init_state_shape_mismatch():

@@ -32,7 +32,7 @@ from prodgraph import (
 from prodgraph.product import KronAdjacency, build_product_bundle
 from prodgraph.graphs import SparseAdjacency, complete_graph, path_graph
 from prodgraph.rng import SplitMix64
-from helpers import entry_set
+from helpers import entry_set, traced_peak
 from tuple_reference import (
     factored_adjacency,
     flatten,
@@ -560,21 +560,19 @@ def test_restriction_is_a_slice_not_a_coo_filter():
     # the train_er256_sampled system: n = 256, mean degree 4, half the
     # subgraphs; the restricted internal COO alone would be 131,072 entries
     # of 16 bytes, 2 MB
-    import tracemalloc
-
     n = 256
     g = random_graph(n, 4 / (n - 1), seed=12)
     bundle = build_product_bundle(g)
     mask = SamplingMask.from_ratio(n, 0.5, SplitMix64(13))
-    tracemalloc.start()
-    try:
+
+    def restrict():
         restricted = [restrict_adjacency(getattr(bundle, kind), mask)
                       for kind in ("internal", "external", "point")]
         for adj in restricted[:2]:  # the degree buckets the kernel walks
             adj.buckets
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+        return restricted
+
+    restricted, peak = traced_peak(restrict)
     assert peak < 256 * 1024
     assert restricted[0].nnz == 128 * 2 * g.num_edges
 
