@@ -4,11 +4,16 @@ The key fact used throughout: the Laplacian of the Cartesian product G [] G
 factorizes as L (x) I + I (x) L, so its eigenpairs are exactly
 (u_i (x) u_j, lam_i + lam_j) over all pairs of base eigenpairs.  Positional
 encodings for the n^2 product nodes therefore never require diagonalizing an
-n^2 x n^2 matrix: we decompose the n x n base Laplacian once and materialize
-only the k requested columns (k * n^2 output values, n^3-dominated work).
+n^2 x n^2 matrix: they read the first min(n, k) base eigenpairs and
+materialize only the k requested columns (k * n^2 output values).
 
-The base decomposition uses LAPACK through numpy.linalg.eigh.  The cyclic
-Jacobi solver stays as pe_oracle_check's independent second route.
+One function, base_eigenpairs, owns the base decomposition.  The Laplacian's
+null space has one dimension per connected component and an exact basis:
+the normalized indicator of each component, eigenvalue 0.0.  Those come
+first, so a graph with at least min(n, k) components needs no eigensolver,
+and the rest come from LAPACK through numpy.linalg.eigh on the n x n
+Laplacian (n^3 work).  The cyclic Jacobi solver stays as pe_oracle_check's
+independent second route.
 """
 
 from __future__ import annotations
@@ -18,7 +23,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotSymmetric, ProdGraphError, RangeError, ScaleError, ShapeMismatch
-from .graphs import DistanceMatrix, Graph, dense_adjacency, shortest_path_distances
+from .graphs import (
+    DistanceMatrix,
+    Graph,
+    check_addressable,
+    connected_components,
+    dense_adjacency,
+    shortest_path_distances,
+)
 from .product import cartesian_product_adjacency, check_scale
 
 
@@ -155,6 +167,39 @@ def eig_sym(matrix: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(values=values, vectors=_canonical_signs(vectors))
 
 
+NULL_TOL = 1e-9  # LAPACK's null-space labels lie within this times the largest label
+
+
+def base_eigenpairs(g: Graph, count: int) -> EigenDecomposition:
+    """The first `count` eigenpairs of laplacian(g), in the order the PEs read.
+
+    The first c = min(count, components) pairs are the normalized indicator
+    vectors of the connected components, ordered by each component's
+    smallest node, with eigenvalue exactly 0.0: an exact basis of the null
+    space, the same on every BLAS build and thread count.  When count is at
+    most the number of components that is the whole answer, and neither
+    the dense Laplacian nor an eigensolver is built.  Otherwise
+    eig_sym(laplacian(g)) supplies pairs c .. count - 1, after a check that
+    it found exactly c eigenvalues in the null space.
+    """
+    comp = connected_components(g)
+    sizes = np.bincount(comp)
+    c = min(count, sizes.size)
+    rows = np.flatnonzero(comp < c)
+    vectors = np.zeros((g.n, c))
+    vectors[rows, comp[rows]] = 1.0 / np.sqrt(sizes[comp[rows]])
+    values = np.zeros(c)
+    if count > c:
+        full = eig_sym(laplacian(g))
+        null = int(np.count_nonzero(full.values <= NULL_TOL * max(1.0, full.values[-1])))
+        if null != c:
+            raise ProdGraphError(f"LAPACK found {null} null eigenvalues on a graph with {c} "
+                                 "connected components")
+        values = np.concatenate([values, full.values[c:count]])
+        vectors = np.hstack([vectors, full.vectors[:, c:count]])
+    return EigenDecomposition(values=values, vectors=vectors)
+
+
 @dataclass(frozen=True)
 class PEMatrix:
     """Positional-encoding block: rows x k values plus one label per column."""
@@ -194,11 +239,14 @@ def _tuple_pe(g: Graph, tuple_order: int, k: int) -> PEMatrix:
     sort by (label, t1, ..., tK); ties inherit the base order.  Only tuples
     with every index below k are candidates: eigenvalues ascend, so lowering
     an index never raises the label, and a tuple with an index j >= k comes
-    after the k tuples that replace that index by 0, ..., k - 1.
+    after the k tuples that replace that index by 0, ..., k - 1.  The
+    (n^K, k) output is checked to be addressable before anything is built.
     """
-    base = eig_sym(laplacian(g))
+    check_addressable((g.n**tuple_order, k))
+    count = min(g.n, k)
+    base = base_eigenpairs(g, count)
     lam = base.values
-    tuples = [t.ravel() for t in np.indices((min(g.n, k),) * tuple_order)]
+    tuples = [t.ravel() for t in np.indices((count,) * tuple_order)]
     labels = lam[tuples[0]]
     for t in tuples[1:]:
         labels = labels + lam[t]
@@ -245,10 +293,10 @@ def concatenation_pe(g: Graph, k: int) -> PEMatrix:
     n = g.n
     if not 1 <= k <= n:
         raise RangeError(f"k must lie in [1, {n}], got {k}")
-    base = eig_sym(laplacian(g))
-    block = base.vectors[:, :k]
-    data = np.hstack([np.repeat(block, n, axis=0), np.tile(block, (n, 1))])
-    labels = np.concatenate([base.values[:k], base.values[:k]])
+    check_addressable((n * n, 2 * k))
+    base = base_eigenpairs(g, k)
+    data = np.hstack([np.repeat(base.vectors, n, axis=0), np.tile(base.vectors, (n, 1))])
+    labels = np.concatenate([base.values, base.values])
     return PEMatrix(data=data, eigenvalues=labels)
 
 

@@ -58,11 +58,14 @@ from .product import (
     sampled_adjacency,
     slot_adjacency,
 )
+from . import spectral
 from .rng import SplitMix64
 from .spectral import (
+    NULL_TOL,
     PE_EIGENVALUE_TOL,
     PE_PROJECTOR_TOL,
     PEOracleReport,
+    base_eigenpairs,
     concatenation_pe,
     eig_sym,
     k_tuple_pe,
@@ -311,41 +314,65 @@ def check_eigenspace_projectors(scale: str):
     return ok, dev
 
 
-def check_pe_cost_structure(scale: str):
-    """Structural bound on PE allocations plus wall-time doubling ratios.
+def _eig_sym_calls(fn) -> list[tuple[int, ...]]:
+    """Shapes of the matrices that fn passes to eig_sym, counted through the
+    spectral module attribute that the PE route calls."""
+    shapes = []
+    solver = spectral.eig_sym
 
-    The PE path may allocate O(n^3 + k n^2) values; anything n^4-sized
-    (a dense product-graph matrix) fails the peak-memory bound.  Timing on
-    n in {16, 32, 64} with k = 8 must grow by at most 6x per doubling.
-    """
-    n_mem = 48
-    g = random_graph(n_mem, 0.3, seed=1)
+    def counted(matrix):
+        shapes.append(np.shape(matrix))
+        return solver(matrix)
+
+    spectral.eig_sym = counted
+    try:
+        fn()
+    finally:
+        spectral.eig_sym = solver
+    return shapes
+
+
+def _traced_peak(fn) -> int:
+    """Peak bytes that tracemalloc traced while fn ran."""
     tracemalloc.start()
-    product_pe(g, 8)
-    _, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-    n4_bytes = n_mem**4 * 8
-    structural_bound = min(n4_bytes // 4, 16 * (n_mem**3 + 8 * n_mem**2) * 8)
-    ok = peak < structural_bound
-    worst_ratio = 0.0
-    times = []
-    for n in (16, 32, 64):
-        g = random_graph(n, 0.3, seed=n)
-        product_pe(g, 8)  # warm-up: keep first-call setup out of the timing
-        best = min(
-            _timed(lambda: product_pe(g, 8)) for _ in range(5 if scale == "full" else 3)
-        )
-        times.append(best)
-    for prev, cur in zip(times, times[1:]):
-        worst_ratio = max(worst_ratio, cur / prev)
-    ok &= worst_ratio <= 6.0
-    return ok, float(max(peak / structural_bound, worst_ratio / 6.0))
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
-def _timed(fn) -> float:
-    start = time.perf_counter()
-    fn()
-    return time.perf_counter() - start
+def _component_paths(n: int, parts: int) -> Graph:
+    """`parts` disjoint paths of n // parts nodes each."""
+    m = n // parts
+    return Graph(n=n, edges=frozenset((i, i + 1) for i in range(n - 1) if (i + 1) % m))
+
+
+def check_pe_cost_structure(scale: str):
+    """product_pe(g, 8) allocates no n^4 block, and its cost grows boundedly
+    per doubling, in quantities the host's load cannot move.
+
+    On n in {12, 24, 48}, for a connected ER graph (the LAPACK route) and
+    for eight disjoint paths (eight components, the solver-free route):
+    the tracemalloc peak grows by at most 6x per doubling (the n^2-sized
+    output gives 4x, an n^4 block 16x); at n = 48 it stays below a quarter
+    of an n^4 float64 block and below 16 (n^3 + 8 n^2) doubles; eig_sym
+    runs once, on at most an n x n matrix, on the connected graph, and
+    never on the paths.
+    """
+    k, sizes = 8, (12, 24, 48)
+    bound = min(sizes[-1] ** 4 * 8 // 4, 16 * (sizes[-1] ** 3 + k * sizes[-1] ** 2) * 8)
+    dev, calls_ok = 0.0, True
+    for family, solver_calls in ((lambda n: random_graph(n, 0.3, seed=n), 1),
+                                 (lambda n: _component_paths(n, k), 0)):
+        peaks = []
+        for n in sizes:
+            g = family(n)
+            peaks.append(_traced_peak(lambda: product_pe(g, k)))
+            calls = _eig_sym_calls(lambda: product_pe(g, k))
+            calls_ok &= len(calls) == solver_calls and all(max(shape) <= n for shape in calls)
+        dev = max(dev, peaks[-1] / bound, *(cur / prev / 6.0 for prev, cur in zip(peaks, peaks[1:])))
+    return dev <= 1.0 and calls_ok, float(dev)
 
 
 def check_pe_factorization(scale: str):
@@ -356,7 +383,7 @@ def check_pe_factorization(scale: str):
         g = random_graph(n, 0.5, seed=seed + 900)
         full = product_pe(g, n * n)
         concat = concatenation_pe(g, n)
-        lam = eig_sym(laplacian(g)).values
+        lam = base_eigenpairs(g, n).values
         i_idx = np.repeat(np.arange(n), n)
         j_idx = np.tile(np.arange(n), n)
         order = np.lexsort((j_idx, i_idx, lam[i_idx] + lam[j_idx]))
@@ -365,6 +392,35 @@ def check_pe_factorization(scale: str):
             product = concat.data[:, i] * concat.data[:, n + j]
             dev = max(dev, float(np.abs(full.data[:, col] - product).max()))
     return dev <= 1e-12, dev
+
+
+def check_null_space_exact(scale: str):
+    """The indicator basis is an exact basis of the Laplacian's null space,
+    and a graph with c components gets product_pe(g, c) without eig_sym.
+
+    On isolated nodes, two triangles, an edgeless graph and ER graphs of at
+    least 4 components: each vector base_eigenpairs labels 0.0 is constant
+    on its support, and L times that support is zero in integer
+    arithmetic, so L v = 0 holds exactly; the vectors' projector equals
+    the projector onto LAPACK's null space within 1e-12; and
+    product_pe(g, c) makes no eig_sym call.
+    """
+    two_triangles = Graph(n=6, edges=frozenset({(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)}))
+    graphs = [(ISOLATED_NODE_GRAPH, 2), (two_triangles, 2), (Graph(n=5, edges=frozenset()), 5)]
+    graphs += [(random_graph(32, 0.06, seed=s), 4) for s in range(4 if scale == "full" else 1)]
+    dev, ok = 0.0, True
+    for g, least in graphs:
+        basis = base_eigenpairs(g, g.n)
+        null = basis.vectors[:, basis.values == 0.0]
+        support = null != 0.0
+        lap = laplacian(g)
+        ok &= null.shape[1] >= least and not (lap.astype(np.int64) @ support).any()
+        ok &= all(np.ptp(col[on]) == 0.0 for col, on in zip(null.T, support.T))
+        full = eig_sym(lap)
+        lapack = full.vectors[:, full.values <= NULL_TOL * max(1.0, full.values[-1])]
+        dev = max(dev, float(np.abs(null @ null.T - lapack @ lapack.T).max()))
+        ok &= not _eig_sym_calls(lambda: product_pe(g, null.shape[1]))
+    return ok and dev <= 1e-12, dev
 
 
 def check_tuple_pe_specialization(scale: str):
@@ -390,7 +446,7 @@ def check_pe_permutation_covariance(scale: str):
     for seed in range(20):
         n = 4 + seed % 3
         g = random_graph(n, 0.5, seed=seed + 77)
-        lam = eig_sym(laplacian(g)).values
+        lam = base_eigenpairs(g, n).values
         if np.diff(lam).min(initial=1.0) <= 1e-6:
             continue  # needs a simple base spectrum
         checked += 1
@@ -700,8 +756,11 @@ CHECKS = [
      [("spectrum-sum-law", check_spectrum_sum_law)]),
     ("spectral-pe", "eigenspace projectors agree across both routes",
      [("eigenspace-projectors", check_eigenspace_projectors)]),
-    ("spectral-pe", "PE path allocates no n^4 block; doubling time ratio <= 6",
+    ("spectral-pe", "PE path allocates no n^4 block, its traced peak grows <= 6x per doubling, "
+                    "and it runs eig_sym once on the n x n Laplacian, or never with c >= k",
      [("pe-cost-structure", check_pe_cost_structure)]),
+    ("spectral-pe", "component indicators are an exact null-space basis; c >= k needs no eig_sym",
+     [("null-space-exact", check_null_space_exact)]),
     ("spectral-pe", "product columns factor into concatenation halves",
      [("pe-factorization", check_pe_factorization)]),
     ("spectral-pe", "k-tuple PE at K=2 equals product PE bitwise",

@@ -7,7 +7,6 @@ masked softmax, central finite differences, and brute-force enumeration.
 """
 
 import time
-import tracemalloc
 
 import numpy as np
 
@@ -40,6 +39,7 @@ from prodgraph.model import MLPParams, run_forward, ForwardConfig, _attention_fo
 from prodgraph.product import product_permutation
 from prodgraph.rng import SplitMix64
 from prodgraph.verify import (
+    check_pe_cost_structure,
     dense_attention_oracle,
     dense_point_oracle,
     dense_rgcn_oracle,
@@ -152,35 +152,10 @@ def test_criterion_4_edge_count_formulas():
 
 def test_criterion_5_pe_cost_structure():
     start = time.perf_counter()
-    n_mem = 48
-    g = random_graph(n_mem, 0.3, seed=1)
-    tracemalloc.start()
-    product_pe(g, 8)
-    _, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-    n4_bytes = n_mem**4 * 8
-    linear_bound = 16 * (n_mem**3 + 8 * n_mem**2) * 8
-    no_n4_alloc = peak < min(n4_bytes // 4, linear_bound)
-    times = []
-    for n in (16, 32, 64):
-        gn = random_graph(n, 0.3, seed=n)
-        product_pe(gn, 8)  # warm-up: keep first-call setup out of the timing
-        best = None
-        for _ in range(5):
-            t0 = time.perf_counter()
-            product_pe(gn, 8)
-            dt = time.perf_counter() - t0
-            best = dt if best is None else min(best, dt)
-        times.append(best)
-    ratios = [times[1] / times[0], times[2] / times[1]]
-    ratio_ok = max(ratios) <= 6.0
+    ok, dev = check_pe_cost_structure("full")
     elapsed = time.perf_counter() - start
-    ok = no_n4_alloc and ratio_ok
-    assert _report(
-        5, "PE cost structure", ok,
-        f"peak={peak / 1e6:.1f}MB (n^4 would be {n4_bytes / 1e6:.0f}MB), "
-        f"doubling ratios={ratios[0]:.2f},{ratios[1]:.2f}", elapsed,
-    )
+    assert _report(5, "PE cost structure", ok,
+                   f"worst of peak/bound and doubling growth/6 = {dev:.2f}", elapsed)
 
 
 def test_criterion_6_sab_correctness():

@@ -11,14 +11,18 @@ import pytest
 
 import prodgraph
 from prodgraph import (
+    Graph,
     SparseAdjacency,
     closed_form_cartesian,
     dense_adjacency,
+    graph_to_json,
     k_factor_adjacency,
     load_graph,
 )
 from prodgraph.cli import main
+from prodgraph.graphs import connected_components
 from prodgraph.model import ForwardConfig, build_forward_model, save_parameters
+from prodgraph.rng import SplitMix64
 from helpers import entry_set, read_coo, read_pe
 from tuple_reference import point_pairs, reference_adjacency
 
@@ -464,6 +468,28 @@ def test_cli_subprocess_byte_determinism(p2_file):
     assert a.stdout == b.stdout
 
 
+@pytest.mark.parametrize("ratio_argv", [(), ("--sample-ratio", "0.3")], ids=["full", "sampled"])
+def test_forward_stdout_does_not_depend_on_the_blas_thread_count(tmp_path, ratio_argv):
+    # perfbench's er_graph(256, 4.0, SplitMix64(256)), a G(n, m) draw with six
+    # components: the k = 4 product PE lies in the null space, whose basis
+    # LAPACK picked differently at one and at two threads
+    rng, edges = SplitMix64(256), set()
+    while len(edges) < 512:
+        u, v = rng.next_below(256), rng.next_below(256)
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    g = Graph(n=256, edges=frozenset(edges))
+    assert connected_components(g).max() + 1 == 6
+    path = tmp_path / "er256.json"
+    path.write_text(graph_to_json(g))
+    cmd = [sys.executable, "-m", "prodgraph", "forward", str(path), "--seed", "3", *ratio_argv]
+    runs = [subprocess.run(cmd, capture_output=True, timeout=120,
+                           env={**_child_env(), "OPENBLAS_NUM_THREADS": threads})
+            for threads in ("1", "2")]
+    assert runs[0].returncode == 0, runs[0].stderr
+    assert runs[0].stdout == runs[1].stdout
+
+
 def _limit_address_space():
     # a regression that allocates per node then fails fast instead of
     # filling the machine's memory
@@ -473,7 +499,7 @@ def _limit_address_space():
 
 HUGE_GRAPH_ARGV = [
     ("forward",), ("pe", "--k", "4"), ("mark",), ("sample", "--ratio", "0.5", "--out", "s"),
-    ("build-product", "--out", "b"),
+    ("build-product", "--out", "b"), ("pe", "--k", "4", "--variant", "concat"),
 ]
 
 
@@ -555,7 +581,7 @@ def test_verify_quick_passes(capsys):
     code, stdout, _ = run_cli(capsys, "verify", "--scale", "quick")
     assert code == 0
     lines = [ln for ln in stdout.splitlines() if ln.startswith("[")]
-    assert len(lines) == 24
+    assert len(lines) == 25
     assert all(ln.startswith("[PASS]") for ln in lines)
 
 

@@ -25,7 +25,7 @@ from prodgraph import (
     sampled_adjacency,
     shortest_path_distances,
 )
-from prodgraph.graphs import complete_graph, cycle_graph, path_graph
+from prodgraph.graphs import complete_graph, connected_components, cycle_graph, path_graph
 from prodgraph.rng import SplitMix64
 from helpers import entry_set, read_coo, traced_peak
 
@@ -181,6 +181,21 @@ def test_bfs_peak_memory():
     g.directed_edges  # cached on the graph, not the BFS's own memory
     dist, peak = traced_peak(lambda: shortest_path_distances(g).dist)
     assert peak <= 3 * dist.nbytes
+
+
+def test_connected_components_number_by_smallest_node():
+    graphs = [random_graph(1 + seed % 30, (seed % 7) / 40, seed=seed + 400) for seed in range(40)]
+    # a path visited in shuffled node order takes the most hooking passes
+    perm = random_permutation(300, seed=2)
+    graphs += [path_graph(1), Graph(n=5, edges=frozenset()), _grid_graph(6, 9),
+               Graph(n=300, edges=frozenset((perm[i], perm[i + 1]) for i in range(299)))]
+    for g in graphs:
+        reach = _queue_bfs(g) < g.n
+        smallest = reach.argmax(axis=1)  # the least node each node reaches
+        expected = np.unique(smallest, return_inverse=True)[1]
+        got = connected_components(g)
+        assert got.dtype == np.int64 and not got.flags.writeable
+        assert np.array_equal(got, expected)
 
 
 def test_permute_identity_and_swap():

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from prodgraph import (
+    EigenDecomposition,
     Graph,
     NotSymmetric,
     PEMatrix,
+    ProdGraphError,
     RangeError,
     ScaleError,
     ShapeMismatch,
@@ -22,10 +24,11 @@ from prodgraph import (
     product_pe,
     random_graph,
     random_permutation,
+    spectral,
 )
 from prodgraph.graphs import complete_graph, cycle_graph, path_graph
 from prodgraph.product import product_permutation
-from prodgraph.spectral import _canonical_signs
+from prodgraph.spectral import _canonical_signs, base_eigenpairs
 from helpers import read_pe
 from tuple_reference import full_enumeration_tuple_pe
 
@@ -174,6 +177,36 @@ def test_eig_sym_agrees_with_jacobi():
             assert np.abs(p_lapack - p_jacobi).max() <= 1e-8
 
 
+def test_base_eigenpairs_null_space_is_the_component_indicators(monkeypatch):
+    # components {0, 5}, {1, 4, 6}, {2} and {3}, numbered by smallest node
+    g = Graph(n=7, edges=frozenset({(1, 4), (4, 6), (0, 5)}))
+    indicators = np.zeros((7, 4))
+    for col, nodes in enumerate(([0, 5], [1, 4, 6], [2], [3])):
+        indicators[nodes, col] = 1.0 / np.sqrt(len(nodes))
+    calls = []
+    monkeypatch.setattr(spectral, "eig_sym", lambda m: calls.append(m.shape) or eig_sym(m))
+    for count in (1, 3, 4):
+        dec = base_eigenpairs(g, count)
+        assert dec.values.tolist() == [0.0] * count
+        assert np.array_equal(dec.vectors, indicators[:, :count])
+    assert calls == []
+    dec = base_eigenpairs(g, 6)
+    full = eig_sym(laplacian(g))
+    assert calls == [(7, 7)]
+    assert np.array_equal(dec.values, np.r_[np.zeros(4), full.values[4:6]])
+    assert np.array_equal(dec.vectors, np.hstack([indicators, full.vectors[:, 4:6]]))
+
+
+def test_base_eigenpairs_refuses_a_lapack_null_space_of_another_dimension(monkeypatch):
+    def lifted(m):  # every label 1e-6 up: LAPACK seems to see no null space
+        dec = eig_sym(m)
+        return EigenDecomposition(values=dec.values + 1e-6, vectors=dec.vectors)
+
+    monkeypatch.setattr(spectral, "eig_sym", lifted)
+    with pytest.raises(ProdGraphError, match="found 0 null eigenvalues"):
+        base_eigenpairs(path_graph(3), 2)
+
+
 def test_product_pe_p2_labels_exact():
     pe = product_pe(P2, 4)
     assert pe.eigenvalues.tolist() == [0.0, 2.0, 2.0, 4.0]
@@ -196,7 +229,7 @@ def test_product_pe_first_column_constant():
 
 def test_product_pe_entry_is_product_of_base_entries():
     g = random_graph(5, 0.5, seed=8)
-    dec = eig_sym(laplacian(g))
+    dec = base_eigenpairs(g, 5)
     pe = product_pe(g, 25)
     lam = dec.values
     # recompute the documented (label, i, j) order
@@ -302,7 +335,7 @@ def test_concatenation_pe_factorizes_product_pe():
         g = random_graph(n, 0.5, seed=seed + 20)
         full = product_pe(g, n * n)
         concat = concatenation_pe(g, n)
-        lam = eig_sym(laplacian(g)).values
+        lam = base_eigenpairs(g, n).values
         pairs = sorted(
             ((lam[i] + lam[j], i, j) for i in range(n) for j in range(n)),
             key=lambda t: (t[0], t[1], t[2]),

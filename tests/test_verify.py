@@ -12,14 +12,17 @@ from prodgraph import (
     laplacian,
     product_pe,
     random_graph,
+    spectral,
+    verify,
 )
+from prodgraph.spectral import EigenDecomposition
 from prodgraph.verify import ALL_CHECKS, INVARIANT_COVERAGE, run_checks
 
 
 def test_quick_scale_runs_every_check():
     report = run_checks("quick")
     assert report.passed
-    assert len(report.results) == len(ALL_CHECKS) == 24
+    assert len(report.results) == len(ALL_CHECKS) == 25
     assert [r.name for r in report.results] == [name for name, _ in ALL_CHECKS]
 
 
@@ -97,3 +100,34 @@ def test_negative_control_broken_edge_count():
     broken = SparseAdjacency.from_pairs(adj.rows, adj.cols, adj.entries[:-1])
     assert adj.nnz == 2 * g.n * g.num_edges
     assert broken.nnz != 2 * g.n * g.num_edges
+
+
+def test_negative_control_missing_null_indicator(monkeypatch):
+    # a null basis one component short spans too little of the null space
+    exact = verify.base_eigenpairs
+
+    def one_short(g, count):
+        dec = exact(g, count)
+        last = int(np.count_nonzero(dec.values == 0.0)) - 1
+        keep = np.arange(dec.values.size) != last
+        return EigenDecomposition(values=dec.values[keep], vectors=dec.vectors[:, keep])
+
+    assert verify.check_null_space_exact("quick")[0]
+    monkeypatch.setattr(verify, "base_eigenpairs", one_short)
+    ok, dev = verify.check_null_space_exact("quick")
+    assert not ok and dev > 0.1
+
+
+def test_negative_control_product_laplacian_breaks_pe_cost_structure(monkeypatch):
+    # a PE route that builds the n^2 x n^2 product Laplacian next to the
+    # base decomposition allocates an n^4 block
+    solver = spectral.eig_sym
+
+    def via_product_laplacian(matrix):
+        eye = np.eye(matrix.shape[0])
+        np.kron(matrix, eye) + np.kron(eye, matrix)
+        return solver(matrix)
+
+    monkeypatch.setattr(spectral, "eig_sym", via_product_laplacian)
+    ok, dev = verify.check_pe_cost_structure("quick")
+    assert not ok and dev > 1.0

@@ -9,7 +9,8 @@ the library's sort of the candidate tuples must reproduce byte for byte.
 
 import numpy as np
 
-from prodgraph import PointAdjacency, SparseAdjacency, eig_sym, laplacian
+from prodgraph import PointAdjacency, SparseAdjacency
+from prodgraph.spectral import base_eigenpairs
 
 
 def flatten(t, n):
@@ -90,7 +91,7 @@ def masked_adjacency(adj, mask):
 def full_enumeration_tuple_pe(g, tuple_order, k):
     """(data, eigenvalues) of the first k K-tuple PE columns, every one of
     the n^K base index tuples a candidate, sorted by (label, t1, ..., tK)."""
-    base = eig_sym(laplacian(g))
+    base = base_eigenpairs(g, g.n)
     lam = base.values
     tuples = [t.ravel() for t in np.indices((g.n,) * tuple_order)]
     labels = lam[tuples[0]]
