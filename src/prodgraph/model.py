@@ -14,9 +14,9 @@ Attention follows the GAT scoring rule per head h:
     out_i,h = sum_j alpha_ij (W_V x_j)_h
 
 computed only on the stored adjacency entries (row = receiver).  Rows with
-an empty in-neighborhood emit zeros.  Every forward step caches what its
-hand-written backward needs; gradients are validated against central finite
-differences by grad_check.
+an empty in-neighborhood emit zeros.  Every forward step has a hand-written
+backward; gradients are validated against central finite differences by
+grad_check.
 
 Parameters are dataclass trees; `_named` gives each array its dotted name
 (fields in declaration order, list items as .0, .1, ...).  Backward steps
@@ -38,34 +38,27 @@ internal and external attention are one kernel along one grid axis of it
 (product.KronAdjacency).  The kernel views its arrays node-major and walks
 the base factor's degree buckets: the r receivers of degree k gather their
 senders' rows as one (r, k, ...) block, and the softmax reduces the k axis.
-The forward writes the buckets' softmax weights back to back into one
-(E, P, heads) array in edge order, and the bool mask of the LeakyReLU's
-negative side into one array of that shape, each bucket's rows through
-DegreeBucket.views.  The cache keeps the weights and the mask packed
-eight signs to a byte: np.packbits over each edge's P * heads signs, one
-(E, ceil(P * heads / 8)) uint8 array in edge order, which the backward
-unpacks one bucket's edge rows at a time (_signs).  The adjacency is
-symmetric, so the backward pass gathers instead of scattering: what a node
-sends on are the reverses of its own edges, read through the bucket's
-reverse index.  The value gradient is the one step that reads other
-buckets' weights that way, so it runs first, and the score gradient dz then
-overwrites each bucket's weights in place.  A backward pass therefore
-consumes its cache and refuses a consumed one.
+_attention_weights writes the buckets' softmax weights back to back into
+one (E, P, heads) array in edge order, and the bool mask of the LeakyReLU's
+negative side into one array of that shape.  The forward uses the weights
+and drops them; the backward rebuilds both as its first step.  The
+adjacency is symmetric, so the backward gathers instead of scattering:
+what a node sends on are the reverses of its own edges, read through the
+bucket's reverse index.  The value gradient is the one step that reads
+other buckets' weights that way, so it runs first, and the score gradient
+dz then overwrites each bucket's weights in place.
 
-A layer caches only its input x, the two attention outputs (the fuse
-MLP's first two input blocks), and each attention type's weights and
-packed sign mask.  The backward rebuilds the rest from those with thin
-products and gathers, so it reads the parameters as they are when it
-runs: forward and backward stay inside one `loss_and_grads` call.  It
-rebuilds the point branch's output for the fuse MLP's third input block,
-the point MLP's input once that block is freed, both MLPs' activations,
-and, in the score-gradient loop, each bucket's sender values from its
-gathered rows of the node-major x with one (r k P, d) @ W_V product, so no
-(Q, P, heads, hd) value array exists in the backward.  The fuse MLP's
-input and its gradient stay column blocks, each branch's block formed just
-before its backward runs.  The point backward returns the layer's input
-gradient, and each attention backward adds its own into that array in
-place.  Every cache is dropped as soon as its backward has run.
+A layer caches only its input x and the two attention outputs (the fuse
+MLP's first two input blocks).  The backward rebuilds the rest from x with
+thin products and gathers: the point branch's output and MLP input, both
+MLPs' activations, the attention weights and sign masks, and each bucket's
+sender values, one (r k P, d) @ W_V product per bucket, so no
+(Q, P, heads, hd) value array exists in the backward.  It thus reads the
+parameters as they are when it runs: forward and backward stay inside one
+`loss_and_grads` call.  The fuse MLP's input and its gradient stay column
+blocks, each branch's block formed just before its backward runs.  The
+point backward returns the layer's input gradient, and each attention
+backward adds its own into that array in place.
 `Pipeline` holds the only loop over the blocks.
 
 All math is float64.  ReLU takes subgradient 0 at 0.
@@ -78,7 +71,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass, fields, replace
-from typing import IO, NamedTuple, Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
@@ -242,7 +235,7 @@ class ProductState:
     x: np.ndarray
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=np.float64)
+        x = np.asarray(self.x, dtype=np.float64).view()  # freezing a view leaves the caller's array writable
         if x.ndim != 2:
             raise ShapeMismatch(f"state must be a (rows, d) array, got shape {x.shape}")
         rows = max(1, _FINITE_BLOCK // max(1, x.shape[1]))  # a block's mask, not a (rows, d) one
@@ -304,33 +297,14 @@ def _score_maps(p: AttentionParams):
     return m_q, m_k
 
 
-class _AttentionCache(NamedTuple):
-    x: np.ndarray  # the layer input, from which the backward rebuilds the values
-    adj: KronAdjacency
-    # (E, P, heads) softmax weights in edge order, a bucket's rows read by bucket.view;
-    # the backward overwrites them with dz and then marks them read-only
-    alpha: np.ndarray
-    # score <= 0, where the LeakyReLU has LEAKY_SLOPE: np.packbits of each edge's P * heads
-    # signs, (E, ceil(P * heads / 8)) uint8 in edge order, read back by _signs
-    negative: np.ndarray
-
-
-def _signs(packed: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """The bool sign mask of `shape` (..., P, heads) from its packed edge rows."""
-    return np.unpackbits(packed, axis=1, count=math.prod(shape[-2:])).view(bool).reshape(shape)
-
-
-def _attention_forward(x: np.ndarray, adj: KronAdjacency, p: AttentionParams):
-    rows_n, d_in = x.shape
-    if math.prod(adj.grid) != rows_n:
-        raise ShapeMismatch(f"adjacency grid {adj.grid} does not match {rows_n} state rows")
-    if p.w_query.shape[0] != d_in:
-        raise ShapeMismatch(f"attention expects width {p.w_query.shape[0]}, got {d_in}")
+def _attention_weights(x: np.ndarray, adj: KronAdjacency, p: AttentionParams):
+    """(alpha_e, negative_e): the (E, P, heads) softmax weights in edge order,
+    a bucket's rows read by bucket.view, and the bool mask of the scores
+    z <= 0, where the LeakyReLU has LEAKY_SLOPE.  The forward and the
+    backward both call this, so both read the same weights bit for bit."""
     m_q, m_k = _score_maps(p)
     s_q = adj.node_major(x @ m_q)  # (Q, P, H)
     s_k = adj.node_major(x @ m_k)
-    v = adj.node_major((x @ p.w_value).reshape(rows_n, p.attn.shape[0], -1))  # (Q, P, H, hd)
-    out = np.zeros_like(v)
     alpha_e = np.empty((adj.src.size,) + s_k.shape[1:])  # (E, P, H) in edge order
     negative_e = np.empty(alpha_e.shape, dtype=bool)
     for b in adj.buckets:
@@ -343,21 +317,30 @@ def _attention_forward(x: np.ndarray, adj: KronAdjacency, p: AttentionParams):
         alpha -= alpha.max(axis=1, keepdims=True)
         np.exp(alpha, out=alpha)
         alpha /= alpha.sum(axis=1, keepdims=True)
-        out[b.nodes] = np.einsum("rkph,rkphd->rphd", alpha, np.take(v, b.senders, axis=0))
-    edges, signs = alpha_e.shape[0], math.prod(alpha_e.shape[1:])  # not reshape(-1): E may be 0
-    cache = _AttentionCache(x, adj, alpha_e, np.packbits(negative_e.reshape(edges, signs), axis=1))
-    return adj.grid_rows(out).reshape(rows_n, -1), cache
+    return alpha_e, negative_e
 
 
-def _attention_backward(dout: np.ndarray, cache: _AttentionCache, p: AttentionParams,
+def _attention_forward(x: np.ndarray, adj: KronAdjacency, p: AttentionParams) -> np.ndarray:
+    rows_n, d_in = x.shape
+    if math.prod(adj.grid) != rows_n:
+        raise ShapeMismatch(f"adjacency grid {adj.grid} does not match {rows_n} state rows")
+    if p.w_query.shape[0] != d_in:
+        raise ShapeMismatch(f"attention expects width {p.w_query.shape[0]}, got {d_in}")
+    alpha_e = _attention_weights(x, adj, p)[0]
+    v = adj.node_major((x @ p.w_value).reshape(rows_n, p.attn.shape[0], -1))  # (Q, P, H, hd)
+    out = np.zeros_like(v)
+    for b in adj.buckets:
+        out[b.nodes] = np.einsum("rkph,rkphd->rphd", b.view(alpha_e), np.take(v, b.senders, axis=0))
+    return adj.grid_rows(out).reshape(rows_n, -1)
+
+
+def _attention_backward(dout: np.ndarray, x: np.ndarray, adj: KronAdjacency, p: AttentionParams,
                         dx: np.ndarray) -> AttentionParams:
-    """Gradients of one attention forward: the parameters' are returned, and
-    the input's is added into the caller's `dx` in place.  Consumes `cache`:
-    dz overwrites the weights in place, so a cache serves one backward pass
-    only.  Each node-major array is dropped once nothing reads it."""
-    x, adj, alpha_e, negative_e = cache
-    if not alpha_e.flags.writeable:
-        raise ValueError("attention cache already consumed by a backward pass")
+    """Gradients of the attention forward of (x, adj): the parameters' are
+    returned, and the input's is added into the caller's `dx` in place.  The
+    weights are rebuilt first, into an array of this call's own.  Each
+    node-major array is dropped once nothing reads it."""
+    alpha_e, negative_e = _attention_weights(x, adj, p)
     d_in, d_out = p.w_query.shape
     heads = p.attn.shape[0]
     hd = d_out // heads
@@ -388,17 +371,17 @@ def _attention_backward(dout: np.ndarray, cache: _AttentionCache, p: AttentionPa
         dalpha -= (dz * dalpha).sum(axis=1, keepdims=True)
         dz *= dalpha  # the bucket's weights become its dz
         del dalpha
-        negative = _signs(negative_e[b.edges], dz.shape)
+        negative = b.view(negative_e)
         dz *= negative * LEAKY_SLOPE + ~negative  # exactly LEAKY_SLOPE or 1; branch-free, unlike np.where
         dz_r[b.nodes] = dz.sum(axis=1)
-    del dout, xq
+    del dout, xq, negative_e
     # z = (x @ M_q)[receiver] + (x @ M_k)[sender], so the score gradient
     # reaches each node through its receiver and sender sums of dz, and the
     # maps through x.T times those sums
     dz_c = np.zeros_like(dz_r)
     for b in adj.buckets:
         dz_c[b.nodes] = np.take(alpha_e, b.reverse, axis=0).sum(axis=1)
-    alpha_e.flags.writeable = False  # it holds dz now, not weights
+    del alpha_e
     m_q, m_k = _score_maps(p)
     dz_r = adj.grid_rows(dz_r)
     dm_q = x.T @ dz_r  # (d_in, H)
@@ -424,17 +407,18 @@ def _point_pre(x: np.ndarray, point: PointAdjacency, epsilon: np.ndarray) -> np.
     return (1.0 + float(epsilon)) * x + point.gather(x)
 
 
-def _point_forward(x: np.ndarray, point: PointAdjacency, epsilon: np.ndarray, mlp: MLPParams):
-    """The GIN update; the cache is (x, point), from which the backward
-    rebuilds the output and the MLP input."""
+def _point_forward(x: np.ndarray, point: PointAdjacency, epsilon: np.ndarray, mlp: MLPParams) -> np.ndarray:
+    """The GIN update MLP((1 + eps) x + P x)."""
     if math.prod(point.grid) != x.shape[0]:
         raise ShapeMismatch(f"point adjacency grid {point.grid} does not match {x.shape[0]} state rows")
     y, _ = _mlp_forward([_point_pre(x, point, epsilon)], mlp)
-    return y, (x, point)
+    return y
 
 
-def _point_backward(dy: np.ndarray, cache, epsilon: np.ndarray, mlp: MLPParams):
-    x, point = cache
+def _point_backward(dy: np.ndarray, x: np.ndarray, point: PointAdjacency, epsilon: np.ndarray,
+                    mlp: MLPParams):
+    """(dx, d eps, MLP gradients) of the point forward of (x, point); the
+    MLP input is rebuilt."""
     dh, mlp_grads = _mlp_backward(dy, [_point_pre(x, point, epsilon)], mlp)
     dpre = dh @ mlp.w1.T
     del dh
@@ -445,29 +429,31 @@ def _point_backward(dy: np.ndarray, cache, epsilon: np.ndarray, mlp: MLPParams):
 
 
 def _sab_forward_raw(x, internal, external, point, params: SABParams):
-    a_int, c_int = _attention_forward(x, internal, params.internal)
-    a_ext, c_ext = _attention_forward(x, external, params.external)
-    a_pt, c_pt = _point_forward(x, point, params.epsilon, params.point_mlp)
+    """The layer's output and its cache [x, a_int, a_ext]: the input and the
+    two attention outputs, the fuse MLP's first two input blocks."""
+    a_int = _attention_forward(x, internal, params.internal)
+    a_ext = _attention_forward(x, external, params.external)
+    a_pt = _point_forward(x, point, params.epsilon, params.point_mlp)
     y, _ = _mlp_forward([a_int, a_ext, a_pt], params.fuse_mlp)
-    return y, [c_int, c_ext, c_pt, [a_int, a_ext]]  # the backward rebuilds a_pt
+    return y, [x, a_int, a_ext]  # the backward rebuilds a_pt
 
 
-def _sab_backward_raw(dy, cache: list, params: SABParams):
-    """Empties `cache`, the list `_sab_forward_raw` returned: each part is
-    dropped as soon as its backward has run.  The point branch's output is
-    rebuilt for the fuse MLP's third input block, and the point backward
-    rebuilds its own MLP input once that block is gone.  Each branch gets
-    its block of the fuse input's gradient just before its backward runs,
-    and both attention backwards add into the point branch's dx."""
-    attention_outputs = cache.pop()
-    point_cache = cache.pop()
-    a_pt, _ = _point_forward(*point_cache, params.epsilon, params.point_mlp)
-    dh, fuse_grads = _mlp_backward(dy, attention_outputs + [a_pt], params.fuse_mlp)
-    del attention_outputs, a_pt
+def _sab_backward_raw(dy, cache: list, internal, external, point, params: SABParams):
+    """Empties `cache`, the list `_sab_forward_raw` returned, so the
+    attention outputs go once the fuse backward has run.  The point
+    branch's output is rebuilt for the fuse MLP's third input block, and
+    each branch's backward rebuilds the rest from x.  Each branch gets its
+    block of the fuse input's gradient just before its backward runs, and
+    both attention backwards add into the point branch's dx."""
+    x, a_int, a_ext = cache
+    cache.clear()
+    a_pt = _point_forward(x, point, params.epsilon, params.point_mlp)
+    dh, fuse_grads = _mlp_backward(dy, [a_int, a_ext, a_pt], params.fuse_mlp)
+    del a_int, a_ext, a_pt
     w_int, w_ext, w_pt = np.split(params.fuse_mlp.w1, 3)
-    dx, deps, point_grads = _point_backward(dh @ w_pt.T, point_cache, params.epsilon, params.point_mlp)
-    ext_grads = _attention_backward(dh @ w_ext.T, cache.pop(), params.external, dx)
-    int_grads = _attention_backward(dh @ w_int.T, cache.pop(), params.internal, dx)
+    dx, deps, point_grads = _point_backward(dh @ w_pt.T, x, point, params.epsilon, params.point_mlp)
+    ext_grads = _attention_backward(dh @ w_ext.T, x, external, params.external, dx)
+    int_grads = _attention_backward(dh @ w_int.T, x, internal, params.internal, dx)
     grads = SABParams(internal=int_grads, external=ext_grads, point_mlp=point_grads,
                       epsilon=np.array(deps), fuse_mlp=fuse_grads)
     return dx, grads
@@ -496,13 +482,11 @@ def sparse_attention(state: ProductState, adj: KronAdjacency, params: AttentionP
     in-neighbours.  The head count is that of `params`; `heads` must agree."""
     if heads != params.attn.shape[0]:
         raise ShapeMismatch(f"heads={heads}, but the parameters have {params.attn.shape[0]} heads")
-    out, _ = _attention_forward(state.x, adj, params)
-    return out
+    return _attention_forward(state.x, adj, params)
 
 
 def point_update(state: ProductState, point: PointAdjacency, epsilon: float, mlp: MLPParams) -> np.ndarray:
-    out, _ = _point_forward(state.x, point, np.asarray(epsilon), mlp)
-    return out
+    return _point_forward(state.x, point, np.asarray(epsilon), mlp)
 
 
 def rgcn_layer(state: ProductState, bundle: ProductGraphBundle, params: RGCNParams) -> ProductState:
@@ -644,7 +628,8 @@ class Pipeline:
         dx, pool_grads = _pool_backward(np.ones_like(pooled), pool_cache, self.pool_mlp)
         layer_grads = []
         for layer in reversed(self.layers):  # each layer's cache is dropped once its backward ran
-            dx, layer_grad = _sab_backward_raw(dx, caches.pop(), layer)
+            dx, layer_grad = _sab_backward_raw(dx, caches.pop(), self.internal, self.external, self.point,
+                                               layer)
             layer_grads.insert(0, layer_grad)
         if not self.layers:  # dx is still the pool's read-only broadcast
             dx = dx.copy()

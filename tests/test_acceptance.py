@@ -35,7 +35,7 @@ from prodgraph import (
     sampled_adjacency,
 )
 from prodgraph.graphs import complete_graph, cycle_graph, path_graph
-from prodgraph.model import MLPParams, run_forward, ForwardConfig, _attention_forward
+from prodgraph.model import MLPParams, run_forward, ForwardConfig, _attention_forward, _attention_weights
 from prodgraph.product import product_permutation
 from prodgraph.rng import SplitMix64
 from prodgraph.verify import (
@@ -172,11 +172,12 @@ def test_criterion_6_sab_correctness():
         bundle = build_product_bundle(g)
         for adj, coo in ((bundle.internal, internal_adjacency(g)),
                          (bundle.external, external_adjacency(g))):
-            sparse, cache = _attention_forward(x, adj, params.internal)
+            sparse = _attention_forward(x, adj, params.internal)
             dense = dense_attention_oracle(x, coo.to_dense(), params.internal)
             oracle_dev = max(oracle_dev, float(np.abs(sparse - dense).max()))
+            alpha_e = _attention_weights(x, adj, params.internal)[0]
             for b in adj.buckets:
-                alpha = b.view(cache.alpha)  # (r, k, batch, heads) per degree k
+                alpha = b.view(alpha_e)  # (r, k, batch, heads) per degree k
                 stochastic_dev = max(stochastic_dev, float(max(0.0, -alpha.min())))
                 sums = np.zeros((b.nodes.size,) + alpha.shape[2:])
                 # deliberately np.add.at, a route independent of the kernel's sum
@@ -185,7 +186,7 @@ def test_criterion_6_sab_correctness():
                 stochastic_dev = max(stochastic_dev, float(np.abs(sums - 1.0).max()))
         from prodgraph.model import _point_forward
 
-        pt_out, _ = _point_forward(x, bundle.point, params.epsilon, params.point_mlp)
+        pt_out = _point_forward(x, bundle.point, params.epsilon, params.point_mlp)
         pt_dense = dense_point_oracle(x, point_adjacency(n).to_dense(), params.epsilon, params.point_mlp)
         oracle_dev = max(oracle_dev, float(np.abs(pt_out - pt_dense).max()))
         rg_out = rgcn_layer(ProductState(x=x), bundle, rgcn).x

@@ -18,7 +18,7 @@ from prodgraph import (
     random_graph,
 )
 from prodgraph.graphs import path_graph
-from prodgraph.model import _attention_backward, _attention_forward, _signs
+from prodgraph.model import _attention_backward, _attention_forward, _attention_weights
 from prodgraph.rng import SplitMix64
 from prodgraph.verify import ISOLATED_NODE_GRAPH, ISOLATED_NODE_MASK
 from tuple_reference import factored_adjacency
@@ -78,13 +78,13 @@ def test_attention_matches_entry_major_reference(heads, head_dim):
         fused = rng.uniform_array(-1.0, 1.0, x.shape[0] * 3 * d_out).reshape(x.shape[0], 3 * d_out)
         dout = fused[:, d_out:2 * d_out]
         coo = factored_adjacency(adj)
-        out, cache = _attention_forward(x, adj, params)
+        out = _attention_forward(x, adj, params)
         want, want_cache = attention_forward(x, coo, params, heads)
         assert _close(out, want), name
         if coo.nnz:
-            assert _close(_alpha_by_entry(adj, cache.alpha), want_cache["alpha"]), name
+            assert _close(_alpha_by_entry(adj, _attention_weights(x, adj, params)[0]), want_cache["alpha"]), name
         dx = np.zeros_like(x)
-        grads = _attention_backward(dout, cache, params, dx)
+        grads = _attention_backward(dout, x, adj, params, dx)
         want_dx, want_grads = attention_backward(dout, want_cache, params)
         assert _close(dx, want_dx), name
         for field in ("w_query", "w_key", "w_value", "attn"):
@@ -94,9 +94,8 @@ def test_attention_matches_entry_major_reference(heads, head_dim):
 
 
 def _sign_cases():
-    """(name, x, adjacency) on odd grids, where 3 heads make P * heads no
-    multiple of 8: a random graph, an edgeless one (E = 0) and a path,
-    whose two ends form a degree-1 bucket."""
+    """(name, x, adjacency) on odd grids with 3 heads: a random graph, an
+    edgeless one (E = 0) and a path, whose two ends form a degree-1 bucket."""
     rng = SplitMix64(17)
     cases = []
     for gname, g in (("g7", random_graph(7, 0.45, seed=5)), ("edgeless", Graph(n=3, edges=frozenset())),
@@ -109,38 +108,32 @@ def _sign_cases():
 
 
 @pytest.mark.parametrize("name, x, adj", _sign_cases())
-def test_packed_signs_unpack_to_the_reference_scores(name, x, adj):
+def test_sign_mask_is_the_reference_scores_sign(name, x, adj):
     heads = 3
     params = AttentionParams.from_rng(D_IN, 2 * heads, heads, SplitMix64(len(name)))
-    _, cache = _attention_forward(x, adj, params)
+    alpha_e, negative_e = _attention_weights(x, adj, params)
     _, want_cache = attention_forward(x, factored_adjacency(adj), params, heads)
-    edges, p, h = cache.alpha.shape
-    assert p * h % 8 and cache.negative.shape == (edges, -(-p * h // 8))
-    assert cache.negative.dtype == np.uint8
-    signs = _signs(cache.negative, cache.alpha.shape)
-    assert signs.shape == cache.alpha.shape and signs.dtype == bool
+    assert negative_e.shape == alpha_e.shape == (adj.src.size, x.shape[0] // adj.grid[adj.axis], heads)
+    assert negative_e.dtype == bool
     if name.startswith("edgeless"):
-        assert edges == 0 and want_cache["z"].size == 0
+        assert alpha_e.shape[0] == 0 and want_cache["z"].size == 0
         return
     if name.startswith("path"):
         assert 1 in {b.senders.shape[1] for b in adj.buckets}
-    for b in adj.buckets:  # the backward unpacks bucket by bucket
-        assert np.array_equal(_signs(cache.negative[b.edges], b.view(cache.alpha).shape), b.view(signs))
-    assert np.array_equal(_alpha_by_entry(adj, signs), want_cache["z"] <= 0.0)
+    assert np.array_equal(_alpha_by_entry(adj, negative_e), want_cache["z"] <= 0.0)
 
 
 def test_backward_adds_the_input_gradient_into_the_callers_dx():
     x, adj = {name: (x, adj) for name, x, adj in _systems()}["g7-external-sampled"]
     params = AttentionParams.from_rng(D_IN, 8, 4, SplitMix64(23))
     dout = SplitMix64(24).uniform_array(-1.0, 1.0, x.shape[0] * 8).reshape(x.shape[0], 8)
+    x_bytes = x.tobytes()
     fresh = np.zeros_like(x)
-    want = _attention_backward(dout, _attention_forward(x, adj, params)[1], params, fresh)
+    want = _attention_backward(dout, x, adj, params, fresh)
     base = SplitMix64(25).uniform_array(-3.0, 3.0, x.size).reshape(x.shape)
     dx = base.copy()
-    _, cache = _attention_forward(x, adj, params)
-    grads = _attention_backward(dout, cache, params, dx)
+    grads = _attention_backward(dout, x, adj, params, dx)
     for field in ("w_query", "w_key", "w_value", "attn"):
         assert getattr(grads, field).tobytes() == getattr(want, field).tobytes(), field
     assert np.abs((dx - base) - fresh).max() <= 1e-15 * np.abs(dx).max()
-    with pytest.raises(ValueError, match="consumed"):
-        _attention_backward(dout, cache, params, dx)
+    assert x.tobytes() == x_bytes  # the backward rebuilds its weights and writes no input
