@@ -40,26 +40,25 @@ the base factor's degree buckets: the r receivers of degree k gather their
 senders' rows as one (r, k, ...) block, and the softmax reduces the k axis.
 _attention_weights writes the buckets' softmax weights back to back into
 one (E, P, heads) array in edge order, and the bool mask of the LeakyReLU's
-negative side into one array of that shape.  The forward uses the weights
-and drops them; the backward rebuilds both as its first step.  The
-adjacency is symmetric, so the backward gathers instead of scattering:
-what a node sends on are the reverses of its own edges, read through the
-bucket's reverse index.  The value gradient is the one step that reads
-other buckets' weights that way, so it runs first, and the score gradient
-dz then overwrites each bucket's weights in place.
+negative side into one array of that shape.  The adjacency is symmetric,
+so the backward gathers instead of scattering: what a node sends on are
+the reverses of its own edges, read through the bucket's reverse index.
+The value gradient is the one step that reads other buckets' weights that
+way, so it runs first, and the score gradient dz then overwrites each
+bucket's weights in place.
 
 A layer caches only its input x and the two attention outputs (the fuse
-MLP's first two input blocks).  The backward rebuilds the rest from x with
-thin products and gathers: the point branch's output and MLP input, both
-MLPs' activations, the attention weights and sign masks, and each bucket's
-sender values, one (r k P, d) @ W_V product per bucket, so no
-(Q, P, heads, hd) value array exists in the backward.  It thus reads the
-parameters as they are when it runs: forward and backward stay inside one
-`loss_and_grads` call.  The fuse MLP's input and its gradient stay column
-blocks, each branch's block formed just before its backward runs.  The
-point backward returns the layer's input gradient, and each attention
-backward adds its own into that array in place.
-`Pipeline` holds the only loop over the blocks.
+MLP's first two input blocks).  The backward rebuilds the rest from x, each
+quantity with the forward's own function for it, so it reads the forward's
+bits: the attention weights and sign masks (_attention_weights), the
+node-major values x W_V (_values), the point branch's MLP input
+(_point_pre) and output (_point_forward), and both MLPs' activations
+(_mlp_hidden).  It reads the parameters as they are when it runs, so
+forward and backward stay inside one `loss_and_grads` call.  The fuse
+MLP's input and its gradient stay column blocks, each branch's block
+formed just before its backward runs.  The point backward returns the
+layer's input gradient, and each attention backward adds its own into
+that array in place.  `Pipeline` holds the only loop over the blocks.
 
 All math is float64.  ReLU takes subgradient 0 at 0.
 """
@@ -265,10 +264,9 @@ def _mlp_hidden(parts: list[np.ndarray], p: MLPParams) -> np.ndarray:
     return act
 
 
-def _mlp_forward(parts: list[np.ndarray], p: MLPParams):
-    """The MLP of the column blocks `parts`; the cache is `parts` itself."""
-    y = _mlp_hidden(parts, p) @ p.w2 + p.b2
-    return y, parts
+def _mlp_forward(parts: list[np.ndarray], p: MLPParams) -> np.ndarray:
+    """The MLP of the column blocks `parts`; its backward takes `parts` again."""
+    return _mlp_hidden(parts, p) @ p.w2 + p.b2
 
 
 def _mlp_backward(dy: np.ndarray, parts: list[np.ndarray], p: MLPParams):
@@ -308,7 +306,7 @@ def _attention_weights(x: np.ndarray, adj: KronAdjacency, p: AttentionParams):
     alpha_e = np.empty((adj.src.size,) + s_k.shape[1:])  # (E, P, H) in edge order
     negative_e = np.empty(alpha_e.shape, dtype=bool)
     for b in adj.buckets:
-        alpha, negative = b.views(alpha_e, negative_e)  # (r, k, P, H)
+        alpha, negative = b.view(alpha_e), b.view(negative_e)  # (r, k, P, H)
         # with out=, the default mode="raise" buffers the whole gather; the indices are in range
         np.take(s_k, b.senders, axis=0, out=alpha, mode="clip")
         alpha += s_q[b.nodes, None]  # the score z
@@ -320,6 +318,11 @@ def _attention_weights(x: np.ndarray, adj: KronAdjacency, p: AttentionParams):
     return alpha_e, negative_e
 
 
+def _values(x: np.ndarray, adj: KronAdjacency, p: AttentionParams) -> np.ndarray:
+    """(Q, P, heads, hd) values x W_V, node-major, in the forward and the backward alike."""
+    return adj.node_major((x @ p.w_value).reshape(x.shape[0], p.attn.shape[0], -1))
+
+
 def _attention_forward(x: np.ndarray, adj: KronAdjacency, p: AttentionParams) -> np.ndarray:
     rows_n, d_in = x.shape
     if math.prod(adj.grid) != rows_n:
@@ -327,7 +330,7 @@ def _attention_forward(x: np.ndarray, adj: KronAdjacency, p: AttentionParams) ->
     if p.w_query.shape[0] != d_in:
         raise ShapeMismatch(f"attention expects width {p.w_query.shape[0]}, got {d_in}")
     alpha_e = _attention_weights(x, adj, p)[0]
-    v = adj.node_major((x @ p.w_value).reshape(rows_n, p.attn.shape[0], -1))  # (Q, P, H, hd)
+    v = _values(x, adj, p)
     out = np.zeros_like(v)
     for b in adj.buckets:
         out[b.nodes] = np.einsum("rkph,rkphd->rphd", b.view(alpha_e), np.take(v, b.senders, axis=0))
@@ -338,8 +341,8 @@ def _attention_backward(dout: np.ndarray, x: np.ndarray, adj: KronAdjacency, p: 
                         dx: np.ndarray) -> AttentionParams:
     """Gradients of the attention forward of (x, adj): the parameters' are
     returned, and the input's is added into the caller's `dx` in place.  The
-    weights are rebuilt first, into an array of this call's own.  Each
-    node-major array is dropped once nothing reads it."""
+    weights are rebuilt first, on an array of this call's own, the values
+    after `dv`; each node-major array is dropped once nothing reads it."""
     alpha_e, negative_e = _attention_weights(x, adj, p)
     d_in, d_out = p.w_query.shape
     heads = p.attn.shape[0]
@@ -355,26 +358,25 @@ def _attention_backward(dout: np.ndarray, x: np.ndarray, adj: KronAdjacency, p: 
     dw_value = x.T @ dv
     dx += dv @ p.w_value.T
     del dv
-    xq = adj.node_major(x)  # (Q, P, d_in), from which each bucket rebuilds its senders' values
+    v = _values(x, adj, p)
     dz_r = np.zeros(dout.shape[:3])  # (Q, P, H)
     for b in adj.buckets:
         dz = b.view(alpha_e)
-        # the forward's values x W_V of the bucket's senders, one product per bucket
-        v_s = (np.take(xq, b.senders, axis=0).reshape(-1, d_in) @ p.w_value).reshape(dz.shape + (hd,))
+        v_s = np.take(v, b.senders, axis=0)  # the bucket's sender values, the forward's gather
         # dalpha = dout[receiver] . v[sender] over head_dim, one channel at
         # a time: head_dim is short, and einsum's inner loop over it is slow
         dout_r = dout[b.nodes, None]
         dalpha = dout_r[..., 0] * v_s[..., 0]
         for c in range(1, hd):
             dalpha += dout_r[..., c] * v_s[..., c]
-        del v_s  # before the next bucket's product
+        del v_s  # before the next bucket's gather
         dalpha -= (dz * dalpha).sum(axis=1, keepdims=True)
         dz *= dalpha  # the bucket's weights become its dz
         del dalpha
         negative = b.view(negative_e)
         dz *= negative * LEAKY_SLOPE + ~negative  # exactly LEAKY_SLOPE or 1; branch-free, unlike np.where
         dz_r[b.nodes] = dz.sum(axis=1)
-    del dout, xq, negative_e
+    del dout, v, negative_e
     # z = (x @ M_q)[receiver] + (x @ M_k)[sender], so the score gradient
     # reaches each node through its receiver and sender sums of dz, and the
     # maps through x.T times those sums
@@ -411,8 +413,7 @@ def _point_forward(x: np.ndarray, point: PointAdjacency, epsilon: np.ndarray, ml
     """The GIN update MLP((1 + eps) x + P x)."""
     if math.prod(point.grid) != x.shape[0]:
         raise ShapeMismatch(f"point adjacency grid {point.grid} does not match {x.shape[0]} state rows")
-    y, _ = _mlp_forward([_point_pre(x, point, epsilon)], mlp)
-    return y
+    return _mlp_forward([_point_pre(x, point, epsilon)], mlp)
 
 
 def _point_backward(dy: np.ndarray, x: np.ndarray, point: PointAdjacency, epsilon: np.ndarray,
@@ -434,7 +435,7 @@ def _sab_forward_raw(x, internal, external, point, params: SABParams):
     a_int = _attention_forward(x, internal, params.internal)
     a_ext = _attention_forward(x, external, params.external)
     a_pt = _point_forward(x, point, params.epsilon, params.point_mlp)
-    y, _ = _mlp_forward([a_int, a_ext, a_pt], params.fuse_mlp)
+    y = _mlp_forward([a_int, a_ext, a_pt], params.fuse_mlp)
     return y, [x, a_int, a_ext]  # the backward rebuilds a_pt
 
 
@@ -461,14 +462,14 @@ def _sab_backward_raw(dy, cache: list, internal, external, point, params: SABPar
 
 def _pool_forward(x: np.ndarray, divisor: int, mlp: MLPParams):
     """Column sum of all rows divided by `divisor`, then the pool MLP."""
-    y, mlp_cache = _mlp_forward([(x.sum(axis=0) / divisor)[None, :]], mlp)
-    return y[0], (x.shape, divisor, mlp_cache)
+    parts = [(x.sum(axis=0) / divisor)[None, :]]
+    return _mlp_forward(parts, mlp)[0], (x.shape, divisor, parts)
 
 
 def _pool_backward(dy: np.ndarray, cache, mlp: MLPParams):
     """The gradient of every row is one vector: a read-only broadcast of it."""
-    shape, divisor, mlp_cache = cache
-    dh, mlp_grads = _mlp_backward(dy[None, :], mlp_cache, mlp)
+    shape, divisor, parts = cache
+    dh, mlp_grads = _mlp_backward(dy[None, :], parts, mlp)
     return np.broadcast_to((dh @ mlp.w1.T)[0] / divisor, shape), mlp_grads
 
 
@@ -507,6 +508,11 @@ def rgcn_layer(state: ProductState, bundle: ProductGraphBundle, params: RGCNPara
 _MARK_BLOCK = 64  # subgraphs per block of gathered mark rows in init_state
 
 
+def _node_features(g: Graph) -> np.ndarray:
+    """g.features, or for a graph without them one column of ones (a broadcast)."""
+    return g.features if g.features is not None else np.broadcast_to(1.0, (g.n, 1))
+
+
 def init_state(
     g: Graph,
     pe: PEMatrix,
@@ -531,7 +537,7 @@ def init_state(
         raise ShapeMismatch(f"PE has {pe.rows} rows, expected {n * n}")
     if marks.n != n or mark_table.shape[0] != marks.vocabulary:
         raise ShapeMismatch("mark table rows must equal the mark vocabulary")
-    feats = g.features if g.features is not None else np.ones((n, 1))
+    feats = _node_features(g)
     width = feats.shape[1] + pe.k + mark_table.shape[1]
     if width != encoder.weight.shape[0]:
         raise ShapeMismatch(f"encoder expects width {encoder.weight.shape[0]}, got {width}")
@@ -742,7 +748,7 @@ def build_forward_model(g: Graph, cfg: ForwardConfig) -> ForwardModel:
                          f"heads={cfg.heads}, layers={cfg.layers}")
     if cfg.d % cfg.heads:
         raise ShapeMismatch(f"d={cfg.d} not divisible by heads={cfg.heads}")
-    d, d_feat = cfg.d, g.features.shape[1] if g.features is not None else 1
+    d, d_feat = cfg.d, _node_features(g).shape[1]
     # mark table, encoder, layers and pool MLP, counted before any is drawn
     count = (g.n + d_feat + cfg.k + 3 * d + 4) * d + cfg.layers * (12 * d * d + 8 * d + 1)
     if 8 * count > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
@@ -845,6 +851,8 @@ def load_parameters(fileobj: IO[bytes]) -> dict[str, np.ndarray]:
                 and all(type(s) is int and s >= 0 for s in shape)):
             raise ParseError(f"bad parameter manifest entry {item!r}: need a name string "
                              "and a shape list of non-negative integers")
+        if name in out:
+            raise ParseError(f"parameter manifest repeats {name}")
         buf = _read_exact(fileobj, 8 * math.prod(shape), name)
         try:
             arr = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
@@ -857,7 +865,12 @@ def load_parameters(fileobj: IO[bytes]) -> dict[str, np.ndarray]:
 
 
 def load_into(named: Sequence[tuple[str, np.ndarray]], data: dict[str, np.ndarray]) -> None:
-    """Copy loaded arrays into existing parameter storage, shape-checked."""
+    """Copy loaded arrays into existing parameter storage: the container must
+    hold exactly the model's names, each with its shape."""
+    names = {name for name, _ in named}
+    extra = [name for name in data if name not in names]
+    if extra:
+        raise ShapeMismatch(f"container holds parameter {extra[0]}, which the model lacks")
     for name, arr in named:
         if name not in data:
             raise ParseError(f"container is missing parameter {name}")

@@ -59,12 +59,6 @@ class DegreeBucket(NamedTuple):
         """The bucket's (r, k, ...) rows of an (E, ...) array in edge order."""
         return a[self.edges].reshape(self.senders.shape + a.shape[1:])
 
-    def views(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """view(a), view(b) of two (E, ...) arrays of one shape, in one call:
-        the attention forward writes two such arrays per bucket."""
-        shape = self.senders.shape + a.shape[1:]
-        return a[self.edges].reshape(shape), b[self.edges].reshape(shape)
-
 
 @dataclass(frozen=True)
 class KronAdjacency:

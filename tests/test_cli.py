@@ -279,6 +279,40 @@ def test_parameter_of_another_shape_is_shape_mismatch(p2_file, tmp_path, capsys)
     assert err.startswith("ShapeMismatch: mark_table: ") and err.count("\n") == 1
 
 
+def test_container_of_a_deeper_model_is_shape_mismatch(p2_file, tmp_path, capsys):
+    # every name of the 2-layer model is in a 3-layer container, with its
+    # shape; the third layer's arrays describe a model that is not run
+    params = tmp_path / "p3.bin"
+    code, _, _ = run_cli(capsys, "forward", p2_file, "--layers", "3", "--save-params", str(params))
+    assert code == 0
+    code, out, err = run_cli(capsys, "forward", p2_file, "--layers", "2", "--load-params", str(params))
+    assert (code, out) == (2, "")
+    assert err.startswith("ShapeMismatch: container holds parameter layers.2.") and err.count("\n") == 1
+
+
+def test_container_that_repeats_a_name_is_parse_error(p2_file, tmp_path, capsys):
+    params = tmp_path / "params.bin"
+    with open(params, "wb") as fh:
+        named = build_forward_model(load_graph(P2_JSON), ForwardConfig()).named()
+        save_parameters(fh, named + named[:1])
+    code, out, err = run_cli(capsys, "forward", p2_file, "--load-params", str(params))
+    assert (code, out) == (2, "")
+    assert err == "ParseError: parameter manifest repeats mark_table\n"
+
+
+def test_missing_features_are_one_column_of_ones(tmp_path, capsys):
+    # a graph without features reads exactly like one whose only feature
+    # column is all ones; zero-width features are a model of their own
+    outs = []
+    for features in ("", ',"features":[[1],[1],[1]]', ',"features":[[],[],[]]'):
+        graph = tmp_path / "g.json"
+        graph.write_text('{"n":3,"edges":[[0,1],[1,2]]%s}' % features)
+        code, out, _ = run_cli(capsys, "forward", str(graph), "--k", "3", "--seed", "4")
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1] != outs[2]
+
+
 @pytest.mark.parametrize("container", [
     struct.pack("<Q", 2**64 - 1) + b"{}",
     _container({"arrays": [{"name": "mark_table", "shape": [2**40, 2**40]}]}),

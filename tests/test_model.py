@@ -13,6 +13,7 @@ from prodgraph import (
     Graph,
     KronAdjacency,
     MLPParams,
+    ParseError,
     Pipeline,
     ProductState,
     RangeError,
@@ -294,9 +295,9 @@ def test_mlp_of_column_blocks_matches_concatenated_mlp(widths):
     p = MLPParams.from_rng(sum(widths), 6, 5, rng)
     parts = [random_state(40, w, seed=90 + w + i) for i, w in enumerate(widths)]
     dy = random_state(40, 5, seed=99)
-    y, cache = _mlp_forward(parts, p)
+    y = _mlp_forward(parts, p)  # the backward takes the same blocks again
     want_y, want_cache = concatenated_mlp(parts, p)
-    dh, grads = _mlp_backward(dy, cache, p)
+    dh, grads = _mlp_backward(dy, parts, p)
     dx = np.hstack([dh @ w1.T for w1 in np.split(p.w1, np.cumsum(widths)[:-1])])
     want_dx, want_grads = concatenated_mlp_backward(dy, want_cache, p)
     pairs = [(y, want_y), (dx, want_dx)]
@@ -639,6 +640,24 @@ def test_backward_consumes_its_caches_and_steps_repeat_bitwise():
     assert dx.tobytes() == dx2.tobytes()
 
 
+def test_each_attention_quantity_has_one_route(monkeypatch):
+    # the backward rebuilds the softmax weights and the values with the
+    # forward's own functions: per attention type and layer, a training
+    # step calls each twice (forward and backward) and a forward once
+    pipe, x0 = sampled_g6_system()
+    names, calls = ("_attention_weights", "_values"), []
+    for name in names:
+        def counted(x, adj, p, fn=getattr(model_module, name), name=name):
+            calls.append((name, "internal" if adj is pipe.internal else "external"))
+            return fn(x, adj, p)
+        monkeypatch.setattr(model_module, name, counted)
+    for run, per_layer in ((pipe.loss_and_grads, 2), (pipe.pooled, 1)):
+        calls.clear()
+        run(x0)
+        want = {(name, kind): per_layer * len(pipe.layers) for name in names for kind in ("internal", "external")}
+        assert {key: calls.count(key) for key in set(calls)} == want, run.__name__
+
+
 def test_sampled_step_peak_memory():
     # Peak traced bytes of one sampled training step, in units of its input
     # state's bytes: 39.6x when every layer's cache lived until the step
@@ -650,8 +669,11 @@ def test_sampled_step_peak_memory():
     # 15.5x with the point branch's output rebuilt, the input gradients
     # added in place, the values rebuilt per bucket and the signs packed,
     # and 12.8x with the softmax weights and sign masks rebuilt in each
-    # attention backward.  The bound fails a step that caches the weights
-    # again (15.5x), and leaves 3 % of headroom.
+    # attention backward.  Gathering each bucket's values from the forward's
+    # node-major x W_V instead of one W_V product per bucket kept 12.8x: the
+    # step peaks in the score-gradient loop, where that array is the size of
+    # the node-major x it replaced.  The bound fails a step that caches the
+    # weights again (15.5x), and leaves 3 % of headroom.
     g = random_graph(48, 4 / 47, seed=3)
     full, x = make_pipeline(g, seed=8, d=8, layers=2)
     pipe, x0 = full.sampled(x, SamplingMask.from_ratio(g.n, 0.5, SplitMix64(7)))
@@ -853,6 +875,29 @@ def test_parameter_container_load_into():
     load_into(b.named("p"), load_parameters(buf))
     for (_, x), (_, y) in zip(a.named("p"), b.named("p")):
         assert np.array_equal(x, y)
+
+
+def test_load_into_refuses_a_name_the_model_lacks():
+    from prodgraph.model import load_into
+
+    one, two = (build_forward_model(P2, ForwardConfig(layers=layers, seed=3)) for layers in (1, 2))
+    data = dict(two.named())
+    before = [a.copy() for _, a in one.named()]
+    with pytest.raises(ShapeMismatch, match="container holds parameter layers.1.internal.w_query"):
+        load_into(one.named(), data)
+    assert all(np.array_equal(a, b) for (_, a), b in zip(one.named(), before))  # nothing copied
+    del data["layers.1.internal.w_query"]
+    with pytest.raises(ShapeMismatch, match="layers.1.internal.w_key"):  # the first extra name
+        load_into(one.named(), data)
+
+
+def test_load_parameters_refuses_a_repeated_name():
+    named = SABParams.from_rng(4, 4, SplitMix64(84)).named("p")
+    buf = io.BytesIO()
+    save_parameters(buf, named + [(named[2][0], named[5][1])])
+    buf.seek(0)
+    with pytest.raises(ParseError, match=f"parameter manifest repeats {named[2][0]}$"):
+        load_parameters(buf)
 
 
 # --- end-to-end forward -----------------------------------------------------
