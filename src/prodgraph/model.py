@@ -38,6 +38,12 @@ internal and external attention are one kernel along one grid axis of it
 (product.KronAdjacency).  The kernel views its arrays node-major and walks
 the base factor's degree buckets: the r receivers of degree k gather their
 senders' rows as one (r, k, ...) block, and the softmax reduces the k axis.
+The score terms are node-major (Q, P, heads) arrays, Q the attended axis
+and P the batch of the others.  The values and the upstream gradient are
+channel-major, (hd, Q, P, heads) (KronAdjacency.channel_major): each of
+the hd channels of a head is a node-major array of its own, so a bucket
+gathers and reduces one contiguous (r, k, P, heads) channel at a time, and
+no einsum runs in the bucket loops.
 _attention_weights writes the buckets' softmax weights back to back into
 one (E, P, heads) array in edge order, and the bool mask of the LeakyReLU's
 negative side into one array of that shape.  The adjacency is symmetric,
@@ -51,14 +57,16 @@ A layer caches only its input x and the two attention outputs (the fuse
 MLP's first two input blocks).  The backward rebuilds the rest from x, each
 quantity with the forward's own function for it, so it reads the forward's
 bits: the attention weights and sign masks (_attention_weights), the
-node-major values x W_V (_values), the point branch's MLP input
+channel-major values x W_V (_values), the point branch's MLP input
 (_point_pre) and output (_point_forward), and both MLPs' activations
 (_mlp_hidden).  It reads the parameters as they are when it runs, so
 forward and backward stay inside one `loss_and_grads` call.  The fuse
-MLP's input and its gradient stay column blocks, each branch's block
-formed just before its backward runs.  The point backward returns the
-layer's input gradient, and each attention backward adds its own into
-that array in place.  `Pipeline` holds the only loop over the blocks.
+MLP's input stays column blocks.  Its backward's hidden gradient is freed
+once it has given the three input blocks' gradients, before any branch
+backward runs, and each branch backward holds the only reference to its
+block.  The point backward returns the layer's input gradient, and each
+attention backward adds its own into that array in place.  `Pipeline`
+holds the only loop over the blocks.
 
 All math is float64.  ReLU takes subgradient 0 at 0.
 """
@@ -319,8 +327,17 @@ def _attention_weights(x: np.ndarray, adj: KronAdjacency, p: AttentionParams):
 
 
 def _values(x: np.ndarray, adj: KronAdjacency, p: AttentionParams) -> np.ndarray:
-    """(Q, P, heads, hd) values x W_V, node-major, in the forward and the backward alike."""
-    return adj.node_major((x @ p.w_value).reshape(x.shape[0], p.attn.shape[0], -1))
+    """(hd, Q, P, heads) values x W_V, channel-major, in the forward and the backward alike."""
+    return adj.channel_major(x @ p.w_value, p.w_value.shape[1] // p.attn.shape[0])
+
+
+def _weighted_sum(weights: np.ndarray, a: np.ndarray, b: product.DegreeBucket, out: np.ndarray) -> None:
+    """out[c, receiver] = sum over bucket b's senders of weights * a[c, sender],
+    for each channel c of the channel-major `a`; `weights` is b's (r, k, P, heads)."""
+    for c in range(a.shape[0]):
+        g = np.take(a[c], b.senders, axis=0)
+        g *= weights
+        out[c, b.nodes] = g.sum(axis=1)
 
 
 def _attention_forward(x: np.ndarray, adj: KronAdjacency, p: AttentionParams) -> np.ndarray:
@@ -333,8 +350,8 @@ def _attention_forward(x: np.ndarray, adj: KronAdjacency, p: AttentionParams) ->
     v = _values(x, adj, p)
     out = np.zeros_like(v)
     for b in adj.buckets:
-        out[b.nodes] = np.einsum("rkph,rkphd->rphd", b.view(alpha_e), np.take(v, b.senders, axis=0))
-    return adj.grid_rows(out).reshape(rows_n, -1)
+        _weighted_sum(b.view(alpha_e), v, b, out)
+    return adj.channel_rows(out)
 
 
 def _attention_backward(dout: np.ndarray, x: np.ndarray, adj: KronAdjacency, p: AttentionParams,
@@ -342,34 +359,34 @@ def _attention_backward(dout: np.ndarray, x: np.ndarray, adj: KronAdjacency, p: 
     """Gradients of the attention forward of (x, adj): the parameters' are
     returned, and the input's is added into the caller's `dx` in place.  The
     weights are rebuilt first, on an array of this call's own, the values
-    after `dv`; each node-major array is dropped once nothing reads it."""
+    after `dv`; each channel-major array is dropped once nothing reads it."""
     alpha_e, negative_e = _attention_weights(x, adj, p)
     d_in, d_out = p.w_query.shape
     heads = p.attn.shape[0]
     hd = d_out // heads
-    dout = adj.node_major(dout.reshape(-1, heads, hd))  # (Q, P, H, hd)
+    dout = adj.channel_major(dout, hd)  # (hd, Q, P, H)
     # dv first: it is the one step that reads other buckets' weights, the
     # weights of the edges a node sends on, through the reverse index
     dv = np.zeros_like(dout)
     for b in adj.buckets:
-        dv[b.nodes] = np.einsum("rkph,rkphd->rphd", np.take(alpha_e, b.reverse, axis=0),
-                                np.take(dout, b.senders, axis=0))
-    dv = adj.grid_rows(dv).reshape(-1, d_out)
+        _weighted_sum(np.take(alpha_e, b.reverse, axis=0), dout, b, dv)
+    dv = adj.channel_rows(dv)
     dw_value = x.T @ dv
     dx += dv @ p.w_value.T
     del dv
     v = _values(x, adj, p)
-    dz_r = np.zeros(dout.shape[:3])  # (Q, P, H)
+    dz_r = np.zeros(dout.shape[1:])  # (Q, P, H)
     for b in adj.buckets:
         dz = b.view(alpha_e)
-        v_s = np.take(v, b.senders, axis=0)  # the bucket's sender values, the forward's gather
-        # dalpha = dout[receiver] . v[sender] over head_dim, one channel at
-        # a time: head_dim is short, and einsum's inner loop over it is slow
-        dout_r = dout[b.nodes, None]
-        dalpha = dout_r[..., 0] * v_s[..., 0]
+        # dalpha = dout[receiver] . v[sender] over head_dim, one contiguous
+        # channel of the senders' values at a time
+        dalpha = np.take(v[0], b.senders, axis=0)
+        dalpha *= dout[0, b.nodes, None]
         for c in range(1, hd):
-            dalpha += dout_r[..., c] * v_s[..., c]
-        del v_s  # before the next bucket's gather
+            term = np.take(v[c], b.senders, axis=0)
+            term *= dout[c, b.nodes, None]
+            dalpha += term
+            del term  # before the next channel's gather
         dalpha -= (dz * dalpha).sum(axis=1, keepdims=True)
         dz *= dalpha  # the bucket's weights become its dz
         del dalpha
@@ -443,18 +460,22 @@ def _sab_backward_raw(dy, cache: list, internal, external, point, params: SABPar
     """Empties `cache`, the list `_sab_forward_raw` returned, so the
     attention outputs go once the fuse backward has run.  The point
     branch's output is rebuilt for the fuse MLP's third input block, and
-    each branch's backward rebuilds the rest from x.  Each branch gets its
-    block of the fuse input's gradient just before its backward runs, and
-    both attention backwards add into the point branch's dx."""
+    each branch's backward rebuilds the rest from x.  The fuse MLP's hidden
+    gradient dh gives the three blocks of its input's gradient, dh @ W1_b.T,
+    and is freed before any branch backward runs.  Each backward is handed
+    its block by `blocks.pop()`, so no reference here outlives the callee's
+    layout conversion of it.  Both attention backwards add into the point
+    branch's dx."""
     x, a_int, a_ext = cache
     cache.clear()
     a_pt = _point_forward(x, point, params.epsilon, params.point_mlp)
     dh, fuse_grads = _mlp_backward(dy, [a_int, a_ext, a_pt], params.fuse_mlp)
     del a_int, a_ext, a_pt
-    w_int, w_ext, w_pt = np.split(params.fuse_mlp.w1, 3)
-    dx, deps, point_grads = _point_backward(dh @ w_pt.T, x, point, params.epsilon, params.point_mlp)
-    ext_grads = _attention_backward(dh @ w_ext.T, x, external, params.external, dx)
-    int_grads = _attention_backward(dh @ w_int.T, x, internal, params.internal, dx)
+    blocks = [dh @ w1.T for w1 in np.split(params.fuse_mlp.w1, 3)]  # internal, external, point
+    del dh
+    dx, deps, point_grads = _point_backward(blocks.pop(), x, point, params.epsilon, params.point_mlp)
+    ext_grads = _attention_backward(blocks.pop(), x, external, params.external, dx)
+    int_grads = _attention_backward(blocks.pop(), x, internal, params.internal, dx)
     grads = SABParams(internal=int_grads, external=ext_grads, point_mlp=point_grads,
                       epsilon=np.array(deps), fuse_mlp=fuse_grads)
     return dx, grads

@@ -120,6 +120,22 @@ class KronAdjacency:
         a = a.reshape((size, left, right) + a.shape[2:]).swapaxes(0, 1)
         return a.reshape((-1,) + a.shape[3:])
 
+    def channel_major(self, a: np.ndarray, channels: int) -> np.ndarray:
+        """(rows, heads * channels) as a contiguous (channels, size,
+        left * right, heads) array, node-major within each channel: column
+        h * channels + c of row (l, q, r) goes to [c, q, l * right + r, h]."""
+        left, size, right = self._split
+        heads = a.shape[1] // channels
+        a = a.reshape(left, size, right, heads, channels).transpose(4, 1, 0, 2, 3)
+        return np.ascontiguousarray(a).reshape(channels, size, left * right, heads)
+
+    def channel_rows(self, a: np.ndarray) -> np.ndarray:
+        """The inverse of channel_major: back to (rows, heads * channels)."""
+        channels, size, _, heads = a.shape
+        left, _, right = self._split
+        a = a.reshape(channels, size, left, right, heads).transpose(2, 1, 3, 4, 0)
+        return a.reshape(-1, heads * channels)
+
     def neighbor_sum(self, x: np.ndarray) -> np.ndarray:
         """The matrix times x: each row's sum over its in-neighbours' rows."""
         xq = self.node_major(x)
@@ -374,9 +390,11 @@ class SamplingMask:
 
     @classmethod
     def from_ratio(cls, n: int, ratio: float, rng) -> "SamplingMask":
-        """ceil(ratio * n) subgraphs chosen uniformly without replacement."""
-        if not (math.isfinite(ratio) and ratio <= 1.0):
-            raise RangeError(f"sampling ratio must be finite and <= 1, got {ratio}")
+        """ceil(ratio * n) subgraphs chosen uniformly without replacement.
+        A ratio outside [0, 1] is a RangeError; a ratio that keeps none is
+        an EmptySample."""
+        if not (math.isfinite(ratio) and 0.0 <= ratio <= 1.0):
+            raise RangeError(f"sampling ratio must be finite and in [0, 1], got {ratio}")
         count = math.ceil(ratio * n)
         if count <= 0:
             raise EmptySample(f"ratio {ratio} keeps ceil({ratio} * {n}) = 0 subgraphs")

@@ -5,6 +5,8 @@ two agree to within 1e-12 of each output's scale, the bound of the goldens
 and the dense-oracle checks, not bit for bit.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -12,13 +14,14 @@ from attention_reference import attention_backward, attention_forward
 from prodgraph import (
     AttentionParams,
     Graph,
+    KronAdjacency,
     Pipeline,
     SamplingMask,
     build_product_bundle,
     random_graph,
 )
 from prodgraph.graphs import path_graph
-from prodgraph.model import _attention_backward, _attention_forward, _attention_weights
+from prodgraph.model import _attention_backward, _attention_forward, _attention_weights, _values
 from prodgraph.rng import SplitMix64
 from prodgraph.verify import ISOLATED_NODE_GRAPH, ISOLATED_NODE_MASK
 from tuple_reference import factored_adjacency
@@ -137,3 +140,31 @@ def test_backward_adds_the_input_gradient_into_the_callers_dx():
         assert getattr(grads, field).tobytes() == getattr(want, field).tobytes(), field
     assert np.abs((dx - base) - fresh).max() <= 1e-15 * np.abs(dx).max()
     assert x.tobytes() == x_bytes  # the backward rebuilds its weights and writes no input
+
+
+@pytest.mark.parametrize("head_dim", (1, 2, 3))
+def test_values_are_channel_major_and_the_layout_round_trips(head_dim):
+    # entry [c, q, l * right + r, h] of the values is column h * head_dim + c
+    # of row (l, q, r) of x W_V, on the (m, n) grids of _systems and on each
+    # slot of a K = 3 grid whose sides differ
+    heads, d_out, grid = 2, 2 * head_dim, (3, 4, 5)
+    rng = SplitMix64(31 + head_dim)
+    x3 = rng.uniform_array(-2.0, 2.0, math.prod(grid) * D_IN).reshape(-1, D_IN)
+    slots = [(f"k3-slot{slot}", x3, KronAdjacency(*path_graph(grid[slot]).directed_edges, slot, grid))
+             for slot in range(3)]
+    for name, x, adj in _systems() + slots:
+        params = AttentionParams.from_rng(D_IN, d_out, heads, rng)
+        flat = x @ params.w_value
+        v = _values(x, adj, params)
+        left, size = math.prod(adj.grid[:adj.axis]), adj.grid[adj.axis]
+        right = x.shape[0] // (left * size)
+        assert v.shape == (head_dim, size, left * right, heads) and v.flags.c_contiguous, name
+        c, q, l, r, h = np.indices((head_dim, size, left, right, heads)).reshape(5, -1)
+        want = flat[(l * size + q) * right + r, h * head_dim + c]
+        assert v[c, q, l * right + r, h].tobytes() == want.tobytes(), name
+        # the inverse restores the rows bit for bit, also from a strided column
+        # block like the fuse gradient's
+        fused = rng.uniform_array(-1.0, 1.0, x.shape[0] * 3 * d_out).reshape(x.shape[0], 3 * d_out)
+        for a in (flat, fused[:, d_out:2 * d_out]):
+            back = adj.channel_rows(adj.channel_major(a, head_dim))
+            assert back.shape == a.shape and back.tobytes() == np.ascontiguousarray(a).tobytes(), name

@@ -223,12 +223,15 @@ def test_forward_bad_sample_ratio(p2_file, capsys):
     ["forward", "{graph}", "--sample-ratio", "nan"],
     ["sample", "{graph}", "--ratio", "nan"],
     ["forward", "{graph}", "--sample-ratio=-inf"],
+    ["forward", "{graph}", "--sample-ratio=-0.5"],
+    ["sample", "{graph}", "--ratio=-0.5"],
     ["forward", "{graph}", "--heads", "0"],
     ["forward", "{graph}", "--heads=-4"],
     ["forward", "{graph}", "--d", "0"],
     ["forward", "{graph}", "--layers", "-1"],
     ["forward", "{graph}", "--k", "-20"],
-], ids=["forward-ratio-nan", "sample-ratio-nan", "ratio-minus-inf", "heads-0",
+], ids=["forward-ratio-nan", "sample-ratio-nan", "ratio-minus-inf", "forward-ratio-minus-half",
+        "sample-ratio-minus-half", "heads-0",
         "heads-minus-4", "d-0", "layers-minus-1", "k-minus-20"])
 def test_out_of_range_model_and_sampling_arguments_are_input_errors(p2_file, capsys, argv):
     code, out, err = run_cli(capsys, *(a.format(graph=p2_file) for a in argv))

@@ -426,6 +426,8 @@ def test_sampling_mask_validation():
         SamplingMask.from_ratio(4, 0.0, SplitMix64(0))
     with pytest.raises(RangeError):
         SamplingMask.from_ratio(4, 1.5, SplitMix64(0))
+    with pytest.raises(RangeError):  # ceil(-0.5 * 4) = -2: out of range, not an empty sample
+        SamplingMask.from_ratio(4, -0.5, SplitMix64(0))
     mask = SamplingMask.from_ratio(4, 0.5, SplitMix64(0))
     assert len(mask.sampled) == 2
 
