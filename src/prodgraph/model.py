@@ -44,29 +44,32 @@ channel-major, (hd, Q, P, heads) (KronAdjacency.channel_major): each of
 the hd channels of a head is a node-major array of its own, so a bucket
 gathers and reduces one contiguous (r, k, P, heads) channel at a time, and
 no einsum runs in the bucket loops.
-_attention_weights writes the buckets' softmax weights back to back into
-one (E, P, heads) array in edge order, and the bool mask of the LeakyReLU's
-negative side into one array of that shape.  The adjacency is symmetric,
-so the backward gathers instead of scattering: what a node sends on are
-the reverses of its own edges, read through the bucket's reverse index.
-The value gradient is the one step that reads other buckets' weights that
-way, so it runs first, and the score gradient dz then overwrites each
-bucket's weights in place.
+One function computes softmax weights, _bucket_weights, one degree bucket
+at a time.  The forward uses each bucket's weights as they are made and
+keeps no weights and no sign mask.  Only the backward asks for more:
+_attention_weights has the function write the buckets' weights back to
+back into one (E, P, heads) array in edge order, and the bool mask of the
+LeakyReLU's negative side into one array of that shape.  The adjacency is
+symmetric, so the backward gathers instead of scattering: what a node sends
+on are the reverses of its own edges, read through the bucket's reverse
+index.  The value gradient is the one step that reads other buckets'
+weights that way, so it runs first, and the score gradient dz then
+overwrites each bucket's weights in place.
 
 A layer caches only its input x and the two attention outputs (the fuse
 MLP's first two input blocks).  The backward rebuilds the rest from x, each
 quantity with the forward's own function for it, so it reads the forward's
-bits: the attention weights and sign masks (_attention_weights), the
-channel-major values x W_V (_values), the point branch's MLP input
-(_point_pre) and output (_point_forward), and both MLPs' activations
-(_mlp_hidden).  It reads the parameters as they are when it runs, so
-forward and backward stay inside one `loss_and_grads` call.  The fuse
-MLP's input stays column blocks.  Its backward's hidden gradient is freed
-once it has given the three input blocks' gradients, before any branch
-backward runs, and each branch backward holds the only reference to its
-block.  The point backward returns the layer's input gradient, and each
-attention backward adds its own into that array in place.  `Pipeline`
-holds the only loop over the blocks.
+bits: the attention weights (_bucket_weights, in edge order and with
+their sign masks), the channel-major values x W_V (_values), the point
+branch's MLP input (_point_pre) and output (_point_forward), and both
+MLPs' activations (_mlp_hidden).  It reads the parameters as they are
+when it runs, so forward and backward stay inside one `loss_and_grads`
+call.  The fuse MLP's input stays column blocks.  Its backward's hidden
+gradient is freed once it has given the three input blocks' gradients,
+before any branch backward runs, and each branch backward holds the only
+reference to its block.  The point backward returns the layer's input
+gradient, and each attention backward adds its own into that array in
+place.  `Pipeline` holds the only loop over the blocks.
 
 All math is float64.  ReLU takes subgradient 0 at 0.
 """
@@ -274,7 +277,9 @@ def _mlp_hidden(parts: list[np.ndarray], p: MLPParams) -> np.ndarray:
 
 def _mlp_forward(parts: list[np.ndarray], p: MLPParams) -> np.ndarray:
     """The MLP of the column blocks `parts`; its backward takes `parts` again."""
-    return _mlp_hidden(parts, p) @ p.w2 + p.b2
+    y = _mlp_hidden(parts, p) @ p.w2
+    y += p.b2
+    return y
 
 
 def _mlp_backward(dy: np.ndarray, parts: list[np.ndarray], p: MLPParams):
@@ -303,26 +308,41 @@ def _score_maps(p: AttentionParams):
     return m_q, m_k
 
 
+def _scores(x: np.ndarray, adj: KronAdjacency, p: AttentionParams):
+    """(s_q, s_k): the node-major (Q, P, heads) receiver and sender score terms."""
+    m_q, m_k = _score_maps(p)
+    return adj.node_major(x @ m_q), adj.node_major(x @ m_k)
+
+
+def _bucket_weights(s_q: np.ndarray, s_k: np.ndarray, b: product.DegreeBucket,
+                    out: np.ndarray | None = None, negative: np.ndarray | None = None) -> np.ndarray:
+    """Bucket b's (r, k, P, heads) softmax weights, written into `out` when
+    one is given, and with `negative` the bool mask of the scores z <= 0,
+    where the LeakyReLU has LEAKY_SLOPE.  The one score loop: the forward
+    uses each bucket's weights as they are made, and the backward has them
+    written into edge order with their masks (_attention_weights), so both
+    read the same weights bit for bit."""
+    # with out=, the default mode="raise" buffers the whole gather; the indices are in range
+    alpha = np.take(s_k, b.senders, axis=0, out=out, mode="clip")
+    alpha += s_q[b.nodes, None]  # the score z
+    if negative is not None:
+        np.less_equal(alpha, 0.0, out=negative)
+    np.maximum(alpha, LEAKY_SLOPE * alpha, out=alpha)  # the LeakyReLU, then the softmax
+    alpha -= alpha.max(axis=1, keepdims=True)
+    np.exp(alpha, out=alpha)
+    alpha /= alpha.sum(axis=1, keepdims=True)
+    return alpha
+
+
 def _attention_weights(x: np.ndarray, adj: KronAdjacency, p: AttentionParams):
     """(alpha_e, negative_e): the (E, P, heads) softmax weights in edge order,
-    a bucket's rows read by bucket.view, and the bool mask of the scores
-    z <= 0, where the LeakyReLU has LEAKY_SLOPE.  The forward and the
-    backward both call this, so both read the same weights bit for bit."""
-    m_q, m_k = _score_maps(p)
-    s_q = adj.node_major(x @ m_q)  # (Q, P, H)
-    s_k = adj.node_major(x @ m_k)
+    a bucket's rows read by bucket.view, and their sign masks, each bucket
+    written by _bucket_weights."""
+    s_q, s_k = _scores(x, adj, p)
     alpha_e = np.empty((adj.src.size,) + s_k.shape[1:])  # (E, P, H) in edge order
     negative_e = np.empty(alpha_e.shape, dtype=bool)
     for b in adj.buckets:
-        alpha, negative = b.view(alpha_e), b.view(negative_e)  # (r, k, P, H)
-        # with out=, the default mode="raise" buffers the whole gather; the indices are in range
-        np.take(s_k, b.senders, axis=0, out=alpha, mode="clip")
-        alpha += s_q[b.nodes, None]  # the score z
-        np.less_equal(alpha, 0.0, out=negative)
-        np.maximum(alpha, LEAKY_SLOPE * alpha, out=alpha)  # the LeakyReLU, then the softmax
-        alpha -= alpha.max(axis=1, keepdims=True)
-        np.exp(alpha, out=alpha)
-        alpha /= alpha.sum(axis=1, keepdims=True)
+        _bucket_weights(s_q, s_k, b, b.view(alpha_e), b.view(negative_e))
     return alpha_e, negative_e
 
 
@@ -338,6 +358,7 @@ def _weighted_sum(weights: np.ndarray, a: np.ndarray, b: product.DegreeBucket, o
         g = np.take(a[c], b.senders, axis=0)
         g *= weights
         out[c, b.nodes] = g.sum(axis=1)
+        del g  # before the next channel's gather
 
 
 def _attention_forward(x: np.ndarray, adj: KronAdjacency, p: AttentionParams) -> np.ndarray:
@@ -346,11 +367,11 @@ def _attention_forward(x: np.ndarray, adj: KronAdjacency, p: AttentionParams) ->
         raise ShapeMismatch(f"adjacency grid {adj.grid} does not match {rows_n} state rows")
     if p.w_query.shape[0] != d_in:
         raise ShapeMismatch(f"attention expects width {p.w_query.shape[0]}, got {d_in}")
-    alpha_e = _attention_weights(x, adj, p)[0]
+    s_q, s_k = _scores(x, adj, p)
     v = _values(x, adj, p)
     out = np.zeros_like(v)
     for b in adj.buckets:
-        _weighted_sum(b.view(alpha_e), v, b, out)
+        _weighted_sum(_bucket_weights(s_q, s_k, b), v, b, out)
     return adj.channel_rows(out)
 
 
@@ -549,9 +570,12 @@ def init_state(
         X(s,v) = (feat W_f + b)[v] + pe(s,v) W_pe + (mark_table W_m)[dist(s,v)]
 
     The side terms are rows of an n-row and an (n + 1)-row table; the PE
-    product is the only n*n-row operation.  The mark rows are gathered and
-    added _MARK_BLOCK subgraphs at a time, so no second (n, n, d) array
-    exists; each entry gets the same additions as in one pass.
+    product is the only n*n-row operation.  Each block of _MARK_BLOCK
+    subgraphs reads its PE rows (PEMatrix.block, which forms the rows of a
+    factored PE there), writes their product with W_pe into the state, and
+    adds the feature and mark rows, so no (n^2, k) PE and no second
+    (n, n, d) array exists; each entry gets the same operations as in one
+    pass over all rows.
     """
     n = g.n
     if pe.rows != n * n:
@@ -564,11 +588,14 @@ def init_state(
         raise ShapeMismatch(f"encoder expects width {encoder.weight.shape[0]}, got {width}")
     w_f, w_pe, w_m = np.split(encoder.weight, [feats.shape[1], feats.shape[1] + pe.k])
     d = encoder.weight.shape[1]
-    x = (pe.data @ w_pe).reshape(n, n, d)  # x[s, v] is product node (s, v)
-    x += feats @ w_f + encoder.bias
+    x = np.empty((n, n, d))  # x[s, v] is product node (s, v)
+    feat_rows = feats @ w_f + encoder.bias
     mark_rows = mark_table @ w_m
     for s in range(0, n, _MARK_BLOCK):
-        x[s:s + _MARK_BLOCK] += mark_rows[marks.dist[s:s + _MARK_BLOCK]]
+        blk = x[s:s + _MARK_BLOCK]
+        np.matmul(pe.block(s * n, (s + blk.shape[0]) * n), w_pe, out=blk.reshape(-1, d))
+        blk += feat_rows
+        blk += mark_rows[marks.dist[s:s + _MARK_BLOCK]]
     return ProductState(x=x.reshape(n * n, d))
 
 
@@ -802,6 +829,7 @@ def run_forward(g: Graph, cfg: ForwardConfig, model: ForwardModel | None = None)
     marks = spectral.node_mark_indices(g)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below as one error
         x = init_state(g, pe, marks, model.mark_table, model.encoder).x
+        del pe, marks  # the stack reads neither
         bundle = product.build_product_bundle(g)
         pipeline = Pipeline(
             bundle.internal, bundle.external, bundle.point, g.n, model.layers, model.pool_mlp,

@@ -4,8 +4,10 @@ The key fact used throughout: the Laplacian of the Cartesian product G [] G
 factorizes as L (x) I + I (x) L, so its eigenpairs are exactly
 (u_i (x) u_j, lam_i + lam_j) over all pairs of base eigenpairs.  Positional
 encodings for the n^2 product nodes therefore never require diagonalizing an
-n^2 x n^2 matrix: they read the first min(n, k) base eigenpairs and
-materialize only the k requested columns (k * n^2 output values).
+n^2 x n^2 matrix: they read the first min(n, k) base eigenpairs and keep
+each of the k requested columns as its K factor columns (K * n * k values).
+The k * n^K values of the columns are formed only where they are read:
+in blocks of rows (PEMatrix.block), or all at once by PEMatrix.data.
 
 One function, base_eigenpairs, owns the base decomposition.  The Laplacian's
 null space has one dimension per connected component and an exact basis:
@@ -18,7 +20,10 @@ independent second route.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -200,28 +205,57 @@ def base_eigenpairs(g: Graph, count: int) -> EigenDecomposition:
     return EigenDecomposition(values=values, vectors=vectors)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class PEMatrix:
-    """Positional-encoding block: rows x k values plus one label per column."""
+    """Positional-encoding block: rows x k values plus one label per column.
 
-    data: np.ndarray
+    The values are held as K factor column blocks, and row (s_1, ..., s_K)
+    of column c is factors[0][s_1, c] * ... * factors[K-1][s_K, c], the
+    row-wise Kronecker product of the blocks.  A PE given as `data` is its
+    own single factor.  `block` reads a run of rows; `data` is the whole
+    (rows, k) expansion, built on first read and kept.
+    """
+
+    factors: tuple[np.ndarray, ...]
     eigenvalues: np.ndarray
 
-    def __post_init__(self):
-        data, labels = _frozen(self.data), _frozen(self.eigenvalues)
-        if data.ndim != 2 or labels.shape != data.shape[1:]:
-            raise ShapeMismatch(f"PE data of shape {data.shape} needs one label per column, "
-                                f"got labels of shape {labels.shape}")
-        object.__setattr__(self, "data", data)
+    def __init__(self, data: np.ndarray | None = None, *, eigenvalues: np.ndarray,
+                 factors: Sequence[np.ndarray] = ()):
+        factors = tuple(_frozen(f) for f in factors) if data is None else (_frozen(data),)
+        labels = _frozen(eigenvalues)
+        if not factors:
+            raise ShapeMismatch("a PE needs its data or its factor blocks")
+        for f in factors:
+            if f.ndim != 2 or labels.shape != f.shape[1:]:
+                raise ShapeMismatch(f"PE data of shape {f.shape} needs one label per column, "
+                                    f"got labels of shape {labels.shape}")
+        object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "eigenvalues", labels)
 
     @property
     def rows(self) -> int:
-        return self.data.shape[0]
+        return math.prod(f.shape[0] for f in self.factors)
 
     @property
     def k(self) -> int:
-        return self.data.shape[1]
+        return self.eigenvalues.size
+
+    def block(self, lo: int, hi: int) -> np.ndarray:
+        """Rows lo .. hi - 1 of the expansion.  lo and hi must be multiples of
+        the rows one row of the leading factor spans; for a single factor
+        that is every row, and the block is a slice of it."""
+        head, *rest = self.factors
+        span = math.prod(f.shape[0] for f in rest)
+        if lo % span or hi % span:
+            raise RangeError(f"rows {lo}:{hi} do not fall on multiples of {span}")
+        out = head[lo // span:hi // span]
+        for factor in rest:
+            out = (out[:, None, :] * factor[None, :, :]).reshape(-1, self.k)
+        return out
+
+    @functools.cached_property
+    def data(self) -> np.ndarray:
+        return _frozen(self.block(0, self.rows))
 
     def to_text(self) -> str:
         """Header 'rows k', one line of labels, then values row-major."""
@@ -239,8 +273,10 @@ def _tuple_pe(g: Graph, tuple_order: int, k: int) -> PEMatrix:
     sort by (label, t1, ..., tK); ties inherit the base order.  Only tuples
     with every index below k are candidates: eigenvalues ascend, so lowering
     an index never raises the label, and a tuple with an index j >= k comes
-    after the k tuples that replace that index by 0, ..., k - 1.  The
-    (n^K, k) output is checked to be addressable before anything is built.
+    after the k tuples that replace that index by 0, ..., k - 1.  The PE
+    holds the K (n, k) factor blocks, base column t_i of each selected
+    tuple in block i; their (n^K, k) expansion, which `.data` builds, is
+    checked to be addressable before anything is built.
     """
     check_addressable((g.n**tuple_order, k))
     count = min(g.n, k)
@@ -251,11 +287,7 @@ def _tuple_pe(g: Graph, tuple_order: int, k: int) -> PEMatrix:
     for t in tuples[1:]:
         labels = labels + lam[t]
     order = np.lexsort((*tuples[::-1], labels))[:k]
-    data = base.vectors[:, tuples[0][order]]
-    for t in tuples[1:]:
-        factor = base.vectors[:, t[order]]
-        data = (data[:, None, :] * factor[None, :, :]).reshape(-1, k)
-    return PEMatrix(data=data, eigenvalues=labels[order])
+    return PEMatrix(factors=[base.vectors[:, t[order]] for t in tuples], eigenvalues=labels[order])
 
 
 def product_pe(g: Graph, k: int) -> PEMatrix:
@@ -263,8 +295,10 @@ def product_pe(g: Graph, k: int) -> PEMatrix:
 
     Candidate columns are (u_i (x) u_j) with label lam_i + lam_j over all n^2
     index pairs.  Pairs sort by (label, i, j); ties inherit the base order.
-    Column (i, j) holds U[s,i] * U[v,j] at product node (s, v).  No matrix
-    larger than n^2 entries is ever allocated here.
+    Column (i, j) holds U[s,i] * U[v,j] at product node (s, v).  Nothing
+    larger than the n x n Laplacian is allocated here: the columns stay as
+    their two (n, k) factor blocks, and `.data` expands them to the
+    (n^2, k) product on first read.
     """
     n = g.n
     if not 1 <= k <= n * n:

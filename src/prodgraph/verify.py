@@ -10,6 +10,7 @@ them but still exercises every check.
 from __future__ import annotations
 
 import functools
+import itertools
 import time
 import tracemalloc
 from dataclasses import dataclass, replace
@@ -350,29 +351,34 @@ def _component_paths(n: int, parts: int) -> Graph:
 
 
 def check_pe_cost_structure(scale: str):
-    """product_pe(g, 8) allocates no n^4 block, and its cost grows boundedly
-    per doubling, in quantities the host's load cannot move.
+    """product_pe(g, 8) and its expansion allocate no n^4 block, and their
+    cost grows boundedly per doubling, in quantities the host's load cannot
+    move.
 
     On n in {12, 24, 48}, for a connected ER graph (the LAPACK route) and
-    for eight disjoint paths (eight components, the solver-free route):
-    the tracemalloc peak grows by at most 6x per doubling (the n^2-sized
-    output gives 4x, an n^4 block 16x); at n = 48 it stays below a quarter
-    of an n^4 float64 block and below 16 (n^3 + 8 n^2) doubles; eig_sym
-    runs once, on at most an n x n matrix, on the connected graph, and
-    never on the paths.
+    for eight disjoint paths (eight components, the solver-free route), two
+    tracemalloc peaks are read: product_pe alone, which builds the base
+    eigenpairs and the two (n, 8) factor blocks, and product_pe followed by
+    reading .data, which adds the (n^2, 8) expansion.  Each peak grows by at
+    most 6x per doubling (an n^2-sized array gives 4x, an n^4 block 16x);
+    at n = 48 each stays below a quarter of an n^4 float64 block and below
+    16 (n^3 + 8 n^2) doubles; eig_sym runs once, on at most an n x n
+    matrix, on the connected graph, and never on the paths.
     """
     k, sizes = 8, (12, 24, 48)
     bound = min(sizes[-1] ** 4 * 8 // 4, 16 * (sizes[-1] ** 3 + k * sizes[-1] ** 2) * 8)
     dev, calls_ok = 0.0, True
     for family, solver_calls in ((lambda n: random_graph(n, 0.3, seed=n), 1),
                                  (lambda n: _component_paths(n, k), 0)):
-        peaks = []
+        built, expanded = [], []
         for n in sizes:
             g = family(n)
-            peaks.append(_traced_peak(lambda: product_pe(g, k)))
+            built.append(_traced_peak(lambda: product_pe(g, k)))
+            expanded.append(_traced_peak(lambda: product_pe(g, k).data))
             calls = _eig_sym_calls(lambda: product_pe(g, k))
             calls_ok &= len(calls) == solver_calls and all(max(shape) <= n for shape in calls)
-        dev = max(dev, peaks[-1] / bound, *(cur / prev / 6.0 for prev, cur in zip(peaks, peaks[1:])))
+        for peaks in (built, expanded):
+            dev = max(dev, peaks[-1] / bound, *(cur / prev / 6.0 for prev, cur in zip(peaks, peaks[1:])))
     return dev <= 1.0 and calls_ok, float(dev)
 
 
@@ -424,15 +430,41 @@ def check_null_space_exact(scale: str):
     return ok and dev <= 1e-12, dev
 
 
+def kron_tuple_pe(g: Graph, tuple_order: int, k: int):
+    """(columns, labels) of the first k K-tuple PE columns by enumeration:
+    every tuple of base indices, sorted by (label, t1, ..., tK) with the
+    label lam_t1 + ... + lam_tK summed left to right, and each column the
+    np.kron of its tuple's base eigenvectors."""
+    base = base_eigenpairs(g, g.n)
+    lam = base.values.tolist()
+
+    def label(t):
+        return sum(lam[i] for i in t)
+
+    tuples = sorted(itertools.product(range(g.n), repeat=tuple_order), key=lambda t: (label(t), *t))[:k]
+    columns = [functools.reduce(np.kron, (base.vectors[:, i] for i in t)) for t in tuples]
+    return np.stack(columns, axis=1), np.array([label(t) for t in tuples])
+
+
 def check_tuple_pe_specialization(scale: str):
-    ok = True
+    """product_pe and k_tuple_pe at K = 3 expand to kron_tuple_pe's columns.
+
+    On ER graphs with n in 2..5 (K = 2) and 2..4 (K = 3), for k = n^K and
+    for a k below n, which leaves some base indices out of the candidates:
+    labels and values (PEMatrix.data, the expansion of the factor blocks)
+    must agree within 1e-12.
+    """
+    dev = 0.0
     for seed in range(6 if scale == "full" else 3):
-        n = 2 + seed % 4
-        g = random_graph(n, 0.5, seed=seed + 40)
-        a = product_pe(g, n * n)
-        b = k_tuple_pe(g, 2, n * n)
-        ok &= np.array_equal(a.data, b.data) and np.array_equal(a.eigenvalues, b.eigenvalues)
-    return ok, 0.0 if ok else 1.0
+        for order, make in ((2, product_pe), (3, lambda g, k: k_tuple_pe(g, 3, k))):
+            n = 2 + seed % (6 - order)
+            g = random_graph(n, 0.5, seed=seed + 40)
+            for k in (n**order, 1 + seed % (n - 1)):
+                pe = make(g, k)
+                columns, labels = kron_tuple_pe(g, order, k)
+                dev = max(dev, float(np.abs(pe.data - columns).max()),
+                          float(np.abs(pe.eigenvalues - labels).max()))
+    return dev <= 1e-12, dev
 
 
 def check_pe_permutation_covariance(scale: str):
@@ -757,14 +789,16 @@ CHECKS = [
      [("spectrum-sum-law", check_spectrum_sum_law)]),
     ("spectral-pe", "eigenspace projectors agree across both routes",
      [("eigenspace-projectors", check_eigenspace_projectors)]),
-    ("spectral-pe", "PE path allocates no n^4 block, its traced peak grows <= 6x per doubling, "
-                    "and it runs eig_sym once on the n x n Laplacian, or never with c >= k",
+    ("spectral-pe", "PE path and its expansion allocate no n^4 block, each traced peak grows "
+                    "<= 6x per doubling, and eig_sym runs once on the n x n Laplacian, or never "
+                    "with c >= k",
      [("pe-cost-structure", check_pe_cost_structure)]),
     ("spectral-pe", "component indicators are an exact null-space basis; c >= k needs no eig_sym",
      [("null-space-exact", check_null_space_exact)]),
     ("spectral-pe", "product columns factor into concatenation halves",
      [("pe-factorization", check_pe_factorization)]),
-    ("spectral-pe", "k-tuple PE at K=2 equals product PE bitwise",
+    ("spectral-pe", "product and K=3 tuple PEs expand to np.kron of base eigenvector tuples "
+                    "sorted by (label, t1, ..., tK)",
      [("tuple-pe-specialization", check_tuple_pe_specialization)]),
     ("spectral-pe", "product PE is permutation-covariant",
      [("pe-permutation-covariance", check_pe_permutation_covariance)]),

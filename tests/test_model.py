@@ -14,6 +14,7 @@ from prodgraph import (
     KronAdjacency,
     MLPParams,
     ParseError,
+    PEMatrix,
     Pipeline,
     ProductState,
     RangeError,
@@ -641,20 +642,47 @@ def test_backward_consumes_its_caches_and_steps_repeat_bitwise():
 
 
 def test_each_attention_quantity_has_one_route(monkeypatch):
-    # the backward rebuilds the softmax weights and the values with the
-    # forward's own functions: per attention type and layer, a training
-    # step calls each twice (forward and backward) and a forward once
+    # One score loop, _bucket_weights: the forward uses each degree bucket's
+    # weights as they are made, and the backward has them written into edge
+    # order with their sign masks (_attention_weights).  Per attention type,
+    # layer and bucket, a training step calls it twice and a forward once,
+    # and only the backward asks for the mask; a second copy of the loop in
+    # either pass leaves its calls missing.  The backward also rebuilds the
+    # values with the forward's own function: per type and layer, twice in
+    # a step and once in a forward.
     pipe, x0 = sampled_g6_system()
-    names, calls = ("_attention_weights", "_values"), []
-    for name in names:
-        def counted(x, adj, p, fn=getattr(model_module, name), name=name):
-            calls.append((name, "internal" if adj is pipe.internal else "external"))
-            return fn(x, adj, p)
-        monkeypatch.setattr(model_module, name, counted)
-    for run, per_layer in ((pipe.loss_and_grads, 2), (pipe.pooled, 1)):
+    kinds = {"internal": pipe.internal, "external": pipe.external}
+    calls, in_backward = [], []
+
+    def kind_of(adj):
+        return next(name for name, a in kinds.items() if a is adj)
+
+    def weights(s_q, s_k, b, out=None, negative=None, fn=model_module._bucket_weights):
+        key = next((name, i) for name, a in kinds.items() for i, c in enumerate(a.buckets) if c is b)
+        calls.append(("weights", *key, negative is not None, bool(in_backward)))
+        return fn(s_q, s_k, b, out, negative)
+
+    def values(x, adj, p, fn=model_module._values):
+        calls.append(("values", kind_of(adj)))
+        return fn(x, adj, p)
+
+    def backward(*args, fn=model_module._attention_backward):
+        in_backward.append(True)
+        try:
+            return fn(*args)
+        finally:
+            in_backward.pop()
+
+    monkeypatch.setattr(model_module, "_bucket_weights", weights)
+    monkeypatch.setattr(model_module, "_values", values)
+    monkeypatch.setattr(model_module, "_attention_backward", backward)
+    layers = len(pipe.layers)
+    for run, passes in ((pipe.loss_and_grads, (False, True)), (pipe.pooled, (False,))):
         calls.clear()
         run(x0)
-        want = {(name, kind): per_layer * len(pipe.layers) for name in names for kind in ("internal", "external")}
+        want = {("values", name): layers * len(passes) for name in kinds}
+        want.update({("weights", name, i, masked, masked): layers for name, adj in kinds.items()
+                     for i in range(len(adj.buckets)) for masked in passes})
         assert {key: calls.count(key) for key in set(calls)} == want, run.__name__
 
 
@@ -684,6 +712,28 @@ def test_sampled_step_peak_memory():
     pipe.loss_and_grads(x0)  # builds the degree buckets, which the adjacencies keep
     _, peak = traced_peak(lambda: pipe.loss_and_grads(x0))
     assert peak <= 10.9 * x0.nbytes
+
+
+@pytest.mark.parametrize("ratio, bound", [(None, 7.5), (0.5, 3.7), (0.05, 1.6)],
+                         ids=["unsampled", "ratio-0.5", "ratio-0.05"])
+def test_run_forward_peak_memory(ratio, bound):
+    # Peak traced bytes of run_forward at n = 200, in units of the n^2-row
+    # state's bytes: 8.65x unsampled, 4.17x at ratio 0.5 and 1.95x at
+    # ratio 0.05 while the forward wrote each attention call's softmax
+    # weights and sign masks into (E, P, heads) arrays in edge order, the
+    # encoder read the whole (n^2, k) PE, and the PE and the marks lived
+    # through the stack.  7.22x, 3.52x and 1.46x with each degree bucket's
+    # weights used as they are made (7.96x without, unsampled), the PE and
+    # the marks dropped once the state is built (4.17x without, at 0.5),
+    # and the encoder reading the PE's Kronecker factors in blocks of
+    # subgraphs (1.96x without, at 0.05, where the state's build sets the
+    # peak).  Each bound fails the forward that lacks its change.
+    n = 200
+    g = random_graph(n, 4 / (n - 1), seed=3)
+    cfg = ForwardConfig(sample_ratio=ratio)
+    params = build_forward_model(g, cfg)
+    _, peak = traced_peak(lambda: run_forward(g, cfg, params))
+    assert peak <= bound * n * n * cfg.d * 8
 
 
 def test_full_mask_sampled_system_reproduces_pooled_bitwise():
@@ -796,6 +846,9 @@ def test_init_state_mark_blocks_match_one_pass_bitwise():
     want += np.ones((n, 1)) @ w_f + encoder.bias
     want += (mark_table @ w_m)[marks.dist]
     assert init_state(g, pe, marks, mark_table, encoder).x.tobytes() == want.tobytes()
+    # the PE's expansion, given as data, takes the same block loop as a row slice
+    expanded = PEMatrix(data=pe.data, eigenvalues=pe.eigenvalues)
+    assert init_state(g, expanded, marks, mark_table, encoder).x.tobytes() == want.tobytes()
 
 
 def test_init_state_peak_memory():

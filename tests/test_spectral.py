@@ -419,3 +419,25 @@ def test_pe_matrix_sizes_come_from_data():
             PEMatrix(data=np.zeros((4, 3)), eigenvalues=labels)
     with pytest.raises(ShapeMismatch):
         PEMatrix(data=np.zeros(3), eigenvalues=np.zeros(3))
+
+
+def test_pe_blocks_are_rows_of_the_expansion():
+    # a product or tuple PE keeps its factor blocks: block(lo, hi) forms rows
+    # lo:hi of .data bit for bit, whole rows of the leading block at a time;
+    # a PE given as data is its one block, read as a slice
+    g = random_graph(5, 0.5, seed=8)
+    for pe, order, span in ((product_pe(g, 7), 2, 5), (k_tuple_pe(g, 3, 9), 3, 25)):
+        assert [f.shape for f in pe.factors] == [(g.n, pe.k)] * order
+        assert not pe.data.flags.writeable and pe.data is pe.data
+        for lo, hi in ((0, span), (span, 3 * span), (2 * span, pe.rows)):
+            assert pe.block(lo, hi).tobytes() == pe.data[lo:hi].tobytes()
+        with pytest.raises(RangeError):
+            pe.block(1, span)
+    data = np.arange(12.0).reshape(6, 2)
+    pe = PEMatrix(data=data, eigenvalues=np.zeros(2))
+    assert np.shares_memory(pe.data, data) and np.array_equal(pe.data, data)
+    assert np.shares_memory(pe.block(1, 4), data) and np.array_equal(pe.block(1, 4), data[1:4])
+    with pytest.raises(ShapeMismatch):
+        PEMatrix(factors=[np.zeros((3, 2)), np.zeros((3, 3))], eigenvalues=np.zeros(2))
+    with pytest.raises(ShapeMismatch):
+        PEMatrix(eigenvalues=np.zeros(2))

@@ -131,3 +131,20 @@ def test_negative_control_product_laplacian_breaks_pe_cost_structure(monkeypatch
     monkeypatch.setattr(spectral, "eig_sym", via_product_laplacian)
     ok, dev = verify.check_pe_cost_structure("quick")
     assert not ok and dev > 1.0
+
+
+def test_negative_control_swapped_factor_blocks_break_tuple_pe_specialization(monkeypatch):
+    # an expansion that multiplies the factor blocks in reverse order puts
+    # u_j (x) u_i where u_i (x) u_j belongs; product_pe and k_tuple_pe(g, 2)
+    # still agree with each other, so only an independent oracle sees it
+    block = spectral.PEMatrix.block
+
+    def reversed_blocks(pe, lo, hi):
+        return block(spectral.PEMatrix(factors=pe.factors[::-1], eigenvalues=pe.eigenvalues), lo, hi)
+
+    assert verify.check_tuple_pe_specialization("quick")[0]
+    monkeypatch.setattr(spectral.PEMatrix, "block", reversed_blocks)
+    g = random_graph(4, 0.5, seed=41)
+    assert np.array_equal(spectral.product_pe(g, 16).data, spectral.k_tuple_pe(g, 2, 16).data)
+    ok, dev = verify.check_tuple_pe_specialization("quick")
+    assert not ok and dev > 0.1
