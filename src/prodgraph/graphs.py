@@ -201,90 +201,104 @@ def connected_components(g: Graph) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """All-pairs BFS hop counts; unreachable pairs carry the sentinel n.
+    """BFS hop counts from some sources to every node; unreachable pairs
+    carry the sentinel n.
 
-    It is also the node-mark index of the encoder: product node (s, v)
-    looks up row dist[s, v] of a mark table of `vocabulary` = n + 1 rows.
-    The sentinel n is strictly greater than any finite shortest-path
-    distance in an n-node graph, so it is that table's last row.
+    Row i of `dist` holds the distances from node sources[i]: an (m, n)
+    array, and n is read from its columns.  It is also the node-mark index
+    of the encoder: product node (sources[i], v) looks up row dist[i, v] of
+    a mark table of `vocabulary` = n + 1 rows, whichever sources ran.  The
+    sentinel n is strictly greater than any finite shortest-path distance
+    in an n-node graph, so it is that table's last row.
     """
 
     dist: np.ndarray
+    sources: np.ndarray
 
     @property
     def n(self) -> int:
-        return self.dist.shape[0]
+        return self.dist.shape[1]
 
     @property
     def vocabulary(self) -> int:
         return self.n + 1
 
 
-def shortest_path_distances(g: Graph) -> DistanceMatrix:
-    """Level-synchronous BFS from all n sources at once, in two phases.
+def shortest_path_distances(g: Graph, sources: Sequence[int] | None = None) -> DistanceMatrix:
+    """Level-synchronous BFS from every source at once, in two phases:
+    from the given nodes, in their order, or from all n nodes.
 
     Dense levels keep the frontier as bitsets: row v of `front` holds the
     sources that first reached v at the last depth, 64 to a uint64 word
     (Then et al., "The More the Merrier", PVLDB 2014).  A dense level ORs
     the rows of each node's neighbours with one `reduceat` over the sorted
     directed edges and clears the sources already seen: O((n + |E|) *
-    ceil(n / 64)) word operations, plus O(n^2) bytes to unpack and count
-    the unseen pairs, however few pairs the frontier holds.  A pair's depth
-    is the number of levels at which it was still unseen, so the dense
-    levels only add to a uint8 count, which bounds them at 254.  Row v of
-    the bitsets lists sources, so the counts are dist[v, s]; distances are
-    symmetric.  The bitsets, the count and one unpacked mask take about
-    0.3 times the int64 output's bytes.
+    ceil(m / 64)) word operations for m sources, plus O(n * m) bytes to
+    unpack and count the unseen pairs, however few pairs the frontier
+    holds.  A pair's depth is the number of levels at which it was still
+    unseen, so the dense levels only add to a uint8 count, which bounds
+    them at 254.  Row v of the bitsets lists sources, so the count is the
+    transpose of the (m, n) output, and from all n sources, by symmetry,
+    the output itself.  The bitsets, the count and one
+    unpacked mask take about 0.3 times the int64 output's bytes.
 
     Once the frontier has stopped growing and its (source, node) pairs
-    times 2|E| are at most n^2 * ceil(n / 64), following their edges costs
-    no more than one dense level, and a sparse tail finishes the BFS
+    times 2|E| are at most n * m * ceil(m / 64), following their edges
+    costs no more than one dense level, and a sparse tail finishes the BFS
     (Beamer et al., "Direction-Optimizing Breadth-First Search", SC 2012):
     each level follows every edge of the pairs first reached at the last
     depth, O(pairs * degree) work.
     """
     n = g.n
-    check_addressable((n, n))
+    check_addressable((n if sources is None else len(sources), n))
+    seeds = np.arange(n) if sources is None else np.array(sources, dtype=np.int64)
+    if seeds.ndim != 1 or (seeds.size and not 0 <= seeds.min() <= seeds.max() < n):
+        raise ValidationError(f"BFS sources must be a list of nodes in [0, {n})")
+    m = seeds.size
     heads, nbrs = g.directed_edges  # sorted by source: nbrs[start[u]:start[u + 1]] are u's
     start = np.r_[0, np.cumsum(np.bincount(heads, minlength=n))]
     linked = np.flatnonzero(np.diff(start))  # reduceat needs non-empty segments
-    words = -(-n // 64)
-    front = np.packbits(np.eye(n, 64 * words, dtype=bool), axis=1).view(np.uint64)
+    words = -(-m // 64)
+    front = np.zeros((n, 64 * words), dtype=bool)
+    front[seeds, np.arange(m)] = True  # source i has reached its own node
+    front = np.packbits(front, axis=1).view(np.uint64)
     unseen = ~front
-    mask = np.unpackbits(unseen.view(np.uint8), axis=1, count=n).view(bool)
+    mask = np.unpackbits(unseen.view(np.uint8), axis=1, count=m).view(bool)
     hops = mask.astype(np.uint8)  # levels a pair was unseen at: its depth once reached; < 256
     left = np.count_nonzero(mask)
-    depth, last, pairs = 0, 0, n
-    while pairs and depth < 254 and (pairs > last or pairs * nbrs.size > n * n * words):
+    depth, last, pairs = 0, 0, m
+    while pairs and depth < 254 and (pairs > last or pairs * nbrs.size > n * m * words):
         depth += 1
         reach = np.zeros_like(front)
         if linked.size:
             reach[linked] = np.bitwise_or.reduceat(front[nbrs], start[linked])
         front = reach & unseen
         unseen ^= front
-        mask = np.unpackbits(unseen.view(np.uint8), axis=1, count=n).view(bool)
+        mask = np.unpackbits(unseen.view(np.uint8), axis=1, count=m).view(bool)
         hops += mask
         last, pairs = pairs, left - np.count_nonzero(mask)
         left -= pairs
-    dist = hops.astype(np.int64)
+    if sources is not None:  # counts are (node, source); all-pairs ones are symmetric
+        hops, mask = hops.T, mask.T
+    dist = np.ascontiguousarray(hops, dtype=np.int64)
     np.copyto(dist, n, where=mask)
     packed = front.view(np.uint8)  # the frontier's pairs, found byte by byte
     node, byte = np.nonzero(packed)
     hit, bit = np.nonzero(np.unpackbits(packed[node, byte, None], axis=1))
-    node, src = node[hit], 8 * byte[hit] + bit
-    while src.size:
+    node, row = node[hit], 8 * byte[hit] + bit
+    while row.size:
         depth += 1
         deg = start[node + 1] - start[node]
         edge = np.arange(deg.sum()) + np.repeat(start[node] - np.cumsum(deg) + deg, deg)
-        src, node = np.repeat(src, deg), nbrs[edge]
-        fresh = np.flatnonzero(dist[src, node] == n)
-        src, node = src[fresh], node[fresh]
-        tag = -1 - np.arange(src.size)  # a repeated pair keeps one candidate:
-        dist[src, node] = tag  # the one whose tag landed
-        keep = dist[src, node] == tag
-        src, node = src[keep], node[keep]
-        dist[src, node] = depth
-    return DistanceMatrix(dist=_readonly(dist))
+        row, node = np.repeat(row, deg), nbrs[edge]
+        fresh = np.flatnonzero(dist[row, node] == n)
+        row, node = row[fresh], node[fresh]
+        tag = -1 - np.arange(row.size)  # a repeated pair keeps one candidate:
+        dist[row, node] = tag  # the one whose tag landed
+        keep = dist[row, node] == tag
+        row, node = row[keep], node[keep]
+        dist[row, node] = depth
+    return DistanceMatrix(dist=_readonly(dist), sources=_readonly(seeds))
 
 
 def check_permutation(perm: Sequence[int], n: int) -> list[int]:

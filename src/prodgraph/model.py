@@ -71,6 +71,13 @@ reference to its block.  The point backward returns the layer's input
 gradient, and each attention backward adds its own into that array in
 place.  `Pipeline` holds the only loop over the blocks.
 
+A forward-only walk holds the stack's input no longer than layer 0 reads
+it: `Pipeline.pooled` keeps no name for its argument, and the layer loop
+rebinds its own to each layer's output.  So when the caller hands over the
+only reference, as `run_forward` does with the state it has just built,
+the layer-0 input is freed once layer 0 has run.  A training step keeps
+each layer's input in that layer's cache until its backward has run.
+
 All math is float64.  ReLU takes subgradient 0 at 0.
 """
 
@@ -396,7 +403,6 @@ def _attention_backward(dout: np.ndarray, x: np.ndarray, adj: KronAdjacency, p: 
     dx += dv @ p.w_value.T
     del dv
     v = _values(x, adj, p)
-    dz_r = np.zeros(dout.shape[1:])  # (Q, P, H)
     for b in adj.buckets:
         dz = b.view(alpha_e)
         # dalpha = dout[receiver] . v[sender] over head_dim, one contiguous
@@ -413,13 +419,14 @@ def _attention_backward(dout: np.ndarray, x: np.ndarray, adj: KronAdjacency, p: 
         del dalpha
         negative = b.view(negative_e)
         dz *= negative * LEAKY_SLOPE + ~negative  # exactly LEAKY_SLOPE or 1; branch-free, unlike np.where
-        dz_r[b.nodes] = dz.sum(axis=1)
+    sums = dout.shape[1:]  # (Q, P, H)
     del dout, v, negative_e
     # z = (x @ M_q)[receiver] + (x @ M_k)[sender], so the score gradient
     # reaches each node through its receiver and sender sums of dz, and the
-    # maps through x.T times those sums
-    dz_c = np.zeros_like(dz_r)
+    # maps through x.T times those sums; alpha_e holds dz now
+    dz_r, dz_c = np.zeros(sums), np.zeros(sums)
     for b in adj.buckets:
+        dz_r[b.nodes] = b.view(alpha_e).sum(axis=1)
         dz_c[b.nodes] = np.take(alpha_e, b.reverse, axis=0).sum(axis=1)
     del alpha_e
     m_q, m_k = _score_maps(p)
@@ -564,18 +571,23 @@ def init_state(
 ) -> ProductState:
     """X(s,v) = Linear( feat(v) || pe(s,v) || mark_table[dist(s,v)] ), block by block.
 
-    The rows of the encoder weight split at the block widths into W_f, W_pe
+    The state holds the subgraphs s that the marks run from, one (n, d)
+    block of rows each, in the marks' order: all n for all-pairs marks, or
+    the m subgraphs of a sampling mask for marks from its sources, which
+    gives the m*n rows that restrict_rows keeps of the full state.  The
+    rows of the encoder weight split at the block widths into W_f, W_pe
     and W_m, so with b the bias
 
         X(s,v) = (feat W_f + b)[v] + pe(s,v) W_pe + (mark_table W_m)[dist(s,v)]
 
     The side terms are rows of an n-row and an (n + 1)-row table; the PE
-    product is the only n*n-row operation.  Each block of _MARK_BLOCK
-    subgraphs reads its PE rows (PEMatrix.block, which forms the rows of a
-    factored PE there), writes their product with W_pe into the state, and
-    adds the feature and mark rows, so no (n^2, k) PE and no second
-    (n, n, d) array exists; each entry gets the same operations as in one
-    pass over all rows.
+    product is the only m*n-row operation.  Each block of _MARK_BLOCK
+    subgraphs reads its PE rows (PEMatrix.runs, which forms the rows of a
+    factored PE there, from a slice of the leading factor when the block's
+    subgraphs follow on from each other), writes their product with W_pe
+    into the state, and adds the feature and mark rows, so no (n^2, k) PE
+    and no second (m, n, d) array exists; each entry gets the same
+    operations as in one pass over all rows.
     """
     n = g.n
     if pe.rows != n * n:
@@ -588,15 +600,16 @@ def init_state(
         raise ShapeMismatch(f"encoder expects width {encoder.weight.shape[0]}, got {width}")
     w_f, w_pe, w_m = np.split(encoder.weight, [feats.shape[1], feats.shape[1] + pe.k])
     d = encoder.weight.shape[1]
-    x = np.empty((n, n, d))  # x[s, v] is product node (s, v)
+    subgraphs = marks.sources
+    x = np.empty((subgraphs.size, n, d))  # x[i, v] is product node (subgraphs[i], v)
     feat_rows = feats @ w_f + encoder.bias
     mark_rows = mark_table @ w_m
-    for s in range(0, n, _MARK_BLOCK):
-        blk = x[s:s + _MARK_BLOCK]
-        np.matmul(pe.block(s * n, (s + blk.shape[0]) * n), w_pe, out=blk.reshape(-1, d))
+    for i in range(0, subgraphs.size, _MARK_BLOCK):
+        blk = x[i:i + _MARK_BLOCK]
+        np.matmul(pe.runs(subgraphs[i:i + _MARK_BLOCK] * n, n), w_pe, out=blk.reshape(-1, d))
         blk += feat_rows
-        blk += mark_rows[marks.dist[s:s + _MARK_BLOCK]]
-    return ProductState(x=x.reshape(n * n, d))
+        blk += mark_rows[marks.dist[i:i + _MARK_BLOCK]]
+    return ProductState(x=x.reshape(-1, d))
 
 
 # ---------------------------------------------------------------------------
@@ -641,17 +654,18 @@ class Pipeline:
     def named_arrays(self):
         return _named(self.layers, ("layers",)) + _named(self.pool_mlp, ("pool_mlp",))
 
-    def sampled(self, x0: np.ndarray, mask: product.SamplingMask) -> tuple["Pipeline", np.ndarray]:
-        """The sampled system of `mask`: this stack on the three edge types
-        restricted to the m*n rows of the sampled subgraphs, and those rows
-        of x0.  A full mask reproduces the unsampled system bit for bit."""
-        restricted = replace(
+    def sampled(self, mask: product.SamplingMask) -> "Pipeline":
+        """This stack on the three edge types restricted to the m*n rows of
+        the mask's sampled subgraphs.  Its input rows are init_state's for
+        marks from the mask's subgraphs, or product.restrict_rows of an
+        n^2-row state.  A full mask reproduces the unsampled system bit for
+        bit."""
+        return replace(
             self,
             internal=product.restrict_adjacency(self.internal, mask),
             external=product.restrict_adjacency(self.external, mask),
             point=product.restrict_adjacency(self.point, mask),
         )
-        return restricted, product.restrict_rows(x0, mask)
 
     def _layers(self, x: np.ndarray, caches: list | None = None) -> np.ndarray:
         """The one walk of the SAB stack.  Each layer's backward cache is
@@ -669,7 +683,16 @@ class Pipeline:
         return self._layers(x0)
 
     def pooled(self, x0: np.ndarray) -> np.ndarray:
-        out, _ = _pool_forward(self._layers(x0), self._pool_divisor, self.pool_mlp)
+        """The pooled output of the stack.  pooled keeps no name for x0 while
+        the stack runs: `inputs.pop()` hands _layers the reference, and
+        _layers rebinds it to layer 0's output.  So a caller that hands over
+        its only reference, as run_forward does, gets x0 freed once layer 0
+        has run.  That rests on CPython >= 3.11, where a Python-to-Python
+        call moves its arguments into the callee's frame.  A caller that
+        keeps a reference gets the same result without the saving."""
+        inputs = [x0]
+        del x0
+        out, _ = _pool_forward(self._layers(inputs.pop()), self._pool_divisor, self.pool_mlp)
         return out
 
     def loss(self, x0: np.ndarray) -> float:
@@ -812,34 +835,40 @@ def build_forward_model(g: Graph, cfg: ForwardConfig) -> ForwardModel:
 def run_forward(g: Graph, cfg: ForwardConfig, model: ForwardModel | None = None) -> np.ndarray:
     """Pooled output of the SAB stack; deterministic given graph and config.
 
-    The positional encoding is always computed on the full, unsampled graph.
-    With sampling, ceil(ratio * n) subgraphs are drawn from the seeded stream
-    and the whole system (state rows and all three adjacencies) is restricted
-    to their rows before the stack runs; ratio 1.0 reproduces the unsampled
-    forward bit for bit.  Pooling "mean_sum" divides the sum over the m*n
-    sampled rows by n, whatever m is.  Parameters large enough to overflow
-    float64, in the initial state or later in the stack, raise RangeError
-    instead of returning NaN or infinity.
+    The base eigenpairs of the positional encoding always come from the
+    full, unsampled graph.  With sampling, ceil(ratio * n) subgraphs S are
+    drawn from the seeded stream before anything else is built: the marks
+    run BFS from S only, the state is built for the m*n rows of S only
+    (their PE rows formed from the PE's factors), and the three adjacencies
+    are restricted to those rows, so no n^2-row object exists.  Ratio 1.0
+    reproduces the unsampled forward bit for bit.  The stack is handed the
+    only reference to the state, so the state is freed once the first layer
+    has run (Pipeline.pooled).  Pooling "mean_sum" divides the sum over the
+    m*n sampled rows by n, whatever m is.  Parameters large enough to
+    overflow float64, in the initial state or later in the stack, raise
+    RangeError instead of returning NaN or infinity.
     """
     # product.* and spectral.* are looked up at call time, so that wrappers
     # installed on those modules (profilers, tracers) see every stage.
     if model is None:
         model = build_forward_model(g, cfg)
-    pe = spectral.product_pe(g, cfg.k)
-    marks = spectral.node_mark_indices(g)
+    bundle = product.build_product_bundle(g)
+    pipeline = Pipeline(
+        bundle.internal, bundle.external, bundle.point, g.n, model.layers, model.pool_mlp,
+        cfg.pool_variant,
+    )
+    subgraphs = None  # all n
+    if cfg.sample_ratio is not None:
+        sample_seed = cfg.seed if cfg.sample_seed is None else cfg.sample_seed
+        mask = product.SamplingMask.from_ratio(g.n, cfg.sample_ratio, SplitMix64(sample_seed))
+        pipeline, subgraphs = pipeline.sampled(mask), mask.sampled
     with np.errstate(over="ignore", invalid="ignore"):  # refused below as one error
-        x = init_state(g, pe, marks, model.mark_table, model.encoder).x
-        del pe, marks  # the stack reads neither
-        bundle = product.build_product_bundle(g)
-        pipeline = Pipeline(
-            bundle.internal, bundle.external, bundle.point, g.n, model.layers, model.pool_mlp,
-            cfg.pool_variant,
-        )
-        if cfg.sample_ratio is not None:
-            sample_seed = cfg.seed if cfg.sample_seed is None else cfg.sample_seed
-            mask = product.SamplingMask.from_ratio(g.n, cfg.sample_ratio, SplitMix64(sample_seed))
-            pipeline, x = pipeline.sampled(x, mask)
-        pooled = pipeline.pooled(x)
+        # init_state's arguments and result are temporaries: the PE and the
+        # marks go once it returns, and pooled receives the only reference
+        # to the state
+        pooled = pipeline.pooled(init_state(
+            g, spectral.product_pe(g, cfg.k), spectral.node_mark_indices(g, subgraphs),
+            model.mark_table, model.encoder).x)
     if not np.isfinite(pooled).all():
         raise RangeError("the pooled output is not finite: the parameters overflow float64")
     return pooled

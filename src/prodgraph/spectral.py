@@ -7,7 +7,7 @@ encodings for the n^2 product nodes therefore never require diagonalizing an
 n^2 x n^2 matrix: they read the first min(n, k) base eigenpairs and keep
 each of the k requested columns as its K factor columns (K * n * k values).
 The k * n^K values of the columns are formed only where they are read:
-in blocks of rows (PEMatrix.block), or all at once by PEMatrix.data.
+in runs of rows (PEMatrix.runs), or all at once by PEMatrix.data.
 
 One function, base_eigenpairs, owns the base decomposition.  The Laplacian's
 null space has one dimension per connected component and an exact basis:
@@ -212,8 +212,8 @@ class PEMatrix:
     The values are held as K factor column blocks, and row (s_1, ..., s_K)
     of column c is factors[0][s_1, c] * ... * factors[K-1][s_K, c], the
     row-wise Kronecker product of the blocks.  A PE given as `data` is its
-    own single factor.  `block` reads a run of rows; `data` is the whole
-    (rows, k) expansion, built on first read and kept.
+    own single factor.  `runs` reads runs of rows, `block` one run; `data`
+    is the whole (rows, k) expansion, built on first read and kept.
     """
 
     factors: tuple[np.ndarray, ...]
@@ -241,14 +241,26 @@ class PEMatrix:
         return self.eigenvalues.size
 
     def block(self, lo: int, hi: int) -> np.ndarray:
-        """Rows lo .. hi - 1 of the expansion.  lo and hi must be multiples of
-        the rows one row of the leading factor spans; for a single factor
-        that is every row, and the block is a slice of it."""
+        """Rows lo .. hi - 1 of the expansion: the one run runs([lo], hi - lo)."""
+        return self.runs([lo], hi - lo)
+
+    def runs(self, starts: Sequence[int], length: int) -> np.ndarray:
+        """Rows start .. start + length - 1 of the expansion for each of
+        `starts`, run after run.  The starts and the length must be multiples
+        of the rows one row of the leading factor spans; for a single factor
+        that is every row.  Runs that follow on from each other are one slice
+        of the leading factor, a view of it for a single factor; the rows of
+        other runs are gathered from it."""
         head, *rest = self.factors
         span = math.prod(f.shape[0] for f in rest)
-        if lo % span or hi % span:
-            raise RangeError(f"rows {lo}:{hi} do not fall on multiples of {span}")
-        out = head[lo // span:hi // span]
+        starts = np.asarray(starts, dtype=np.int64)
+        if length % span or (starts % span).any():
+            raise RangeError(f"runs of {length} rows do not start and end on multiples of {span}")
+        lead, count = starts // span, length // span
+        if (np.diff(lead) == count).all():
+            out = head[lead[0]:lead[0] + lead.size * count]
+        else:
+            out = head[(lead[:, None] + np.arange(count)).ravel()]
         for factor in rest:
             out = (out[:, None, :] * factor[None, :, :]).reshape(-1, self.k)
         return out
@@ -334,10 +346,11 @@ def concatenation_pe(g: Graph, k: int) -> PEMatrix:
     return PEMatrix(data=data, eigenvalues=labels)
 
 
-def node_mark_indices(g: Graph) -> DistanceMatrix:
+def node_mark_indices(g: Graph, subgraphs: Sequence[int] | None = None) -> DistanceMatrix:
     """Node-mark index of product node (s, v): the BFS distance dist(s, v),
-    n when v is unreachable from s, so the vocabulary is n + 1."""
-    return shortest_path_distances(g)
+    n when v is unreachable from s, so the vocabulary is n + 1.  One row per
+    subgraph s: the given ones, in their order (a sampling mask's), or all n."""
+    return shortest_path_distances(g, subgraphs)
 
 
 @dataclass(frozen=True)

@@ -57,6 +57,7 @@ from .product import (
     point_adjacency,
     product_permutation,
     restrict_adjacency,
+    restrict_rows,
     sampled_adjacency,
     slot_adjacency,
 )
@@ -653,7 +654,8 @@ def check_masked_full_bag(scale: str):
         n = 3 + seed % 3
         g = random_graph(n, 0.5, seed=seed + 950)
         pipe, x0 = _build_pipeline(g, seed)
-        restricted, x0_r = pipe.sampled(x0, SamplingMask.full(n))
+        mask = SamplingMask.full(n)
+        restricted, x0_r = pipe.sampled(mask), restrict_rows(x0, mask)
         dev = max(dev, float(np.abs(restricted.pooled(x0_r) - pipe.pooled(x0)).max()))
     return dev == 0.0, dev
 
@@ -677,7 +679,7 @@ def check_gradient_correctness(scale: str):
                for g in graphs for seed in seeds]
     for seed in seeds:
         pipe, x0 = _build_pipeline(ISOLATED_NODE_GRAPH, seed, d=4, variant=variants[seed % 2])
-        systems.append(pipe.sampled(x0, ISOLATED_NODE_MASK))
+        systems.append((pipe.sampled(ISOLATED_NODE_MASK), restrict_rows(x0, ISOLATED_NODE_MASK)))
     worst = 0.0
     ok = True
     for pipe, x0 in systems:

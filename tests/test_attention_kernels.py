@@ -19,6 +19,7 @@ from prodgraph import (
     SamplingMask,
     build_product_bundle,
     random_graph,
+    restrict_rows,
 )
 from prodgraph.graphs import path_graph
 from prodgraph.model import _attention_backward, _attention_forward, _attention_weights, _values
@@ -40,7 +41,7 @@ def _systems():
         bundle = build_product_bundle(g)
         full = Pipeline(bundle.internal, bundle.external, bundle.point, g.n, [], None)
         x = rng.uniform_array(-2.0, 2.0, g.n * g.n * D_IN).reshape(g.n * g.n, D_IN)
-        sampled, x_sampled = full.sampled(x, mask)
+        sampled, x_sampled = full.sampled(mask), restrict_rows(x, mask)
         for kind in ("internal", "external"):
             cases.append((f"{gname}-{kind}", x, getattr(full, kind)))
             cases.append((f"{gname}-{kind}-sampled", x_sampled, getattr(sampled, kind)))

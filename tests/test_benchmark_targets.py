@@ -50,7 +50,7 @@ def test_sampled_training_workload_runs_the_library_sampled_system():
         pipe, x = workload.sampled_system(i)
         mask = product.SamplingMask.from_ratio(workload.n, workload.ratio,
                                                SplitMix64(workload.mask_seed + i))
-        ref_pipe, ref_x = full.sampled(workload.state.x, mask)
+        ref_pipe, ref_x = full.sampled(mask), product.restrict_rows(workload.state.x, mask)
         for kind in ("internal", "external", "point"):
             got, want = getattr(pipe, kind), getattr(ref_pipe, kind)
             assert type(got) is type(want), kind

@@ -163,6 +163,33 @@ def test_bfs_matches_queue_reference():
         assert np.array_equal(shortest_path_distances(g).dist, _queue_bfs(g))
 
 
+def test_bfs_from_sources_is_those_rows_of_all_pairs():
+    # BFS from some sources gives those rows of the all-pairs distances,
+    # sentinel n included, in the sources' order: a source count on each
+    # side of the 64-source bitset word, a lone source, repeated and
+    # descending sources, lone nodes, several components, and a 300-node
+    # path whose diameter outlasts the dense levels' count
+    parts = Graph(n=25, edges=frozenset({(i, i + 1) for i in range(9)}
+                                        | {(10 + i, 10 + (i + 1) % 10) for i in range(10)}))
+    graphs = [random_graph(150, 2 / 149, seed=31), random_graph(40, 0.1, seed=3), parts,
+              Graph(n=4, edges=frozenset()), path_graph(300), _grid_graph(9, 13)]
+    rng = SplitMix64(21)
+    for g in graphs:
+        full = shortest_path_distances(g)
+        drawn = sorted(rng.sample_without_replacement(g.n, -(-g.n // 3)))
+        for sources in (drawn, drawn[:70], drawn[::-1], [g.n - 1], [0, 0, g.n - 1], list(range(g.n))):
+            marks = shortest_path_distances(g, sources)
+            assert marks.dist.flags.c_contiguous and marks.dist.dtype == np.int64
+            assert np.array_equal(marks.dist, full.dist[sources])
+            assert marks.sources.tolist() == sources
+            assert (marks.n, marks.vocabulary) == (g.n, g.n + 1)
+        assert np.array_equal(full.sources, np.arange(g.n))
+    # each of the two sources reaches the 10 nodes of its component only
+    assert (shortest_path_distances(parts, [3, 12]).dist == parts.n).sum() == 2 * 15
+    with pytest.raises(ValidationError):
+        shortest_path_distances(path_graph(3), [0, 3])
+
+
 def test_bfs_deeper_than_the_dense_levels_count():
     # the circulant C_n(1, 2, 3): every frontier holds 6 nodes per source,
     # too many for the sparse tail, for 259 levels, more than the dense

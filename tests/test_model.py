@@ -1,6 +1,8 @@
 import hashlib
 import io
 import json
+import math
+import weakref
 from dataclasses import fields
 from pathlib import Path
 
@@ -23,6 +25,7 @@ from prodgraph import (
     ScaleError,
     ShapeMismatch,
     build_product_bundle,
+    concatenation_pe,
     dense_adjacency,
     external_adjacency,
     grad_check,
@@ -56,7 +59,7 @@ from prodgraph.model import (
     build_forward_model,
     run_forward,
 )
-from prodgraph.product import SamplingMask, product_permutation, restrict_adjacency
+from prodgraph.product import SamplingMask, product_permutation, restrict_adjacency, restrict_rows
 from prodgraph.rng import SplitMix64
 from prodgraph.verify import (
     ISOLATED_NODE_GRAPH,
@@ -247,7 +250,7 @@ def test_point_message_under_sampling():
     kept = ISOLATED_NODE_MASK.sampled
     rank = {s: i for i, s in enumerate(kept)}
     full, x0 = make_pipeline(ISOLATED_NODE_GRAPH, seed=7)
-    pipe, x = full.sampled(x0, ISOLATED_NODE_MASK)
+    pipe, x = full.sampled(ISOLATED_NODE_MASK), restrict_rows(x0, ISOLATED_NODE_MASK)
     assert pipe.point.nnz == len(kept) ** 2
     out = point_update(ProductState(x=x), pipe.point, 0.25, identity_mlp(4))
     for s in kept:
@@ -541,7 +544,7 @@ def test_grad_check_rejects_non_finite_gradient():
 
 def test_grad_check_sampled_system_with_empty_rows():
     full, x0 = make_pipeline(ISOLATED_NODE_GRAPH, seed=3, layers=2)
-    pipe, x0 = full.sampled(x0, ISOLATED_NODE_MASK)
+    pipe, x0 = full.sampled(ISOLATED_NODE_MASK), restrict_rows(x0, ISOLATED_NODE_MASK)
     ones = np.ones((x0.shape[0], 1))
     for received in (pipe.internal.neighbor_sum(ones), pipe.external.neighbor_sum(ones),
                      pipe.point.gather(ones)):  # some rows lack in-neighbors
@@ -553,7 +556,7 @@ def test_grad_check_sampled_system_with_empty_rows():
 
 def test_grad_check_mean_sum_sampled_system():
     full, x0 = make_pipeline(ISOLATED_NODE_GRAPH, seed=3, layers=2, variant="mean_sum")
-    report = grad_check(*full.sampled(x0, ISOLATED_NODE_MASK))
+    report = grad_check(full.sampled(ISOLATED_NODE_MASK), restrict_rows(x0, ISOLATED_NODE_MASK))
     assert report.passed
     assert report.max_rel_error <= 1e-4
 
@@ -562,7 +565,8 @@ def test_public_ops_take_a_sampled_product_state():
     # 3 of 7 subgraphs: 21 rows, which is no square
     g = random_graph(7, 0.45, seed=5)
     full, x = make_pipeline(g, seed=9)
-    pipe, x = full.sampled(x, SamplingMask(n=7, sampled=(1, 2, 5)))
+    mask = SamplingMask(n=7, sampled=(1, 2, 5))
+    pipe, x = full.sampled(mask), restrict_rows(x, mask)
     assert x.shape[0] == 21
     layer = pipe.layers[0]
     state = ProductState(x=x)
@@ -587,7 +591,7 @@ def sampled_g6_system():
                        params.encoder)
     full = pipeline_on(g, params.layers, params.pool_mlp, cfg.pool_variant)
     mask = SamplingMask.from_ratio(g.n, cfg.sample_ratio, SplitMix64(cfg.sample_seed))
-    return full.sampled(state.x, mask)
+    return full.sampled(mask), restrict_rows(state.x, mask)
 
 
 def test_sampled_gradients_golden():
@@ -704,17 +708,20 @@ def test_sampled_step_peak_memory():
     # upstream gradients, so that a bucket gathers one (r, k, P, heads)
     # channel at a time, and with the fuse MLP's hidden gradient freed once
     # its three input blocks are formed (the layout alone: 11.6x, the freed
-    # dh alone: 11.8x).  The bound fails a step that lacks either of the two,
-    # and leaves 3 % of headroom.
+    # dh alone: 11.8x).  10.15x with the score gradient's receiver sums
+    # formed after the channel-major values and upstream gradient are freed
+    # (10.6x when they were filled in the score-gradient loop).  The bound
+    # fails a step that lacks any of the three, and leaves 3 % of headroom.
     g = random_graph(48, 4 / 47, seed=3)
     full, x = make_pipeline(g, seed=8, d=8, layers=2)
-    pipe, x0 = full.sampled(x, SamplingMask.from_ratio(g.n, 0.5, SplitMix64(7)))
+    mask = SamplingMask.from_ratio(g.n, 0.5, SplitMix64(7))
+    pipe, x0 = full.sampled(mask), restrict_rows(x, mask)
     pipe.loss_and_grads(x0)  # builds the degree buckets, which the adjacencies keep
     _, peak = traced_peak(lambda: pipe.loss_and_grads(x0))
-    assert peak <= 10.9 * x0.nbytes
+    assert peak <= 10.45 * x0.nbytes
 
 
-@pytest.mark.parametrize("ratio, bound", [(None, 7.5), (0.5, 3.7), (0.05, 1.6)],
+@pytest.mark.parametrize("ratio, bound", [(None, 6.4), (0.5, 3.1), (0.05, 0.54)],
                          ids=["unsampled", "ratio-0.5", "ratio-0.05"])
 def test_run_forward_peak_memory(ratio, bound):
     # Peak traced bytes of run_forward at n = 200, in units of the n^2-row
@@ -727,7 +734,11 @@ def test_run_forward_peak_memory(ratio, bound):
     # the marks dropped once the state is built (4.17x without, at 0.5),
     # and the encoder reading the PE's Kronecker factors in blocks of
     # subgraphs (1.96x without, at 0.05, where the state's build sets the
-    # peak).  Each bound fails the forward that lacks its change.
+    # peak).  6.22x, 3.02x and 0.53x with the stack handed the only
+    # reference to the state, which is freed once layer 0 has run (7.22x
+    # and 3.52x without), and the marks and the state built for the
+    # sampled subgraphs only (1.46x without, at 0.05).  Each bound fails
+    # the forward that lacks its change and leaves about 3 % of headroom.
     n = 200
     g = random_graph(n, 4 / (n - 1), seed=3)
     cfg = ForwardConfig(sample_ratio=ratio)
@@ -740,7 +751,8 @@ def test_full_mask_sampled_system_reproduces_pooled_bitwise():
     for g in (P2, path_graph(4), K3, ISOLATED_NODE_GRAPH):
         for variant in ("sum_sum", "mean_sum"):
             pipe, x0 = make_pipeline(g, seed=5, layers=2, variant=variant)
-            restricted, x_r = pipe.sampled(x0, SamplingMask.full(g.n))
+            mask = SamplingMask.full(g.n)
+            restricted, x_r = pipe.sampled(mask), restrict_rows(x0, mask)
             assert np.array_equal(x_r, x0)
             assert restricted.pooled(x_r).tobytes() == pipe.pooled(x0).tobytes()
 
@@ -849,6 +861,30 @@ def test_init_state_mark_blocks_match_one_pass_bitwise():
     # the PE's expansion, given as data, takes the same block loop as a row slice
     expanded = PEMatrix(data=pe.data, eigenvalues=pe.eigenvalues)
     assert init_state(g, expanded, marks, mark_table, encoder).x.tobytes() == want.tobytes()
+
+
+def test_sampled_first_state_is_the_restricted_full_state_bitwise():
+    # init_state on marks from some subgraphs builds only their rows, and
+    # they are restrict_rows of the full state bit for bit: random,
+    # disconnected and featured graphs, the isolated node, a mask whose
+    # first block of subgraphs follows on (read as a slice) and ones that do
+    # not (gathered), and a PE given as data, whose rows are gathered too
+    cases = [(random_graph(150, 3 / 149, seed=77), [0.5, tuple(range(10, 100))]),
+             (random_graph(30, 0.02, seed=4), [0.3, 1.0]),
+             (random_graph(12, 0.3, seed=6, with_features=2), [0.5]),
+             (ISOLATED_NODE_GRAPH, [ISOLATED_NODE_MASK.sampled])]
+    for g, samples in cases:
+        width = 1 if g.features is None else g.features.shape[1]
+        for pe in (product_pe(g, 3), concatenation_pe(g, 2)):
+            rng = SplitMix64(g.n)
+            mark_table = _uniform_array(rng, (g.n + 1, 4), g.n + 1)
+            encoder = EncoderParams.from_rng(width + pe.k + 4, 4, rng)
+            full = init_state(g, pe, node_mark_indices(g), mark_table, encoder).x
+            for sample in samples:
+                mask = (SamplingMask.from_ratio(g.n, sample, SplitMix64(3)) if isinstance(sample, float)
+                        else SamplingMask(n=g.n, sampled=sample))
+                got = init_state(g, pe, node_mark_indices(g, mask.sampled), mark_table, encoder).x
+                assert got.tobytes() == restrict_rows(full, mask).tobytes()
 
 
 def test_init_state_peak_memory():
@@ -969,10 +1005,64 @@ def test_run_forward_deterministic():
 
 
 def test_run_forward_full_ratio_matches_unsampled_bitwise():
-    g = random_graph(5, 0.5, seed=92)
-    base = run_forward(g, ForwardConfig(k=3, seed=1))
-    full = run_forward(g, ForwardConfig(k=3, seed=1, sample_ratio=1.0, sample_seed=99))
-    assert np.array_equal(base, full)
+    for g in (random_graph(5, 0.5, seed=92), random_graph(70, 3 / 69, seed=92, with_features=2)):
+        base = run_forward(g, ForwardConfig(k=3, seed=1))
+        full = run_forward(g, ForwardConfig(k=3, seed=1, sample_ratio=1.0, sample_seed=99))
+        assert base.tobytes() == full.tobytes()
+
+
+def test_sampled_first_forward_matches_the_restricted_full_system(monkeypatch):
+    # the sampled forward builds the marks and the state for the sampled
+    # subgraphs only, and pools what the restricted full system pools, bit
+    # for bit; it restricts no n^2-row state
+    systems = []
+    for g, ratio in ((random_graph(70, 3 / 69, seed=9), 0.5), (random_graph(20, 0.1, seed=2, with_features=2), 0.3),
+                     (ISOLATED_NODE_GRAPH, 0.75), (random_graph(9, 0.4, seed=1), 1.0)):
+        cfg = ForwardConfig(k=4, seed=g.n, sample_ratio=ratio, sample_seed=4, pool_variant="mean_sum")
+        params = build_forward_model(g, cfg)
+        mask = SamplingMask.from_ratio(g.n, ratio, SplitMix64(4))
+        state = init_state(g, product_pe(g, cfg.k), node_mark_indices(g), params.mark_table,
+                           params.encoder)
+        full = pipeline_on(g, params.layers, params.pool_mlp, cfg.pool_variant)
+        systems.append((g, cfg, params, full.sampled(mask).pooled(restrict_rows(state.x, mask))))
+
+    def refuse(*args):
+        raise AssertionError("the sampled forward restricted an n^2-row state")
+
+    bfs, mark_shapes = model_module.spectral.node_mark_indices, []
+
+    def marks(*args):
+        out = bfs(*args)
+        mark_shapes.append(out.dist.shape)
+        return out
+
+    monkeypatch.setattr(model_module.product, "restrict_rows", refuse)
+    monkeypatch.setattr(model_module.spectral, "node_mark_indices", marks)
+    for g, cfg, params, want in systems:
+        mark_shapes.clear()
+        assert run_forward(g, cfg, params).tobytes() == want.tobytes()
+        assert mark_shapes == [(math.ceil(cfg.sample_ratio * g.n), g.n)]
+
+
+def test_pooled_frees_the_stack_input_after_the_first_layer(monkeypatch):
+    # handed the only reference to its input, pooled keeps none while the
+    # stack runs, so the input is gone by the time layer 1 starts
+    g = random_graph(9, 0.4, seed=2)
+    pipe, x = make_pipeline(g, seed=4, layers=3)
+    want = pipe.pooled(x)
+    inputs = [x.copy()]
+    gone = weakref.ref(inputs[0])
+    freed = []
+    layer = model_module._sab_forward_raw
+
+    def watched(x, *args):
+        freed.append(gone() is None)
+        return layer(x, *args)
+
+    monkeypatch.setattr(model_module, "_sab_forward_raw", watched)
+    got = pipe.pooled(inputs.pop())  # outside an assert, which would keep the popped input
+    assert got.tobytes() == want.tobytes()
+    assert freed == [False, True, True]
 
 
 def test_run_forward_sampling_is_seeded():

@@ -431,12 +431,21 @@ def test_pe_blocks_are_rows_of_the_expansion():
         assert not pe.data.flags.writeable and pe.data is pe.data
         for lo, hi in ((0, span), (span, 3 * span), (2 * span, pe.rows)):
             assert pe.block(lo, hi).tobytes() == pe.data[lo:hi].tobytes()
+        # runs(starts, length): the runs' rows one after another, in the
+        # starts' order, whether they follow on from each other or not
+        for starts in ([3 * span, span], [0, span, 2 * span], [4 * span, 0]):
+            want = np.vstack([pe.data[s:s + span] for s in starts])
+            assert pe.runs(starts, span).tobytes() == want.tobytes()
         with pytest.raises(RangeError):
             pe.block(1, span)
+        with pytest.raises(RangeError):
+            pe.runs([0, span + 1], span)
     data = np.arange(12.0).reshape(6, 2)
     pe = PEMatrix(data=data, eigenvalues=np.zeros(2))
     assert np.shares_memory(pe.data, data) and np.array_equal(pe.data, data)
     assert np.shares_memory(pe.block(1, 4), data) and np.array_equal(pe.block(1, 4), data[1:4])
+    assert np.shares_memory(pe.runs([1, 3], 2), data)
+    assert np.array_equal(pe.runs([4, 0], 2), data[[4, 5, 0, 1]])
     with pytest.raises(ShapeMismatch):
         PEMatrix(factors=[np.zeros((3, 2)), np.zeros((3, 3))], eigenvalues=np.zeros(2))
     with pytest.raises(ShapeMismatch):
