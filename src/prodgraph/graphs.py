@@ -209,11 +209,21 @@ class DistanceMatrix:
     of the encoder: product node (sources[i], v) looks up row dist[i, v] of
     a mark table of `vocabulary` = n + 1 rows, whichever sources ran.  The
     sentinel n is strictly greater than any finite shortest-path distance
-    in an n-node graph, so it is that table's last row.
+    in an n-node graph, so it is that table's last row.  Anything else, a
+    dist that is not 2-D, not one source per row, a source outside [0, n)
+    or a distance outside [0, n], is a ValidationError.
     """
 
     dist: np.ndarray
     sources: np.ndarray
+
+    def __post_init__(self):
+        dist, sources = np.asarray(self.dist), np.asarray(self.sources)
+        if dist.ndim != 2 or sources.shape != dist.shape[:1]:
+            raise ValidationError(f"distances of shape {dist.shape} need one source per row, got {sources.shape}")
+        n = dist.shape[1]
+        if sources.size and not (0 <= sources.min() <= sources.max() < n and 0 <= dist.min() <= dist.max() <= n):
+            raise ValidationError(f"sources must lie in [0, {n}) and distances in [0, {n}]")
 
     @property
     def n(self) -> int:

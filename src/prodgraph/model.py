@@ -242,7 +242,7 @@ class EncoderParams:
         )
 
 
-_FINITE_BLOCK = 1 << 16  # entries per block of ProductState's finiteness check
+_BLOCK_ENTRIES = 1 << 16  # entries per block of ProductState's finiteness check and of init_state
 
 
 @dataclass(frozen=True)
@@ -255,7 +255,7 @@ class ProductState:
         x = np.asarray(self.x, dtype=np.float64).view()  # freezing a view leaves the caller's array writable
         if x.ndim != 2:
             raise ShapeMismatch(f"state must be a (rows, d) array, got shape {x.shape}")
-        rows = max(1, _FINITE_BLOCK // max(1, x.shape[1]))  # a block's mask, not a (rows, d) one
+        rows = max(1, _BLOCK_ENTRIES // max(1, x.shape[1]))  # a block's mask, not a (rows, d) one
         if not all(np.isfinite(x[i:i + rows]).all() for i in range(0, x.shape[0], rows)):
             raise RangeError("state contains non-finite entries")
         x.flags.writeable = False
@@ -554,9 +554,6 @@ def rgcn_layer(state: ProductState, bundle: ProductGraphBundle, params: RGCNPara
     return ProductState(x=y)
 
 
-_MARK_BLOCK = 64  # subgraphs per block of gathered mark rows in init_state
-
-
 def _node_features(g: Graph) -> np.ndarray:
     """g.features, or for a graph without them one column of ones (a broadcast)."""
     return g.features if g.features is not None else np.broadcast_to(1.0, (g.n, 1))
@@ -581,17 +578,16 @@ def init_state(
         X(s,v) = (feat W_f + b)[v] + pe(s,v) W_pe + (mark_table W_m)[dist(s,v)]
 
     The side terms are rows of an n-row and an (n + 1)-row table; the PE
-    product is the only m*n-row operation.  Each block of _MARK_BLOCK
-    subgraphs reads its PE rows (PEMatrix.runs, which forms the rows of a
-    factored PE there, from a slice of the leading factor when the block's
-    subgraphs follow on from each other), writes their product with W_pe
-    into the state, and adds the feature and mark rows, so no (n^2, k) PE
+    product is the only m*n-row operation.  Each block of subgraphs, as
+    many as fit _BLOCK_ENTRIES state entries (at least one), writes the
+    product of its PE rows, PEMatrix.expand of its subgraphs, with W_pe
+    into the state and adds the feature and mark rows, so no (n^2, k) PE
     and no second (m, n, d) array exists; each entry gets the same
     operations as in one pass over all rows.
     """
     n = g.n
-    if pe.rows != n * n:
-        raise ShapeMismatch(f"PE has {pe.rows} rows, expected {n * n}")
+    if pe.factors[0].shape[0] != n or pe.rows != n * n:
+        raise ShapeMismatch(f"PE factors of {[f.shape[0] for f in pe.factors]} rows, expected {n} by {n}")
     if marks.n != n or mark_table.shape[0] != marks.vocabulary:
         raise ShapeMismatch("mark table rows must equal the mark vocabulary")
     feats = _node_features(g)
@@ -604,11 +600,12 @@ def init_state(
     x = np.empty((subgraphs.size, n, d))  # x[i, v] is product node (subgraphs[i], v)
     feat_rows = feats @ w_f + encoder.bias
     mark_rows = mark_table @ w_m
-    for i in range(0, subgraphs.size, _MARK_BLOCK):
-        blk = x[i:i + _MARK_BLOCK]
-        np.matmul(pe.runs(subgraphs[i:i + _MARK_BLOCK] * n, n), w_pe, out=blk.reshape(-1, d))
+    step = max(1, _BLOCK_ENTRIES // (n * d))
+    for i in range(0, subgraphs.size, step):
+        blk = x[i:i + step]
+        np.matmul(pe.expand(subgraphs[i:i + step]), w_pe, out=blk.reshape(-1, d))
         blk += feat_rows
-        blk += mark_rows[marks.dist[i:i + _MARK_BLOCK]]
+        blk += mark_rows[marks.dist[i:i + step]]
     return ProductState(x=x.reshape(-1, d))
 
 

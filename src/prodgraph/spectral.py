@@ -7,7 +7,8 @@ encodings for the n^2 product nodes therefore never require diagonalizing an
 n^2 x n^2 matrix: they read the first min(n, k) base eigenpairs and keep
 each of the k requested columns as its K factor columns (K * n * k values).
 The k * n^K values of the columns are formed only where they are read:
-in runs of rows (PEMatrix.runs), or all at once by PEMatrix.data.
+the rows of some leading indices (PEMatrix.expand), or all at once by
+PEMatrix.data.  The concatenation PE has the same form, two factor blocks.
 
 One function, base_eigenpairs, owns the base decomposition.  The Laplacian's
 null space has one dimension per connected component and an exact basis:
@@ -211,23 +212,22 @@ class PEMatrix:
 
     The values are held as K factor column blocks, and row (s_1, ..., s_K)
     of column c is factors[0][s_1, c] * ... * factors[K-1][s_K, c], the
-    row-wise Kronecker product of the blocks.  A PE given as `data` is its
-    own single factor.  `runs` reads runs of rows, `block` one run; `data`
-    is the whole (rows, k) expansion, built on first read and kept.
+    row-wise Kronecker product of the blocks.  `expand` forms the rows of
+    some leading indices s_1; `data` is the whole (rows, k) expansion,
+    built on first read and kept.
     """
 
     factors: tuple[np.ndarray, ...]
     eigenvalues: np.ndarray
 
-    def __init__(self, data: np.ndarray | None = None, *, eigenvalues: np.ndarray,
-                 factors: Sequence[np.ndarray] = ()):
-        factors = tuple(_frozen(f) for f in factors) if data is None else (_frozen(data),)
+    def __init__(self, factors: Sequence[np.ndarray], eigenvalues: np.ndarray):
+        factors = tuple(_frozen(f) for f in factors)
         labels = _frozen(eigenvalues)
         if not factors:
-            raise ShapeMismatch("a PE needs its data or its factor blocks")
+            raise ShapeMismatch("a PE needs at least one factor block")
         for f in factors:
             if f.ndim != 2 or labels.shape != f.shape[1:]:
-                raise ShapeMismatch(f"PE data of shape {f.shape} needs one label per column, "
+                raise ShapeMismatch(f"PE factor of shape {f.shape} needs one label per column, "
                                     f"got labels of shape {labels.shape}")
         object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "eigenvalues", labels)
@@ -240,34 +240,20 @@ class PEMatrix:
     def k(self) -> int:
         return self.eigenvalues.size
 
-    def block(self, lo: int, hi: int) -> np.ndarray:
-        """Rows lo .. hi - 1 of the expansion: the one run runs([lo], hi - lo)."""
-        return self.runs([lo], hi - lo)
-
-    def runs(self, starts: Sequence[int], length: int) -> np.ndarray:
-        """Rows start .. start + length - 1 of the expansion for each of
-        `starts`, run after run.  The starts and the length must be multiples
-        of the rows one row of the leading factor spans; for a single factor
-        that is every row.  Runs that follow on from each other are one slice
-        of the leading factor, a view of it for a single factor; the rows of
-        other runs are gathered from it."""
+    def expand(self, lead: Sequence[int]) -> np.ndarray:
+        """The rows of the expansion whose first index is s, for each s of
+        `lead` in turn."""
         head, *rest = self.factors
-        span = math.prod(f.shape[0] for f in rest)
-        starts = np.asarray(starts, dtype=np.int64)
-        if length % span or (starts % span).any():
-            raise RangeError(f"runs of {length} rows do not start and end on multiples of {span}")
-        lead, count = starts // span, length // span
-        if (np.diff(lead) == count).all():
-            out = head[lead[0]:lead[0] + lead.size * count]
-        else:
-            out = head[(lead[:, None] + np.arange(count)).ravel()]
+        # gathered rows are C-ordered; column-major ones keep the product's
+        # inner loop along a factor's rows, not along k (about 3x faster)
+        out = np.asfortranarray(head[np.asarray(lead, dtype=np.int64)])
         for factor in rest:
             out = (out[:, None, :] * factor[None, :, :]).reshape(-1, self.k)
         return out
 
     @functools.cached_property
     def data(self) -> np.ndarray:
-        return _frozen(self.block(0, self.rows))
+        return _frozen(self.expand(np.arange(self.factors[0].shape[0])))
 
     def to_text(self) -> str:
         """Header 'rows k', one line of labels, then values row-major."""
@@ -332,7 +318,9 @@ def k_tuple_pe(g: Graph, tuple_order: int, k: int) -> PEMatrix:
 def concatenation_pe(g: Graph, k: int) -> PEMatrix:
     """Row (s,v) = [U_s,1..k || U_v,1..k]; raw vectors, 2k columns.
 
-    Any downstream mixing (the learned map that recovers products of halves)
+    Held as two (n, 2k) factor blocks, [U | 1] and [1 | U]: their row
+    (s, v), [U_s * 1 || 1 * U_v], is [U_s || U_v] bit for bit.  Any
+    downstream mixing (the learned map that recovers products of halves)
     is the consumer's job.  The label array repeats the k base eigenvalues
     for each half.
     """
@@ -341,9 +329,10 @@ def concatenation_pe(g: Graph, k: int) -> PEMatrix:
         raise RangeError(f"k must lie in [1, {n}], got {k}")
     check_addressable((n * n, 2 * k))
     base = base_eigenpairs(g, k)
-    data = np.hstack([np.repeat(base.vectors, n, axis=0), np.tile(base.vectors, (n, 1))])
+    ones = np.ones((n, k))
     labels = np.concatenate([base.values, base.values])
-    return PEMatrix(data=data, eigenvalues=labels)
+    return PEMatrix(factors=[np.hstack([base.vectors, ones]), np.hstack([ones, base.vectors])],
+                    eigenvalues=labels)
 
 
 def node_mark_indices(g: Graph, subgraphs: Sequence[int] | None = None) -> DistanceMatrix:

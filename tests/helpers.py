@@ -1,7 +1,8 @@
 """Test-side code the library does not carry.
 
 Readers of the COO and PE text the CLI writes, kept here because nothing
-in the program reads those files back; two concatenation formulas: the
+in the program reads those files back; three concatenation formulas: the
+concatenation PE's, the reference for its two factor blocks, the
 encoder's, the reference for the block-by-block `init_state`, and the
 MLP's, the reference for the MLP of column blocks; and `traced_peak`, the
 memory probe of the peak-memory tests.
@@ -12,7 +13,7 @@ import tracemalloc
 import numpy as np
 
 from prodgraph import MLPParams, SparseAdjacency
-from prodgraph.spectral import PEMatrix
+from prodgraph.spectral import PEMatrix, base_eigenpairs
 
 
 def read_coo(text: str) -> SparseAdjacency:
@@ -31,11 +32,18 @@ def read_pe(text: str) -> PEMatrix:
     rows, k = (int(x) for x in header.split())
     data = np.array([ln.split() for ln in lines], dtype=np.float64).reshape(-1, k)
     assert data.shape == (rows, k), f"header says {(rows, k)}, text has {data.shape}"
-    return PEMatrix(data=data, eigenvalues=np.array(labels.split(), dtype=np.float64))
+    return PEMatrix(factors=[data], eigenvalues=np.array(labels.split(), dtype=np.float64))
 
 
 def entry_set(adj: SparseAdjacency) -> set[tuple[int, int]]:
     return {(int(r), int(c)) for r, c in adj.entries}
+
+
+def concatenated_pe(g, k: int) -> np.ndarray:
+    """Row s*n + v = [U_s || U_v] over the first k base eigenvectors U, as
+    the (n*n, 2k) array the concatenation PE once built."""
+    u = base_eigenpairs(g, k).vectors
+    return np.hstack([np.repeat(u, g.n, axis=0), np.tile(u, (g.n, 1))])
 
 
 def concatenated_state(g, pe, marks, mark_table, encoder) -> np.ndarray:

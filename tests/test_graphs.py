@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from prodgraph import (
+    DistanceMatrix,
     Graph,
     InvalidPermutation,
     ParseError,
@@ -188,6 +189,29 @@ def test_bfs_from_sources_is_those_rows_of_all_pairs():
     assert (shortest_path_distances(parts, [3, 12]).dist == parts.n).sum() == 2 * 15
     with pytest.raises(ValidationError):
         shortest_path_distances(path_graph(3), [0, 3])
+
+
+def test_distance_matrix_validates_its_fields():
+    # init_state trusts the marks: a row count that is not one per source
+    # broadcasts mark rows into a state of the wrong size, a source outside
+    # [0, n) names no subgraph (a negative one would wrap to another's PE
+    # rows), and a distance outside [0, n] reads a row that is not its mark
+    dist = np.array([[0, 1, 3], [1, 0, 3]])
+    marks = DistanceMatrix(dist=dist, sources=np.array([2, 0]))  # the sentinel 3 is a distance
+    assert (marks.n, marks.vocabulary) == (3, 4)
+    assert DistanceMatrix(dist=np.zeros((0, 3), dtype=np.int64), sources=np.zeros(0, dtype=np.int64)).n == 3
+    for bad, sources in (
+        (dist[:1], [0, 1, 2]),  # one row, three sources
+        (dist, [0]),  # two rows, one source
+        (dist[0], [0]),  # a 1-D dist
+        (dist, [[0, 1]]),  # 2-D sources
+        (dist, [0, -1]),
+        (dist, [0, 3]),
+        (np.array([[0, -1, 1]]), [0]),
+        (np.array([[0, 4, 1]]), [0]),
+    ):
+        with pytest.raises(ValidationError):
+            DistanceMatrix(dist=bad, sources=np.array(sources))
 
 
 def test_bfs_deeper_than_the_dense_levels_count():

@@ -26,10 +26,10 @@ from prodgraph import (
     random_permutation,
     spectral,
 )
-from prodgraph.graphs import complete_graph, cycle_graph, path_graph
+from prodgraph.graphs import complete_graph, connected_components, cycle_graph, path_graph
 from prodgraph.product import product_permutation
 from prodgraph.spectral import _canonical_signs, base_eigenpairs
-from helpers import read_pe
+from helpers import concatenated_pe, read_pe, traced_peak
 from tuple_reference import full_enumeration_tuple_pe
 
 P2 = path_graph(2)
@@ -412,41 +412,56 @@ def test_pe_text_roundtrip():
 
 
 def test_pe_matrix_sizes_come_from_data():
-    pe = PEMatrix(data=np.zeros((4, 3)), eigenvalues=np.zeros(3))
+    # a PE is its factor blocks: rows multiply, and every block has one
+    # column per label
+    pe = PEMatrix(factors=[np.zeros((4, 3))], eigenvalues=np.zeros(3))
     assert (pe.rows, pe.k) == (4, 3)
+    assert PEMatrix(factors=[np.zeros((4, 3)), np.zeros((5, 3))], eigenvalues=np.zeros(3)).rows == 20
     for labels in (np.zeros(4), np.zeros(2), np.zeros((3, 1))):
         with pytest.raises(ShapeMismatch):
-            PEMatrix(data=np.zeros((4, 3)), eigenvalues=labels)
-    with pytest.raises(ShapeMismatch):
-        PEMatrix(data=np.zeros(3), eigenvalues=np.zeros(3))
+            PEMatrix(factors=[np.zeros((4, 3))], eigenvalues=labels)
+    for factors in ([np.zeros(2)], [np.zeros((3, 2)), np.zeros((3, 3))], []):
+        with pytest.raises(ShapeMismatch):
+            PEMatrix(factors=factors, eigenvalues=np.zeros(2))
 
 
 def test_pe_blocks_are_rows_of_the_expansion():
-    # a product or tuple PE keeps its factor blocks: block(lo, hi) forms rows
-    # lo:hi of .data bit for bit, whole rows of the leading block at a time;
-    # a PE given as data is its one block, read as a slice
+    # expand(lead) forms, bit for bit, the rows of .data whose leading index
+    # is each entry of lead, in lead's order, repeats included: the K
+    # (n, k) factor blocks of product and K = 3 and K = 1 tuple PEs, and
+    # the two (n, 2k) blocks of a concatenation PE
     g = random_graph(5, 0.5, seed=8)
-    for pe, order, span in ((product_pe(g, 7), 2, 5), (k_tuple_pe(g, 3, 9), 3, 25)):
+    cases = ((product_pe(g, 7), 2), (k_tuple_pe(g, 3, 9), 3), (k_tuple_pe(g, 1, 4), 1),
+             (concatenation_pe(g, 3), 2))
+    for pe, order in cases:
         assert [f.shape for f in pe.factors] == [(g.n, pe.k)] * order
         assert not pe.data.flags.writeable and pe.data is pe.data
-        for lo, hi in ((0, span), (span, 3 * span), (2 * span, pe.rows)):
-            assert pe.block(lo, hi).tobytes() == pe.data[lo:hi].tobytes()
-        # runs(starts, length): the runs' rows one after another, in the
-        # starts' order, whether they follow on from each other or not
-        for starts in ([3 * span, span], [0, span, 2 * span], [4 * span, 0]):
-            want = np.vstack([pe.data[s:s + span] for s in starts])
-            assert pe.runs(starts, span).tobytes() == want.tobytes()
-        with pytest.raises(RangeError):
-            pe.block(1, span)
-        with pytest.raises(RangeError):
-            pe.runs([0, span + 1], span)
-    data = np.arange(12.0).reshape(6, 2)
-    pe = PEMatrix(data=data, eigenvalues=np.zeros(2))
-    assert np.shares_memory(pe.data, data) and np.array_equal(pe.data, data)
-    assert np.shares_memory(pe.block(1, 4), data) and np.array_equal(pe.block(1, 4), data[1:4])
-    assert np.shares_memory(pe.runs([1, 3], 2), data)
-    assert np.array_equal(pe.runs([4, 0], 2), data[[4, 5, 0, 1]])
-    with pytest.raises(ShapeMismatch):
-        PEMatrix(factors=[np.zeros((3, 2)), np.zeros((3, 3))], eigenvalues=np.zeros(2))
-    with pytest.raises(ShapeMismatch):
-        PEMatrix(eigenvalues=np.zeros(2))
+        by_lead = pe.data.reshape(g.n, -1, pe.k)
+        for lead in ([0], [3, 1], list(range(g.n)), [4, 0, 4], []):
+            got = pe.expand(lead)
+            assert got.shape == (len(lead) * pe.rows // g.n, pe.k)
+            assert got.tobytes() == by_lead[lead].tobytes()
+
+
+def test_concatenation_pe_is_the_concatenated_rows_bitwise():
+    # the two factor blocks [U | 1] and [1 | U] expand to the (n^2, 2k)
+    # concatenation [repeat(U) | tile(U)] bit for bit: random, disconnected
+    # (the indicator basis, no eigensolver) and featured graphs
+    for g in (random_graph(9, 0.4, seed=2), random_graph(30, 0.02, seed=4),
+              random_graph(12, 0.3, seed=6, with_features=2), P2):
+        for k in sorted({1, 2, g.n}):
+            pe = concatenation_pe(g, k)
+            assert pe.data.tobytes() == concatenated_pe(g, k).tobytes()
+            assert pe.eigenvalues.tobytes() == np.tile(base_eigenpairs(g, k).values, 2).tobytes()
+
+
+def test_concatenation_pe_peak_memory():
+    # on a graph of at least k components no eigensolver runs, and the PE
+    # is its two (n, 2k) blocks: 16 KB here, against the 4 MB (n^2, 2k)
+    # concatenation it built before it was factored
+    n, k = 256, 4
+    g = random_graph(n, 1 / (n - 1), seed=5)
+    assert connected_components(g).max() + 1 >= k
+    pe, peak = traced_peak(lambda: concatenation_pe(g, k))
+    assert peak < n * n * 2 * k * 8 / 16
+    assert [f.shape for f in pe.factors] == [(n, 2 * k)] * 2

@@ -137,13 +137,13 @@ def test_negative_control_swapped_factor_blocks_break_tuple_pe_specialization(mo
     # an expansion that multiplies the factor blocks in reverse order puts
     # u_j (x) u_i where u_i (x) u_j belongs; product_pe and k_tuple_pe(g, 2)
     # still agree with each other, so only an independent oracle sees it
-    block = spectral.PEMatrix.block
+    expand = spectral.PEMatrix.expand
 
-    def reversed_blocks(pe, lo, hi):
-        return block(spectral.PEMatrix(factors=pe.factors[::-1], eigenvalues=pe.eigenvalues), lo, hi)
+    def reversed_blocks(pe, lead):
+        return expand(spectral.PEMatrix(factors=pe.factors[::-1], eigenvalues=pe.eigenvalues), lead)
 
     assert verify.check_tuple_pe_specialization("quick")[0]
-    monkeypatch.setattr(spectral.PEMatrix, "block", reversed_blocks)
+    monkeypatch.setattr(spectral.PEMatrix, "expand", reversed_blocks)
     g = random_graph(4, 0.5, seed=41)
     assert np.array_equal(spectral.product_pe(g, 16).data, spectral.k_tuple_pe(g, 2, 16).data)
     ok, dev = verify.check_tuple_pe_specialization("quick")
