@@ -22,6 +22,7 @@ from pathlib import Path
 from .errors import ProdGraphError, RangeError
 from .graphs import SparseAdjacency, load_graph
 from .model import (
+    POOL_VARIANTS,
     ForwardConfig,
     build_forward_model,
     load_into,
@@ -177,16 +178,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_mark)
 
+    cfg = ForwardConfig()
     p = sub.add_parser("forward", help="run the attention stack, print pooled vector")
     p.add_argument("graph")
-    p.add_argument("--k", type=int, default=4, help="PE dimensions (default 4)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--layers", type=int, default=2)
-    p.add_argument("--d", type=int, default=8, help="feature width (default 8)")
-    p.add_argument("--heads", type=int, default=4)
-    p.add_argument("--pool", choices=["sum_sum", "mean_sum"], default="sum_sum")
-    p.add_argument("--sample-ratio", type=float, default=None)
-    p.add_argument("--sample-seed", type=int, default=None,
+    p.add_argument("--k", type=int, default=cfg.k, help="PE dimensions (default %(default)s)")
+    p.add_argument("--seed", type=int, default=cfg.seed)
+    p.add_argument("--layers", type=int, default=cfg.layers)
+    p.add_argument("--d", type=int, default=cfg.d, help="feature width (default %(default)s)")
+    p.add_argument("--heads", type=int, default=cfg.heads)
+    p.add_argument("--pool", choices=POOL_VARIANTS, default=cfg.pool_variant)
+    p.add_argument("--sample-ratio", type=float, default=cfg.sample_ratio)
+    p.add_argument("--sample-seed", type=int, default=cfg.sample_seed,
                    help="seed for the subgraph sample (default: --seed)")
     p.add_argument("--save-params", help="write parameters to this container file")
     p.add_argument("--load-params", help="read parameters from a container file")

@@ -401,22 +401,25 @@ class SparseAdjacency:
             if ent[:, 1].min() < 0 or ent[:, 1].max() >= self.cols:
                 raise ValidationError("entry column index out of bounds")
             keys = ent[:, 0] * self.cols + ent[:, 1]
-            if not (np.diff(keys) > 0).all():
+            if not (keys[1:] > keys[:-1]).all():
                 raise ValidationError("entries must be strictly row-major sorted, unique")
 
     @classmethod
     def from_pairs(cls, rows: int, cols: int, pairs: Iterable[tuple[int, int]] | np.ndarray) -> "SparseAdjacency":
-        """Build from an arbitrary iterable of index pairs; sorts and dedups.
-        Builders that know their entry order construct SparseAdjacency
-        directly instead."""
+        """Build from an arbitrary iterable of index pairs, in any order;
+        sorts and dedups."""
         ent = np.asarray(list(pairs) if not isinstance(pairs, np.ndarray) else pairs,
                          dtype=np.int64).reshape(-1, 2)
         if ent.size:
             # sort plus a neighbour compare: np.unique may take a hash route
             # that is far slower on large int64 key arrays
-            keys = np.sort(ent[:, 0] * cols + ent[:, 1])
+            keys = ent[:, 0] * cols
+            keys += ent[:, 1]
+            keys.sort()
             keys = keys[np.r_[True, keys[1:] != keys[:-1]]]
-            ent = np.array([keys // cols, keys % cols]).T  # column-major, as stored
+            ent = np.empty((keys.size, 2), dtype=np.int64, order="F")  # column-major, as stored
+            np.divmod(keys, cols, out=(ent[:, 0], ent[:, 1]))
+            del keys  # freed before the order check makes its own
         return cls(rows=rows, cols=cols, entries=ent)
 
     @classmethod

@@ -100,6 +100,7 @@ from .rng import SplitMix64
 from .spectral import PEMatrix
 
 LEAKY_SLOPE = 0.2
+POOL_VARIANTS = ("sum_sum", "mean_sum")  # Pipeline's pooling variants
 
 
 def _uniform_array(rng: SplitMix64, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
@@ -637,16 +638,18 @@ class Pipeline:
         grids = self.internal.grid, self.external.grid, self.point.grid
         if not grids[0] == grids[1] == grids[2] == (grids[2][0], self.n):
             raise ShapeMismatch(f"edge types on grids {grids} do not share one (m, {self.n}) grid")
+        if (self.internal.axis, self.external.axis) != (1, 0):
+            raise ShapeMismatch(f"internal and external act on axes 1 and 0, got "
+                                f"{self.internal.axis} and {self.external.axis}")
         self._pool_divisor  # refuses an unknown pooling variant at construction
 
     @property
     def _pool_divisor(self) -> int:
         """The row sum's divisor: 1 for "sum_sum"; n for "mean_sum", even on
         the m*n rows of a sampled system."""
-        divisor = {"sum_sum": 1, "mean_sum": self.n}.get(self.variant)
-        if divisor is None:
+        if self.variant not in POOL_VARIANTS:
             raise ShapeMismatch(f"unknown pooling variant {self.variant!r}")
-        return divisor
+        return self.n if self.variant == "mean_sum" else 1
 
     def named_arrays(self):
         return _named(self.layers, ("layers",)) + _named(self.pool_mlp, ("pool_mlp",))

@@ -17,17 +17,17 @@ slot j of a K-tuple) and point is PointAdjacency.  The model runs them
 factored, and sampling keeps m subgraphs without touching an array of n^2
 entries.  The COO matrices of `build-product`, `sample` and the oracles are
 their to_sparse() expansions; only the K > 2 point type (k_point_adjacency)
-is built on its own.  Each COO builder places every entry at its row-major
-position by index arithmetic, so none sorts or dedups:
-SparseAdjacency's strict-order check is their guard.  Dense matrices appear
-only in the oracle builders (kron, cartesian_operator, k_factor_adjacency,
-closed_form_cartesian), guarded to n^K <= 4096 product nodes.
+is built on its own.  Each COO builder lists its entries in whatever order
+its broadcast gives, and SparseAdjacency.from_pairs orders them.  Dense
+matrices appear only in the oracle builders (kron, cartesian_operator,
+k_factor_adjacency, closed_form_cartesian), guarded to n^K <= 4096 product
+nodes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
@@ -66,15 +66,35 @@ class KronAdjacency:
     the (m, n) grid, I_m (x) A (`axis` 1) or A_S (x) I_n (`axis` 0).
 
     The base factor is a symmetric adjacency on grid[axis] nodes, held as
-    its directed edges (src receives from dst) sorted by (src, dst).  A row
-    of a (prod(grid), d) state receives from the rows that differ from it
-    only along `axis`, by one base edge; the other axes are batch axes.
+    its directed edges (src receives from dst) strictly ascending in
+    (src, dst); any other edge list is refused.  A row of a (prod(grid), d)
+    state receives from the rows that differ from it only along `axis`, by
+    one base edge; the other axes are batch axes.
     """
 
     src: np.ndarray
     dst: np.ndarray
     axis: int
     grid: tuple[int, ...]
+    _reverse: np.ndarray = field(init=False, repr=False, compare=False)  # index of each edge's reverse
+
+    def __post_init__(self):
+        src, dst = np.asarray(self.src, dtype=np.int64), np.asarray(self.dst, dtype=np.int64)
+        if not 0 <= self.axis < len(self.grid):
+            raise ValidationError(f"axis {self.axis} is not an axis of the grid {self.grid}")
+        if src.ndim != 1 or src.shape != dst.shape:
+            raise ValidationError(f"src and dst must be 1-D of one length, got {src.shape} and {dst.shape}")
+        size = self.grid[self.axis]
+        keys, reverse_keys = src * size + dst, dst * size + src
+        # with every dst in range, ascending keys make src ascend, so its ends bound it
+        if src.size and not (0 <= dst.min() and dst.max() < size and (keys[1:] > keys[:-1]).all()
+                             and 0 <= src[0] and src[-1] < size):
+            raise ValidationError(f"edges must strictly ascend in (src, dst), with nodes in [0, {size})")
+        reverse = np.searchsorted(keys, reverse_keys)
+        if (keys.take(reverse, mode="clip") != reverse_keys).any():
+            raise ValidationError("the base factor is not symmetric: an edge's reverse is missing")
+        for name, value in (("src", src), ("dst", dst), ("_reverse", reverse)):
+            object.__setattr__(self, name, value)
 
     @cached_property
     def _split(self) -> tuple[int, int, int]:
@@ -92,15 +112,15 @@ class KronAdjacency:
         """Receivers grouped by degree, ascending, built once in O(|E| log |E|).
 
         Edge order is bucket order: buckets by degree, receivers, senders.
-        The reverse of edge (u <- w) is (w <- u), found by key search, which
-        exists because the base factor is symmetric.
+        The reverse of edge (u <- w) is (w <- u), found by the key search
+        that checked the factor's symmetry at construction.
         """
         size = self.grid[self.axis]
         deg = np.bincount(self.src, minlength=size)[self.src]
         order = np.argsort(deg, kind="stable")  # edges already sorted by (src, dst)
         position = np.empty_like(order)
         position[order] = np.arange(order.size)
-        reverse = position[np.searchsorted(self.src * size + self.dst, self.dst * size + self.src)]
+        reverse = position[self._reverse]
         src, dst, reverse, deg = self.src[order], self.dst[order], reverse[order], deg[order]
         starts = np.flatnonzero(np.diff(deg, prepend=-1))
         return tuple(DegreeBucket(src[a:b:deg[a]], dst[a:b].reshape(-1, deg[a]),
@@ -145,26 +165,16 @@ class KronAdjacency:
         return self.grid_rows(out)
 
     def to_sparse(self) -> SparseAdjacency:
-        """The matrix as COO, built in row-major order: left index, then
-        source, right index, target.  Within one left block, directed edge e
-        (sorted by source, then target) with rank k in its source's run of
-        deg entries, starting at first[source], and right index r sits at
-        first[source] * right + r * deg + k."""
+        """The matrix as COO: entry ((l, src, r), (l, dst, r)) for every left
+        index l, directed edge and right index r."""
         left, size, right = self._split
-        src, dst = self.src, self.dst
-        deg = np.bincount(src, minlength=size)[src]
-        first = np.searchsorted(src, src)
-        rank = np.arange(src.size) - first
+        lead = np.arange(left, dtype=np.int64)[:, None, None] * size
         r = np.arange(right, dtype=np.int64)
-        pos = (first * right + rank)[:, None] + r * deg[:, None]
-        block = np.empty((2, pos.size), dtype=np.int64)  # (row, col) of one left block
-        block[0][pos] = src[:, None] * right + r
-        block[1][pos] = dst[:, None] * right + r
-        offsets = np.arange(left, dtype=np.int64)[:, None] * (size * right)
-        entries = np.empty((2, left, pos.size), dtype=np.int64)
-        np.add(block[:, None, :], offsets, out=entries)
+        pairs = np.empty((left, self.src.size, right, 2), dtype=np.int64)
+        pairs[..., 0] = (lead + self.src[:, None]) * right + r
+        pairs[..., 1] = (lead + self.dst[:, None]) * right + r
         rows = left * size * right
-        return SparseAdjacency(rows=rows, cols=rows, entries=entries.reshape(2, -1).T)
+        return SparseAdjacency.from_pairs(rows, rows, pairs)
 
 
 @dataclass(frozen=True)
@@ -174,6 +184,14 @@ class PointAdjacency:
 
     sampled: np.ndarray
     n: int
+
+    def __post_init__(self):
+        sampled = np.asarray(self.sampled, dtype=np.int64)
+        if sampled.ndim != 1 or (sampled[1:] <= sampled[:-1]).any():
+            raise ValidationError("sampled roots must be a strictly ascending 1-D array")
+        if sampled.size and (sampled[0] < 0 or sampled[-1] >= self.n):
+            raise ValidationError(f"sampled roots out of [0, {self.n})")
+        object.__setattr__(self, "sampled", sampled)
 
     @property
     def grid(self) -> tuple[int, int]:
@@ -199,11 +217,11 @@ class PointAdjacency:
         out.reshape(m, self.n, -1)[np.arange(m), self.sampled] += roots
 
     def to_sparse(self) -> SparseAdjacency:
-        """The matrix as COO: one entry per row (s, v) with v in S, in row order."""
+        """The matrix as COO: entry ((s, v), (rank v, v)) for every row s and v in S."""
         m, n = self.grid
-        roots = np.arange(m, dtype=np.int64) * n + self.sampled
-        rows = (np.arange(m, dtype=np.int64)[:, None] * n + self.sampled).ravel()
-        return SparseAdjacency(rows=m * n, cols=m * n, entries=np.array([rows, np.tile(roots, m)]).T)
+        s = np.arange(m, dtype=np.int64)[:, None] * n
+        pairs = np.stack(np.broadcast_arrays(s + self.sampled, s.T + self.sampled), axis=-1)
+        return SparseAdjacency.from_pairs(m * n, m * n, pairs)
 
 
 @dataclass(frozen=True)
@@ -349,9 +367,7 @@ def k_point_adjacency(n: int, tuple_order: int, i: int) -> SparseAdjacency:
 
     Entry ((v_1..v_K), (v'_1..v'_K)) is 1 iff the target is a root tuple,
     v'_1 = ... = v'_K = c, and every source slot except slot i equals c.
-    For K = 2, i = 1 this is point_adjacency(n); nnz = n^2.  Entries are
-    built in row-major order: by (c, c') for i > 1, where the leading digit
-    is c, and by (c', c) for i = 1, where it is the free value c'.
+    For K = 2, i = 1 this is point_adjacency(n); nnz = n^2.
     """
     if n < 1:
         raise RangeError(f"node count must be >= 1, got {n}")
@@ -362,11 +378,8 @@ def k_point_adjacency(n: int, tuple_order: int, i: int) -> SparseAdjacency:
     root = c * sum(n**j for j in range(tuple_order))  # flatten((c, ..., c))
     # Source rows: root tuple (c, ..., c) with slot i overwritten by every value c' in [0, n).
     rows = (root - c * stride)[:, None] + c[None, :] * stride
-    cols = np.broadcast_to(root[:, None], rows.shape)
-    if i == 1:  # c' is the leading digit, so the rows ascend in (c', c) order
-        rows, cols = rows.T, cols.T
     size = n**tuple_order
-    return SparseAdjacency(rows=size, cols=size, entries=np.array([rows.ravel(), cols.ravel()]).T)
+    return SparseAdjacency.from_pairs(size, size, np.stack(np.broadcast_arrays(rows, root[:, None]), axis=-1))
 
 
 @dataclass(frozen=True)
@@ -424,12 +437,10 @@ def restrict_adjacency(adj: KronAdjacency | PointAdjacency, mask: SamplingMask):
 def sampled_adjacency(adj: KronAdjacency | PointAdjacency, mask: SamplingMask) -> SparseAdjacency:
     """An edge type of the n x n grid as an n^2-square COO matrix with every
     entry outside the sampled subgraphs dropped: restrict_adjacency's
-    expansion, each rank r mapped back to subgraph kept[r] by restrict_rows.
-    The map ascends, so the entries stay row-major."""
+    expansion, each rank r mapped back to subgraph kept[r] by restrict_rows."""
     n = mask.n
     index = restrict_rows(np.arange(n * n)[:, None], mask).ravel()  # rank row -> product row
-    entries = index[restrict_adjacency(adj, mask).to_sparse().entries]
-    return SparseAdjacency(rows=n * n, cols=n * n, entries=entries)
+    return SparseAdjacency.from_pairs(n * n, n * n, index[restrict_adjacency(adj, mask).to_sparse().entries])
 
 
 def restrict_rows(x: np.ndarray, mask: SamplingMask) -> np.ndarray:

@@ -210,9 +210,10 @@ def base_eigenpairs(g: Graph, count: int) -> EigenDecomposition:
 class PEMatrix:
     """Positional-encoding block: rows x k values plus one label per column.
 
-    The values are held as K factor column blocks, and row (s_1, ..., s_K)
-    of column c is factors[0][s_1, c] * ... * factors[K-1][s_K, c], the
-    row-wise Kronecker product of the blocks.  `expand` forms the rows of
+    The values are held as K factor column blocks, each stored
+    column-major, and row (s_1, ..., s_K) of column c is
+    factors[0][s_1, c] * ... * factors[K-1][s_K, c], the row-wise
+    Kronecker product of the blocks.  `expand` forms the rows of
     some leading indices s_1; `data` is the whole (rows, k) expansion,
     built on first read and kept.
     """
@@ -221,7 +222,7 @@ class PEMatrix:
     eigenvalues: np.ndarray
 
     def __init__(self, factors: Sequence[np.ndarray], eigenvalues: np.ndarray):
-        factors = tuple(_frozen(f) for f in factors)
+        factors = tuple(_frozen(np.asfortranarray(f, dtype=np.float64)) for f in factors)
         labels = _frozen(eigenvalues)
         if not factors:
             raise ShapeMismatch("a PE needs at least one factor block")
@@ -244,8 +245,9 @@ class PEMatrix:
         """The rows of the expansion whose first index is s, for each s of
         `lead` in turn."""
         head, *rest = self.factors
-        # gathered rows are C-ordered; column-major ones keep the product's
-        # inner loop along a factor's rows, not along k (about 3x faster)
+        # the factors are column-major, the gathered rows C-ordered; column-major
+        # ones keep the product's inner loop along a factor's rows, not along k
+        # (about 3x faster)
         out = np.asfortranarray(head[np.asarray(lead, dtype=np.int64)])
         for factor in rest:
             out = (out[:, None, :] * factor[None, :, :]).reshape(-1, self.k)

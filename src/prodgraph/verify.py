@@ -32,6 +32,7 @@ from .graphs import (
 )
 from .model import (
     LEAKY_SLOPE,
+    POOL_VARIANTS,
     MLPParams,
     Pipeline,
     ProductState,
@@ -674,11 +675,10 @@ def check_gradient_correctness(scale: str):
     pool with "mean_sum", even ones with "sum_sum"."""
     graphs = [path_graph(2), path_graph(4), complete_graph(3)]
     seeds = range(5 if scale == "full" else 2)
-    variants = ("sum_sum", "mean_sum")
-    systems = [_build_pipeline(g, seed, d=4, layers=1, variant=variants[seed % 2])
+    systems = [_build_pipeline(g, seed, d=4, layers=1, variant=POOL_VARIANTS[seed % 2])
                for g in graphs for seed in seeds]
     for seed in seeds:
-        pipe, x0 = _build_pipeline(ISOLATED_NODE_GRAPH, seed, d=4, variant=variants[seed % 2])
+        pipe, x0 = _build_pipeline(ISOLATED_NODE_GRAPH, seed, d=4, variant=POOL_VARIANTS[seed % 2])
         systems.append((pipe.sampled(ISOLATED_NODE_MASK), restrict_rows(x0, ISOLATED_NODE_MASK)))
     worst = 0.0
     ok = True

@@ -12,6 +12,7 @@ import pytest
 import prodgraph
 from prodgraph import (
     Graph,
+    ShapeMismatch,
     SparseAdjacency,
     closed_form_cartesian,
     dense_adjacency,
@@ -19,9 +20,10 @@ from prodgraph import (
     k_factor_adjacency,
     load_graph,
 )
-from prodgraph.cli import main
-from prodgraph.graphs import connected_components
-from prodgraph.model import ForwardConfig, build_forward_model, save_parameters
+from prodgraph.cli import build_parser, main
+from prodgraph.graphs import connected_components, path_graph
+from prodgraph.model import POOL_VARIANTS, ForwardConfig, Pipeline, build_forward_model, save_parameters
+from prodgraph.product import build_product_bundle
 from prodgraph.rng import SplitMix64
 from helpers import entry_set, read_coo, read_pe
 from tuple_reference import point_pairs, reference_adjacency
@@ -452,6 +454,15 @@ OUTPUT_DIGESTS = {
     "k3/slot1.coo": "569d71382835949782bada2967ab32f6b2def8c74d605d6db2be3b35ace1459d",
     "k3/slot2.coo": "127092ca54cb096e4ace0301bd5fecf86c323a1745b5e789b4f129d866fff487",
     "k3/union.coo": "3a3af7f3bdc6586641e255423be9f942e8010df5b8db37020a269bb1b54bb01d",
+    "k4/point1.coo": "410a68cabdea936aaa371bf9ec42572dcdfb68b97242151b929fb5ac3a33b9a3",
+    "k4/point2.coo": "ffb2ba0d6a3ecec9dabf641229b60161216f5cec6e0b6b7e116d30be95bb0edd",
+    "k4/point3.coo": "9438ec7f3716a5c6bdf9ec176b203d83ed7fc563c6ec876deaaddb4a5900869a",
+    "k4/point4.coo": "c65e052f3e22e1502ef99b8f02b695d2604590552b2f935ee8d0bd0b556edb63",
+    "k4/slot0.coo": "e98f9da10c130f58c012bd3ba53be82b7e8d51fe7b666c3f01ddc8374951e49e",
+    "k4/slot1.coo": "7f7bf226987b8a1d2890f9fc6f1966983857cc066f22986f337e9621d797482e",
+    "k4/slot2.coo": "88f970b26c3f822d727f1708b66a2e4b45bf9d96764a51efd96cbc4660ea1b9b",
+    "k4/slot3.coo": "22012dc76c14e860559fbb2b6122877afc8d3b53e50e18d4c7654dbcf640338e",
+    "k4/union.coo": "2cd04a4bfca6c5e6edd4b318df40126c05c25430915b2101a436de859be69d5b",
     "s/external.coo": "f0b50d3b9f22058243f36a87a78cad4d349e878e2d74d26da8d5d32eb470665b",
     "s/internal.coo": "520ba33a0fea32d09a9714c11b8978a3dca2aed892c94286234c9cf842e77f40",
     "s/point.coo": "aecf7835c1b34dc80768c58666d808360030917c28834777518df0c1bf570e0f",
@@ -459,10 +470,11 @@ OUTPUT_DIGESTS = {
 
 
 def test_output_files_are_pinned_by_digest(tmp_path, capsys):
-    # a 7-node graph with an isolated node (6); the sample keeps 5 of 7 subgraphs
+    # a 7-node graph with an isolated node (6); the sample keeps 5 of 7
+    # subgraphs; K = 4 writes 7^4 = 2401-row files
     graph = tmp_path / "g.json"
     graph.write_text('{"n":7,"edges":[[0,1],[1,2],[2,3],[3,4],[4,5],[1,4]]}')
-    for order in ("2", "3"):
+    for order in ("2", "3", "4"):
         code, _, _ = run_cli(capsys, "build-product", str(graph), "--tuple-order", order,
                              "--include-point", "--out", str(tmp_path / f"k{order}"))
         assert code == 0
@@ -473,6 +485,24 @@ def test_output_files_are_pinned_by_digest(tmp_path, capsys):
     written = {p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
                for p in tmp_path.rglob("*.coo")}
     assert written == OUTPUT_DIGESTS
+
+
+def test_forward_flags_default_to_the_library():
+    # the parser used to repeat ForwardConfig's eight defaults and the
+    # pooling variants Pipeline names
+    parser = build_parser()
+    args = parser.parse_args(["forward", "g.json"])
+    flags = {"k": "k", "seed": "seed", "layers": "layers", "d": "d", "heads": "heads",
+             "pool_variant": "pool", "sample_ratio": "sample_ratio", "sample_seed": "sample_seed"}
+    assert {name: getattr(args, flag) for name, flag in flags.items()} == vars(ForwardConfig())
+    forward = parser._subparsers._group_actions[0].choices["forward"]
+    assert tuple(next(a for a in forward._actions if a.dest == "pool").choices) == POOL_VARIANTS
+    bundle = build_product_bundle(path_graph(3))
+    model = build_forward_model(path_graph(3), ForwardConfig(layers=0))
+    for variant in POOL_VARIANTS:
+        Pipeline(bundle.internal, bundle.external, bundle.point, 3, [], model.pool_mlp, variant)
+    with pytest.raises(ShapeMismatch):
+        Pipeline(bundle.internal, bundle.external, bundle.point, 3, [], model.pool_mlp, "max_sum")
 
 
 def test_pe_output_independent_of_sampling(p2_file, tmp_path, capsys):

@@ -190,6 +190,16 @@ def test_pipeline_refuses_edge_types_off_its_grid():
         Pipeline(sampled, bundle.external, bundle.point, 4, *parts)
 
 
+def test_pipeline_refuses_swapped_edge_types():
+    # on the n x n grid both types share one grid, so swapped ones used to run
+    bundle = build_product_bundle(path_graph(4))
+    model = build_forward_model(path_graph(4), ForwardConfig(layers=1))
+    with pytest.raises(ShapeMismatch):
+        Pipeline(bundle.external, bundle.internal, bundle.point, 4, model.layers, model.pool_mlp)
+    with pytest.raises(ShapeMismatch):
+        Pipeline(bundle.internal, bundle.internal, bundle.point, 4, model.layers, model.pool_mlp)
+
+
 def test_attention_shape_mismatch():
     params = AttentionParams.from_rng(6, 8, 4, SplitMix64(0))
     internal = build_product_bundle(P2).internal

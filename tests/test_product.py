@@ -29,7 +29,7 @@ from prodgraph import (
     sampled_adjacency,
     slot_adjacency,
 )
-from prodgraph.product import KronAdjacency, build_product_bundle
+from prodgraph.product import KronAdjacency, PointAdjacency, build_product_bundle
 from prodgraph.graphs import SparseAdjacency, complete_graph, path_graph
 from prodgraph.rng import SplitMix64
 from helpers import entry_set, traced_peak
@@ -291,19 +291,39 @@ def test_tuple_builders_match_brute_force_enumeration():
                 assert np.array_equal(k_point_adjacency(n, order, i).entries, ref.entries)
 
 
-def test_tuple_builders_emit_row_major_entries_without_from_pairs(monkeypatch):
-    # the builders place every entry by index arithmetic; the strict-order
-    # check of SparseAdjacency.__post_init__ is their only guard
-    def spy(*args, **kwargs):
-        raise AssertionError("a tuple builder called SparseAdjacency.from_pairs")
-    monkeypatch.setattr(SparseAdjacency, "from_pairs", spy)
-    for g in (EMPTY2, P2, K3, random_graph(5, 0.5, seed=1)):
+def test_tuple_builders_order_entries_through_from_pairs(monkeypatch):
+    # every COO builder lists its entries in whatever order its broadcast
+    # gives and returns what SparseAdjacency.from_pairs made of them; the
+    # entries are the brute-force reference's
+    made = []
+    from_pairs = SparseAdjacency.from_pairs
+
+    def spy(rows, cols, pairs):
+        made.append(from_pairs(rows, cols, pairs))
+        return made[-1]
+    monkeypatch.setattr(SparseAdjacency, "from_pairs", staticmethod(spy))
+
+    def built(build, *args):
+        calls = len(made)
+        adj = build(*args)
+        assert len(made) > calls and made[-1] is adj, build.__name__
+        return adj
+    for g in (EMPTY2, P2, K3, Graph(n=4, edges=frozenset({(0, 1)})), random_graph(5, 0.5, seed=1)):
+        n = g.n
         for order in range(1, 5):
             for slot in range(order):
-                slot_adjacency(g, order, slot)
+                ref = reference_adjacency(n, order, slot_pairs(g, order, slot))
+                assert np.array_equal(built(slot_adjacency, g, order, slot).entries, ref.entries)
             for i in range(1, order + 1):
-                k_point_adjacency(g.n, order, i)
-        build_product_bundle(g)
+                ref = reference_adjacency(n, order, point_pairs(n, order, i))
+                assert np.array_equal(built(k_point_adjacency, n, order, i).entries, ref.entries)
+        for adj in vars(build_product_bundle(g)).values():
+            full = built(adj.to_sparse)
+            assert np.array_equal(full.entries, factored_adjacency(adj).entries)
+            for ratio in (0.3, 0.6, 1.0):
+                mask = SamplingMask.from_ratio(n, ratio, SplitMix64(n))
+                masked = built(sampled_adjacency, adj, mask)
+                assert np.array_equal(masked.entries, masked_adjacency(full, mask).entries)
 
 
 def test_sparse_tuple_builders_pass_the_dense_guard():
@@ -404,6 +424,41 @@ def test_degree_buckets_partition_the_base_edges():
                 seen.append(int(u))
         assert sorted(seen) == [u for u in range(g.n) if nbrs[u]]
         assert len(edges) == 2 * g.num_edges
+
+
+def test_kron_adjacency_refuses_edges_it_would_misuse():
+    # an asymmetric base factor used to build its buckets, and the backward's
+    # reverse index then pointed at the wrong edge: as a Pipeline's internal
+    # type on path_graph(3), grad_check read relative errors up to 1.99.
+    # Unsorted edges failed inside `buckets` with a bare IndexError, and a
+    # duplicate edge counted its sender twice.
+    src, dst = path_graph(3).directed_edges
+    adj = KronAdjacency(src.tolist(), dst.tolist(), 1, (3, 3))
+    assert adj.src.dtype == adj.dst.dtype == np.int64
+    KronAdjacency(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), 0, (2, 3))
+    refused = {
+        "asymmetric": ([0, 0, 1, 2], [1, 2, 0, 1], 1),
+        "unsorted": ([1, 0, 1, 2], [0, 1, 2, 1], 1),
+        "duplicate": ([0, 0, 1, 1, 2], [1, 1, 0, 2, 1], 1),
+        "node past the axis": ([0, 3], [3, 0], 1),
+        "negative node": ([-1, 0], [0, -1], 1),
+        "unequal lengths": ([0, 1, 1], [1, 0], 1),
+        "2-D": ([[0, 1]], [[1, 0]], 1),
+        "axis off the grid": ([0, 1], [1, 0], 2),
+    }
+    for name, (s, d, axis) in refused.items():
+        with pytest.raises(ValidationError):
+            KronAdjacency(np.array(s), np.array(d), axis, (3, 3))
+            pytest.fail(f"{name} edges were accepted")
+
+
+def test_point_adjacency_refuses_roots_it_would_misuse():
+    # gather used to read another subgraph's root for unsorted, repeated or
+    # out-of-range roots
+    assert PointAdjacency(np.array([0, 2]), 3).to_sparse().nnz == 4
+    for sampled in ([2, 0], [0, 0, 1], [0, 3], [-1, 1], [[0, 1]]):
+        with pytest.raises(ValidationError):
+            PointAdjacency(np.array(sampled), 3)
 
 
 def test_adjacency_permutation_equivariance():

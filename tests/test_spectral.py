@@ -425,6 +425,18 @@ def test_pe_matrix_sizes_come_from_data():
             PEMatrix(factors=factors, eigenvalues=np.zeros(2))
 
 
+def test_pe_factors_are_column_major():
+    # expand multiplies along a factor's rows: on er_graph(256, 4.0) the
+    # row-major blocks concatenation_pe used to build took 497 us for 64
+    # leads, column-major ones 88 us, with the same bits
+    g = random_graph(9, 0.4, seed=2)
+    pes = (product_pe(g, 5), concatenation_pe(g, 3), k_tuple_pe(g, 1, 4), k_tuple_pe(g, 3, 6),
+           PEMatrix(factors=[np.ones((4, 3)), np.ones((2, 3))], eigenvalues=np.zeros(3)))
+    for pe in pes:
+        for factor in pe.factors:
+            assert factor.flags.f_contiguous and not factor.flags.writeable
+
+
 def test_pe_blocks_are_rows_of_the_expansion():
     # expand(lead) forms, bit for bit, the rows of .data whose leading index
     # is each entry of lead, in lead's order, repeats included: the K

@@ -26,6 +26,12 @@ def test_quick_scale_runs_every_check():
     assert [r.name for r in report.results] == [name for name, _ in ALL_CHECKS]
 
 
+def test_full_scale_passes_every_check():
+    report = run_checks("full")
+    assert report.passed, [r.name for r in report.results if not r.passed]
+    assert [r.name for r in report.results] == [name for name, _ in ALL_CHECKS]
+
+
 def test_coverage_table_names_each_check_once():
     covered = [
         name.strip()
